@@ -15,14 +15,16 @@
 
 use fbd_bench::*;
 use fbd_core::experiment::ExperimentConfig;
-use fbd_types::config::{Interleaving, MemoryTech, PagePolicy, Replacement, SystemConfig};
+use fbd_core::RunSpec;
+use fbd_types::config::{Interleaving, MemoryTech, PagePolicy, Replacement};
 
 fn run_pair(
     title: &str,
-    configs: Vec<(String, SystemConfig)>,
+    configs: Vec<(String, impl Into<RunSpec>)>,
     exp: &ExperimentConfig,
     refs: &std::collections::HashMap<String, f64>,
 ) {
+    let configs: Vec<(String, RunSpec)> = configs.into_iter().map(|(l, c)| (l, c.into())).collect();
     println!("--- {title} ---");
     let mut rows = vec![{
         let mut h = vec!["config".to_string()];
@@ -35,8 +37,8 @@ fn run_pair(
             configs
                 .iter()
                 .map(|(l, c)| {
-                    let mut c = *c;
-                    c.cpu.cores = cores;
+                    let mut c = c.clone();
+                    c.system_mut().cpu.cores = cores;
                     (l.clone(), c)
                 })
                 .collect()
@@ -102,12 +104,12 @@ fn main() {
 
     // 3. Hit-first vs FCFS scheduling (on plain FB-DIMM). Both
     //    policies are registry entries, selected by name.
-    let fcfs = with_scheduler(system(Variant::Fbd, 1), "fcfs");
+    let fbd = RunSpec::new(system(Variant::Fbd, 1));
     run_pair(
         "Controller scheduling: hit-first (paper) vs FCFS",
         vec![
-            ("hit-first".into(), system(Variant::Fbd, 1)),
-            ("FCFS".into(), fcfs),
+            ("hit-first".into(), fbd.clone()),
+            ("FCFS".into(), fbd.scheduler("fcfs")),
         ],
         &exp,
         &refs,

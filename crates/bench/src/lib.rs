@@ -21,8 +21,7 @@ use fbd_core::experiment::{default_budget, reference_ipcs, smt_speedup, Experime
 pub use fbd_core::parallel_map;
 use fbd_core::{RunResult, RunSpec};
 use fbd_types::config::{
-    AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SchedPolicy,
-    SystemConfig,
+    AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SystemConfig,
 };
 use fbd_types::time::DataRate;
 use fbd_workloads::{paper_workloads, Workload, PROFILES};
@@ -78,28 +77,6 @@ pub fn system(variant: Variant, cores: u32) -> SystemConfig {
     cfg
 }
 
-/// Selects a scheduling policy on a bench config by its registry name
-/// (validated against [`fbd_ctrl::schedulers`]), so benches pick
-/// policies the same way the CLI's `--scheduler` flag does.
-///
-/// # Panics
-///
-/// Panics on a name the scheduler registry does not know.
-pub fn with_scheduler(mut cfg: SystemConfig, name: &str) -> SystemConfig {
-    assert!(
-        fbd_ctrl::schedulers().get(name).is_some(),
-        "unknown scheduler `{name}` (available: {})",
-        fbd_ctrl::schedulers().available()
-    );
-    // The config enum is the carrier the grouped runners serialize; it
-    // mirrors the registry entry of the same name.
-    cfg.mem.sched_policy = match name {
-        "fcfs" => SchedPolicy::Fcfs,
-        _ => SchedPolicy::HitFirst,
-    };
-    cfg
-}
-
 /// AMB-prefetching system with explicit region size, buffer entries and
 /// associativity (the Figure 8/11/13 sensitivity grid).
 pub fn ap_system(
@@ -151,22 +128,28 @@ pub fn benchmark_names() -> Vec<&'static str> {
 }
 
 /// Runs `workload` on every (label, config) pair in parallel; returns
-/// results in the same order.
-pub fn run_matrix(
-    configs: &[(String, SystemConfig)],
+/// results in the same order. A config is a [`SystemConfig`] or, when a
+/// row needs registry selections such as `.scheduler("fcfs")`, a
+/// [`RunSpec`]; the runner sets its workload and run control.
+pub fn run_matrix<C>(
+    configs: &[(String, C)],
     workloads: &[Workload],
     exp: &ExperimentConfig,
-) -> Vec<((String, String), RunResult)> {
-    let jobs: Vec<(String, SystemConfig, Workload)> = configs
+) -> Vec<((String, String), RunResult)>
+where
+    C: Clone + Sync,
+    RunSpec: From<C>,
+{
+    let jobs: Vec<(String, C, Workload)> = configs
         .iter()
         .flat_map(|(label, cfg)| {
             workloads
                 .iter()
-                .map(move |w| (label.clone(), *cfg, w.clone()))
+                .map(move |w| (label.clone(), cfg.clone(), w.clone()))
         })
         .collect();
     let results = parallel_map(&jobs, |(_, cfg, w)| {
-        RunSpec::new(*cfg)
+        RunSpec::from(cfg.clone())
             .with_workload(w.clone())
             .experiment(*exp)
             .run()
@@ -192,22 +175,26 @@ pub type GroupResults = (
 /// configuration list from the group's core count. Output order is
 /// deterministic: groups in [`workload_groups`] order, each group's
 /// results in the same order a per-group [`run_matrix`] call returns.
-pub fn run_grouped(
-    configs_for: impl Fn(u32) -> Vec<(String, SystemConfig)>,
+pub fn run_grouped<C>(
+    configs_for: impl Fn(u32) -> Vec<(String, C)>,
     exp: &ExperimentConfig,
-) -> Vec<GroupResults> {
+) -> Vec<GroupResults>
+where
+    C: Clone + Sync,
+    RunSpec: From<C>,
+{
     let groups = workload_groups();
-    let mut jobs: Vec<(usize, String, SystemConfig, Workload)> = Vec::new();
+    let mut jobs: Vec<(usize, String, C, Workload)> = Vec::new();
     for (gi, (_, workloads)) in groups.iter().enumerate() {
         let cores = workloads[0].cores();
         for (label, cfg) in configs_for(cores) {
             for w in workloads {
-                jobs.push((gi, label.clone(), cfg, w.clone()));
+                jobs.push((gi, label.clone(), cfg.clone(), w.clone()));
             }
         }
     }
     let results = parallel_map(&jobs, |(_, _, cfg, w)| {
-        RunSpec::new(*cfg)
+        RunSpec::from(cfg.clone())
             .with_workload(w.clone())
             .experiment(*exp)
             .run()

@@ -1,65 +1,30 @@
 //! Diagnostic: issue a dense read/write flood straight into the memory
 //! system and measure achieved bandwidth against the theoretical peak.
 
-use fbd_core::memsys::{Issued, MemorySystem};
+use fbd_core::{drive, MemorySystem};
 use fbd_types::config::MemoryConfig;
 use fbd_types::request::{AccessKind, CoreId, MemRequest};
 use fbd_types::time::Time;
 use fbd_types::{LineAddr, RequestId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
-enum Ev {
-    Done(u32),
-    Decide(u32),
-}
 
 fn run(label: &str, cfg: MemoryConfig, stride: u64, write_every: u64) {
     let mut mem = MemorySystem::new(&cfg);
     let n = 20_000u64;
-    let mut ev: BinaryHeap<Reverse<(Time, Ev)>> = BinaryHeap::new();
-    for i in 0..n {
+    let requests = (0..n).map(|i| {
         let kind = if write_every > 0 && i % write_every == write_every - 1 {
             AccessKind::Write
         } else {
             AccessKind::DemandRead
         };
-        let r = MemRequest::new(
+        MemRequest::new(
             RequestId(i),
             CoreId(0),
             kind,
             LineAddr::new(i * stride),
             Time::from_ns(i / 4),
-        );
-        let (ch, ready) = mem.submit(r);
-        ev.push(Reverse((ready, Ev::Decide(ch))));
-    }
-    let mut last = Time::ZERO;
-    while let Some(Reverse((t, e))) = ev.pop() {
-        match e {
-            Ev::Decide(ch) => {
-                let res = mem.decide(ch, t);
-                for issued in res.issued {
-                    let done = match issued {
-                        Issued::Read { resp } => resp.completion,
-                        Issued::Write { done } => done,
-                    };
-                    last = last.max(done);
-                    ev.push(Reverse((done.max(t), Ev::Done(ch))));
-                }
-                if let Some(next) = res.next_decision {
-                    ev.push(Reverse((next.max(t), Ev::Decide(ch))));
-                }
-            }
-            Ev::Done(ch) => {
-                mem.complete(ch);
-                if mem.has_work(ch) {
-                    ev.push(Reverse((t, Ev::Decide(ch))));
-                }
-            }
-        }
-    }
+        )
+    });
+    let last = drive(&mut mem, requests);
     let bytes = n * 64;
     let secs = (last - Time::ZERO).as_secs_f64();
     println!(

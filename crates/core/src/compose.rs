@@ -5,10 +5,11 @@
 //! system. [`MemorySystem::compose`](crate::MemorySystem::compose)
 //! resolves each name against its registry and builds the system;
 //! [`Composition::from_config`] goes the other way, recovering the
-//! names from a plain [`MemoryConfig`] so the legacy enum-driven path
-//! and the registry path describe (and build) the exact same machine.
+//! substrate and refresh names from a plain [`MemoryConfig`]. The
+//! scheduler is not part of a config: it is always chosen by name, and
+//! defaults to the registry's `hit-first`.
 
-use fbd_types::config::{MemoryConfig, SchedPolicy};
+use fbd_types::config::MemoryConfig;
 use fbd_types::substrate::substrates;
 
 /// Registry names selecting each pluggable part of a memory system.
@@ -27,18 +28,14 @@ pub struct Composition {
 
 impl Composition {
     /// Recovers the composition a plain config describes: the substrate
-    /// by preset equality (`custom` if none matches), the scheduler
-    /// from the legacy policy enum, and the refresh manager from the
-    /// config's master switch.
+    /// by preset equality (`custom` if none matches), the default
+    /// `hit-first` scheduler, and the refresh manager from the config's
+    /// master switch.
     pub fn from_config(cfg: &MemoryConfig) -> Composition {
         let substrate = substrates()
             .iter()
             .find(|(_, s)| s.config() == *cfg)
             .map_or("custom", |(name, _)| name);
-        let scheduler = match cfg.sched_policy {
-            SchedPolicy::HitFirst => "hit-first",
-            SchedPolicy::Fcfs => "fcfs",
-        };
         let refresh = if cfg.refresh.enabled {
             "staggered"
         } else {
@@ -46,7 +43,7 @@ impl Composition {
         };
         Composition {
             substrate: substrate.to_owned(),
-            scheduler: scheduler.to_owned(),
+            scheduler: "hit-first".to_owned(),
             mapper: "interleaved".to_owned(),
             refresh: refresh.to_owned(),
         }
@@ -78,12 +75,10 @@ mod tests {
     }
 
     #[test]
-    fn enum_policy_and_refresh_switch_are_reflected() {
+    fn refresh_switch_is_reflected() {
         let mut cfg = MemoryConfig::fbdimm_default();
-        cfg.sched_policy = SchedPolicy::Fcfs;
         cfg.refresh = fbd_types::config::RefreshConfig::ddr2_1gb();
         let c = Composition::from_config(&cfg);
-        assert_eq!(c.scheduler, "fcfs");
         assert_eq!(c.refresh, "staggered");
     }
 }

@@ -149,6 +149,12 @@ pub struct RunSpec {
     observer: SampleObserver,
 }
 
+impl From<SystemConfig> for RunSpec {
+    fn from(system: SystemConfig) -> RunSpec {
+        RunSpec::new(system)
+    }
+}
+
 /// Registry names explicitly selected on a [`RunSpec`], overriding
 /// whatever [`Composition::from_config`] would infer from the system
 /// configuration. Names are validated when set, so resolution at run
@@ -264,7 +270,7 @@ impl RunSpec {
     }
 
     /// Selects a registered scheduling policy by name for every
-    /// channel (overrides the configuration's legacy policy enum).
+    /// channel (the default is `hit-first`).
     ///
     /// # Panics
     ///

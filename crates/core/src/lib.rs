@@ -53,7 +53,7 @@ pub use fidelity::{
 pub use memsys::{ChannelCounters, DecideResult, Issued, MemorySystem};
 pub use parallel::parallel_map;
 pub use system::{RunResult, System};
-pub use trace_io::{replay, MemoryTrace, ReplayResult, TraceRecord};
+pub use trace_io::{drive, replay, MemoryTrace, ReplayResult, TraceRecord};
 
 /// Build provenance baked in at compile time by `build.rs`: crate
 /// version, git SHA (with `-dirty` suffix), rustc version and cargo

@@ -13,8 +13,6 @@
 //! requests in earlier. Use full-system runs for performance claims and
 //! replay for memory-subsystem analysis.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::{self, BufRead, Write};
 
 use fbd_faults::FaultReport;
@@ -25,6 +23,7 @@ use fbd_types::stats::MemStats;
 use fbd_types::time::{Dur, Time};
 use fbd_types::{LineAddr, RequestId};
 
+use crate::events::EventQueue;
 use crate::memsys::{ChannelCounters, Issued, MemorySystem};
 
 /// One recorded memory transaction.
@@ -222,43 +221,13 @@ impl ReplayResult {
 ///
 /// Panics if the configuration is invalid.
 pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
-    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    enum Ev {
-        Done(u32),
-        Decide(u32),
-    }
     let mut mem = MemorySystem::new(cfg);
-    let mut events: BinaryHeap<Reverse<(Time, Ev)>> = BinaryHeap::new();
-    for (i, r) in trace.records().iter().enumerate() {
-        let req = MemRequest::new(RequestId(i as u64), r.core, r.kind, r.line, r.arrival);
-        let (ch, ready) = mem.submit(req);
-        events.push(Reverse((ready, Ev::Decide(ch))));
-    }
-    let mut finished = Time::ZERO;
-    while let Some(Reverse((t, ev))) = events.pop() {
-        match ev {
-            Ev::Decide(ch) => {
-                let result = mem.decide(ch, t);
-                for issued in result.issued {
-                    let done = match issued {
-                        Issued::Read { resp } => resp.completion,
-                        Issued::Write { done } => done,
-                    };
-                    finished = finished.max(done);
-                    events.push(Reverse((done.max(t), Ev::Done(ch))));
-                }
-                if let Some(next) = result.next_decision {
-                    events.push(Reverse((next.max(t), Ev::Decide(ch))));
-                }
-            }
-            Ev::Done(ch) => {
-                mem.complete(ch);
-                if mem.has_work(ch) {
-                    events.push(Reverse((t, Ev::Decide(ch))));
-                }
-            }
-        }
-    }
+    let requests = trace
+        .records()
+        .iter()
+        .enumerate()
+        .map(|(i, r)| MemRequest::new(RequestId(i as u64), r.core, r.kind, r.line, r.arrival));
+    let finished = drive(&mut mem, requests);
     ReplayResult {
         energy: mem.energy_report(finished),
         finished,
@@ -267,6 +236,62 @@ pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
         faults: mem.fault_report(finished),
         mem: mem.finish_stats(),
     }
+}
+
+/// Runs `requests` through `mem` open-loop: submits every request up
+/// front (each keeps its own arrival time), then runs decisions and
+/// completions on the shared [`EventQueue`] until `mem` drains. Returns
+/// the instant the last issued transaction completed ([`Time::ZERO`] if
+/// none was issued).
+///
+/// This is the event loop of [`replay`]; use it directly to drive a
+/// hand-built [`MemorySystem`] (e.g. one with telemetry enabled) from a
+/// synthetic request stream.
+pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemRequest>) -> Time {
+    /// Completions sort before decisions at the same instant.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Ev {
+        Done(u32),
+        Decide(u32),
+    }
+    let mut events = EventQueue::from_env();
+    for req in requests {
+        let (ch, ready) = mem.submit(req);
+        events.push(ready, Ev::Decide(ch), true);
+    }
+    let mut issued = Vec::new();
+    let mut finished = Time::ZERO;
+    while let Some((t, ev, count)) = events.pop() {
+        // `count` > 1 only for deduped decisions. Re-running the handler
+        // back to back matches the heap's order because a decision at `t`
+        // only pushes work strictly later or its own channel's `Decide`.
+        for _ in 0..count {
+            match ev {
+                Ev::Decide(ch) => {
+                    let next = mem.decide_into(ch, t, &mut issued);
+                    for issued in issued.drain(..) {
+                        let done = match issued {
+                            Issued::Read { resp } => resp.completion,
+                            Issued::Write { done } => done,
+                        };
+                        debug_assert!(done > t, "a transfer completes after its decision");
+                        finished = finished.max(done);
+                        events.push(done.max(t), Ev::Done(ch), false);
+                    }
+                    if let Some(next) = next {
+                        events.push(next.max(t), Ev::Decide(ch), true);
+                    }
+                }
+                Ev::Done(ch) => {
+                    mem.complete(ch);
+                    if mem.has_work(ch) {
+                        events.push(t, Ev::Decide(ch), true);
+                    }
+                }
+            }
+        }
+    }
+    finished
 }
 
 /// Dur helper for the replay result (re-exported convenience).

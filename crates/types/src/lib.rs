@@ -36,7 +36,7 @@ pub use address::{LineAddr, PhysAddr, RegionId, CACHE_LINE_BYTES};
 pub use config::{
     AmbPrefetchConfig, AmbPrefetchMode, Associativity, CpuConfig, DramTimings, FaultConfig,
     FaultMode, HwPrefetchConfig, Interleaving, MemoryConfig, MemoryTech, PagePolicy, Replacement,
-    SchedPolicy, SystemConfig,
+    SystemConfig,
 };
 pub use error::ConfigError;
 pub use registry::Registry;

@@ -1,27 +1,28 @@
-//! Golden-parity suite for the composable substrate API (ISSUE 7
-//! acceptance criteria) and the event-wheel hot loop (ISSUE 9).
+//! Golden-parity suite for the composable substrate API and the event
+//! queue.
 //!
 //! The registry path must be a pure re-plumbing: selecting a system
 //! through `--substrate` (registry spelling) must produce stats JSON
 //! byte-identical to the historical `--system` spelling on every paper
-//! system, with and without fault injection; the registry-composed
-//! FCFS scheduler must reproduce the legacy `SchedPolicy::Fcfs` enum
-//! results exactly; and the extension entries (`ddr3-1066`, `fcfs`)
-//! must be reachable by name only, with their names echoed in the
-//! stats document's composition metadata.
+//! system, with and without fault injection; the registry's `fcfs` and
+//! `hit-first` schedulers must be observably different policies; and
+//! the extension entries (`ddr3-1066`, `fcfs`) must be reachable by
+//! name only, with their names echoed in the stats document's
+//! composition metadata.
 //!
 //! The event wheel must likewise be a pure re-plumbing of the event
 //! queue: every run under the default calendar queue must produce
 //! stats JSON byte-identical to the same run forced onto the seed
 //! binary heap with `FBD_EVENT_QUEUE=heap` — across the four paper
 //! systems, under fault injection, and through the fast-fidelity path.
+//! Open-loop trace replay drives the same queue, so `fbdsim replay` of
+//! a recorded trace must print byte-identical reports under both.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::{json, Json};
-use fbd_types::config::SchedPolicy;
 use fbd_types::substrate::substrates;
 
 const BUDGET: &str = "5000";
@@ -217,8 +218,8 @@ fn explicit_default_scheduler_is_byte_identical_to_none() {
     );
 }
 
-/// The scalar results that must agree between the legacy enum path and
-/// the registry path (RunResult has no blanket equality).
+/// The scalar results that tell two runs apart (RunResult has no
+/// blanket equality).
 fn fingerprint(r: &RunResult) -> (f64, Vec<f64>, u64, u64, u64, f64) {
     (
         r.elapsed.as_ns_f64(),
@@ -231,10 +232,11 @@ fn fingerprint(r: &RunResult) -> (f64, Vec<f64>, u64, u64, u64, f64) {
 }
 
 #[test]
-fn registry_fcfs_reproduces_the_legacy_enum_policy() {
+fn registry_fcfs_and_hit_first_are_observably_different() {
     // A four-core mix keeps the transaction queue deep enough that
     // hit-first actually reorders (a 1-core stream rarely gives the
-    // scheduler more than one ready candidate).
+    // scheduler more than one ready candidate), so selecting `fcfs` by
+    // name must reach a different policy than the default.
     let base = || {
         RunSpec::paper_default(4)
             .workload("4C-1")
@@ -242,21 +244,11 @@ fn registry_fcfs_reproduces_the_legacy_enum_policy() {
             .budget(20_000)
             .seed(42)
     };
-    let mut legacy_spec = base();
-    legacy_spec.system_mut().mem.sched_policy = SchedPolicy::Fcfs;
-    let legacy = legacy_spec.run();
-    let composed = base().try_scheduler("fcfs").expect("registered").run();
-    assert_eq!(
-        fingerprint(&legacy),
-        fingerprint(&composed),
-        "registry-selected fcfs diverged from the SchedPolicy::Fcfs enum"
-    );
-    // And the policies genuinely differ from the default, so the
-    // comparison above cannot pass by accident.
+    let fcfs = base().try_scheduler("fcfs").expect("registered").run();
     let hit_first = base().run();
     assert_ne!(
         fingerprint(&hit_first),
-        fingerprint(&legacy),
+        fingerprint(&fcfs),
         "fcfs and hit-first must be observably different policies"
     );
 }
@@ -386,6 +378,53 @@ fn event_wheel_heap_parity_holds_through_fast_fidelity() {
         wheel, heap,
         "fast-fidelity run diverged between queue kinds"
     );
+}
+
+#[test]
+fn replay_is_byte_identical_under_wheel_and_heap() {
+    let trace = tmp_path("replay-trace.csv");
+    let trace_s = trace.to_str().unwrap();
+    let out = fbdsim(&[
+        "record",
+        "--workload",
+        "1C-swim",
+        "--system",
+        "fbd",
+        "--budget",
+        BUDGET,
+        "--out",
+        trace_s,
+    ]);
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "record failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let replay = |system: &str, envs: &[(&str, &str)]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fbdsim"))
+            .args(["replay", "--trace", trace_s, "--system", system])
+            .envs(envs.iter().copied())
+            .output()
+            .expect("fbdsim runs");
+        assert_eq!(
+            exit_code(&out),
+            0,
+            "replay on `{system}` (env {envs:?}) failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("UTF-8 report")
+    };
+    for system in ["ddr2", "fbd", "fbd-ap", "fbd-apfl"] {
+        let wheel = replay(system, WHEEL);
+        let heap = replay(system, HEAP);
+        assert_eq!(
+            wheel, heap,
+            "replay on `{system}` diverged between queue kinds"
+        );
+        assert!(wheel.contains("read latency"), "{wheel}");
+    }
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]

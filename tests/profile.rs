@@ -10,10 +10,7 @@
 //! traffic must also conserve across counter levels: channel writes
 //! equal the summed per-DIMM column writes.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use fbd_core::{Issued, MemorySystem, RunResult, RunSpec};
+use fbd_core::{drive, MemorySystem, RunResult, RunSpec};
 use fbd_telemetry::{LogHistogram, MetricValue, TelemetryConfig};
 use fbd_types::request::{AccessKind, CoreId, MemRequest, ReqClass, Stage, REQ_CLASSES, STAGES};
 use fbd_types::substrate::substrates;
@@ -186,51 +183,20 @@ fn channel_writes_equal_summed_dimm_col_writes() {
         let cfg = substrates().get(system).expect("known system").config();
         let mut mem = MemorySystem::new(&cfg);
         mem.enable_telemetry(&TelemetryConfig::default());
-
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        enum Ev {
-            Done(u32),
-            Decide(u32),
-        }
-        let mut events: BinaryHeap<Reverse<(Time, Ev)>> = BinaryHeap::new();
         let total: u64 = 300;
-        for i in 0..total {
-            // Strided lines spread the stream over channels, DIMMs and
-            // banks; the tight arrival pitch keeps the queue deep enough
-            // to engage the DDR2 write-drain batch.
-            let req = MemRequest::new(
+        // Strided lines spread the stream over channels, DIMMs and
+        // banks; the tight arrival pitch keeps the queue deep enough to
+        // engage the DDR2 write-drain batch.
+        let writes = (0..total).map(|i| {
+            MemRequest::new(
                 RequestId(i),
                 CoreId(0),
                 AccessKind::Write,
                 LineAddr::new(i * 7),
                 Time::from_ns(i * 4),
-            );
-            let (ch, ready) = mem.submit(req);
-            events.push(Reverse((ready, Ev::Decide(ch))));
-        }
-        while let Some(Reverse((t, ev))) = events.pop() {
-            match ev {
-                Ev::Decide(ch) => {
-                    let result = mem.decide(ch, t);
-                    for issued in result.issued {
-                        let done = match issued {
-                            Issued::Read { resp } => resp.completion,
-                            Issued::Write { done } => done,
-                        };
-                        events.push(Reverse((done.max(t), Ev::Done(ch))));
-                    }
-                    if let Some(next) = result.next_decision {
-                        events.push(Reverse((next.max(t), Ev::Decide(ch))));
-                    }
-                }
-                Ev::Done(ch) => {
-                    mem.complete(ch);
-                    if mem.has_work(ch) {
-                        events.push(Reverse((t, Ev::Decide(ch))));
-                    }
-                }
-            }
-        }
+            )
+        });
+        drive(&mut mem, writes);
 
         let reg = &mem.telemetry().expect("telemetry enabled").registry;
         let counter = |path: &str| -> u64 {
