@@ -1,20 +1,28 @@
 //! The complete memory subsystem: controller policy wired to a datapath.
 //!
-//! One [`MemorySystem`] owns the transaction queue, scheduler, address
-//! mapper and (when prefetching is on) the prefetch information table,
-//! plus one datapath per logical channel:
+//! One [`MemorySystem`] owns the address mapper, the transaction queue,
+//! the refresh manager and (when prefetching is on) the prefetch
+//! information table, and orchestrates one channel per logical channel.
+//! The queue is Table 1's single 64-entry buffer: it keeps which entry
+//! belongs to which channel (one bucket each, under the shared
+//! capacity) and the FIFO backlog of requests that arrived while it was
+//! full. Each channel owns its scheduler, its ranks' power-mode
+//! trackers, its dropped-prefetch re-issue queue and its datapath:
 //!
 //! * **FB-DIMM**: southbound/northbound links ([`fbd_link::FbdChannel`])
 //!   in front of per-DIMM AMB engines ([`fbd_amb::AmbDimm`]);
 //! * **DDR2** baseline: a shared command bus and a shared data bus in
-//!   front of per-DIMM bank arrays.
+//!   front of per-rank bank arrays.
 //!
 //! The subsystem is driven by *decision events*: at each decision
-//! instant for a channel the scheduler picks the best ready transaction
-//! (hit-first, read-priority) and issues it, reserving link/bus/bank
-//! time and computing the completion analytically. One decision issues
-//! at most one transaction, and the next decision follows one command
-//! slot later, so scheduling stays fine-grained.
+//! instant for a channel its scheduler picks the best ready transaction
+//! in the channel's bucket (hit-first, read-priority) and issues it,
+//! reserving link/bus/bank time and computing the completion
+//! analytically. Taking the entry out of the queue admits backlogged
+//! requests before it executes. One decision issues at most one
+//! transaction (a DDR2 write drain is the exception), and the next
+//! decision follows one command slot later, so scheduling stays
+//! fine-grained.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -26,7 +34,7 @@ use fbd_ctrl::{
 };
 use fbd_dram::{AccessPlan, BankArray, ColKind, ColumnOp, DataBus};
 use fbd_faults::{FaultCounters, FaultReport, SilentErrorReport};
-use fbd_link::{Ddr2CommandBus, FbdChannel, LinkSlot};
+use fbd_link::{Ddr2CommandBus, FbdChannel, LinkSlot, LinkXfer};
 use fbd_power::{EnergyModel, EnergyReport, PowerModeTracker, RankActivity};
 use fbd_telemetry::host::{Counter, HostHandle, Phase};
 use fbd_telemetry::{
@@ -36,7 +44,7 @@ use fbd_telemetry::{
 use fbd_types::config::{AmbPrefetchMode, MemoryConfig, MemoryTech, PagePolicy, ScrubPolicyKind};
 use fbd_types::request::{
     AccessKind, CoreId, MemRequest, MemResponse, ReqClass, RequestId, ServiceKind, Stage,
-    StageBreakdown,
+    StageBreakdown, StageStamper,
 };
 use fbd_types::stats::MemStats;
 use fbd_types::time::{DataRate, Dur, Time};
@@ -96,9 +104,61 @@ enum ChannelPath {
     },
 }
 
+impl ChannelPath {
+    /// The bank state the scheduler classifies `m` by: whether its row
+    /// is open, the earliest instant its bank can take an ACT, and the
+    /// end of its rank's write-to-read turnaround. DDR2 bank arrays are
+    /// laid out `dimm * ranks + rank`.
+    fn bank_state(&self, m: &MappedAddr, ranks: u32) -> (bool, Time, Time) {
+        let (rank, bank) = (m.rank as usize, m.bank as usize);
+        match self {
+            ChannelPath::Fbd { dimms, .. } => {
+                let d = &dimms[m.dimm as usize];
+                (
+                    d.is_row_open_at(rank, bank, m.row),
+                    d.earliest_act_at(rank, bank),
+                    d.read_turnaround_until(rank),
+                )
+            }
+            ChannelPath::Ddr2 { dimms, .. } => {
+                let d = &dimms[(m.dimm * ranks + m.rank) as usize];
+                (
+                    d.is_row_open(bank, m.row),
+                    d.earliest_act(bank),
+                    d.read_turnaround_until(),
+                )
+            }
+        }
+    }
+}
+
+/// One logical channel's controller and datapath state. Which queued
+/// transactions belong to it is kept by the shared
+/// [`TransactionQueue`], in this channel's bucket.
 struct Channel {
     path: ChannelPath,
     inflight: u32,
+    /// The channel's scheduling policy (drain-mode state is
+    /// per-channel).
+    sched: Box<dyn SchedulerPolicy>,
+    /// Always-on per-rank power-mode trackers, indexed
+    /// `dimm * ranks + rank`. They feed [`MemorySystem::energy_report`]
+    /// and, when telemetry runs, the residency gauges and power trace
+    /// tracks.
+    power: Vec<PowerModeTracker>,
+    /// Dropped prefetch returns remembered for idle-slot re-issue
+    /// (bounded by the recovery state's budget; stays empty unless
+    /// re-issue is configured).
+    reissue: VecDeque<LineAddr>,
+    /// Ranks per DIMM, for the `dimm * ranks + rank` layouts.
+    ranks: u32,
+}
+
+impl Channel {
+    /// Index of `(dimm, rank)` into `power` and the DDR2 bank arrays.
+    fn rank_slot(&self, dimm: u32, rank: u32) -> usize {
+        (dimm * self.ranks + rank) as usize
+    }
 }
 
 /// Always-on per-channel traffic counters. These stay outside the
@@ -320,8 +380,19 @@ impl MemTel {
 /// with core-originated ids.
 const SYNTH_ID_BASE: u64 = 1 << 63;
 
+/// Counts a link transfer's frames (the delivering one plus every
+/// corrupted attempt) and its retries on the host profiler.
+fn count_frames(host: &HostHandle, xfer: &LinkXfer) {
+    let failed = xfer.failed.len() as u64;
+    host.add(Counter::FramesSent, 1 + failed);
+    if failed > 0 {
+        host.add(Counter::Retries, failed);
+    }
+}
+
 /// Closed-loop recovery state: the poison set fed by CRC escapes, the
-/// background scrub policy, and the dropped-prefetch re-issue queues.
+/// background scrub policy, and the dropped-prefetch re-issue budget
+/// (the queues themselves are per [`Channel`]).
 ///
 /// Lives behind an `Option` that stays `None` unless fault injection
 /// with a finite CRC, scrubbing, or re-issue is configured, so the
@@ -338,9 +409,7 @@ struct Reliability {
     /// Lines whose last transfer escaped the CRC: silently corrupted
     /// in memory until a clean overwrite or a scrub repairs them.
     poisoned: HashSet<LineAddr>,
-    /// Dropped prefetch returns remembered per channel, re-issued at
-    /// idle decision slots (each queue bounded by `reissue_budget`).
-    pending: Vec<VecDeque<LineAddr>>,
+    /// Bound on each channel's re-issue queue.
     reissue_budget: usize,
     /// Controller-side recovery counters (scrub/re-issue activity),
     /// merged with the link counters into the run's fault report.
@@ -370,11 +439,8 @@ impl Reliability {
 pub struct MemorySystem {
     cfg: MemoryConfig,
     mapper: Box<dyn AddressMapper>,
+    /// The shared Table 1 buffer: per-channel buckets plus the backlog.
     queue: TransactionQueue,
-    spill: VecDeque<(MemRequest, MappedAddr)>,
-    /// One scheduler per logical channel (drain-mode state is
-    /// per-channel).
-    scheds: Vec<Box<dyn SchedulerPolicy>>,
     /// Decides when each DIMM refreshes; `refresh_active` caches its
     /// `is_active` so the per-decision fast path stays branch-cheap.
     refresh_mgr: Box<dyn RefreshManager>,
@@ -392,11 +458,6 @@ pub struct MemorySystem {
     stats: MemStats,
     chan_counts: Vec<ChannelCounters>,
     tel: Option<Box<MemTel>>,
-    /// Always-on per-rank power-mode trackers, indexed
-    /// `(channel * dimms_per_channel + dimm) * ranks_per_dimm + rank`.
-    /// They feed [`Self::energy_report`] and, when telemetry runs, the
-    /// residency gauges and power trace tracks.
-    power: Vec<PowerModeTracker>,
     /// Always-on stage × request-class latency attribution over every
     /// completed read. Cheap (fixed-size histograms, no allocation per
     /// read), so it needs no telemetry flag; `fbdsim profile` and the
@@ -415,7 +476,7 @@ impl std::fmt::Debug for MemorySystem {
             .field("tech", &self.cfg.tech)
             .field("channels", &self.channels.len())
             .field("queued", &self.queue.len())
-            .field("spilled", &self.spill.len())
+            .field("backlogged", &self.queue.backlog_len())
             .finish_non_exhaustive()
     }
 }
@@ -497,7 +558,21 @@ impl MemorySystem {
                             .collect(),
                     },
                 };
-                Channel { path, inflight: 0 }
+                Channel {
+                    path,
+                    inflight: 0,
+                    sched: sched_spec.build(cfg),
+                    // Built with `repeat_with`, not `vec![x; n]`: cloning
+                    // a tracker drops its pre-reserved span capacity
+                    // (Vec::clone allocates exactly `len`), which would
+                    // put `note_busy` back on the allocator in the hot
+                    // loop.
+                    power: std::iter::repeat_with(|| PowerModeTracker::new(POWERDOWN_AFTER))
+                        .take((cfg.dimms_per_channel * cfg.ranks_per_dimm) as usize)
+                        .collect(),
+                    reissue: VecDeque::new(),
+                    ranks: cfg.ranks_per_dimm,
+                }
             })
             .collect();
         let refresh_mgr = refresh_spec.build(cfg);
@@ -516,7 +591,6 @@ impl MemorySystem {
                 scrub: scrub_spec.build(cfg),
                 scrub_active: cfg.faults.scrub != ScrubPolicyKind::None,
                 poisoned: HashSet::new(),
-                pending: vec![VecDeque::new(); cfg.logical_channels as usize],
                 reissue_budget: cfg.faults.reissue_budget as usize,
                 counters: FaultCounters::default(),
                 silent: SilentErrorReport::default(),
@@ -527,11 +601,10 @@ impl MemorySystem {
         };
         Ok(MemorySystem {
             mapper: mapper_spec.build(cfg),
-            queue: TransactionQueue::new(cfg.queue_capacity as usize),
-            spill: VecDeque::new(),
-            scheds: (0..cfg.logical_channels)
-                .map(|_| sched_spec.build(cfg))
-                .collect(),
+            queue: TransactionQueue::new(
+                cfg.logical_channels as usize,
+                cfg.queue_capacity as usize,
+            ),
             refresh_mgr,
             refresh_active,
             refresh_buf: Vec::new(),
@@ -542,13 +615,6 @@ impl MemorySystem {
             stats: MemStats::default(),
             chan_counts: vec![ChannelCounters::default(); cfg.logical_channels as usize],
             tel: None,
-            // Built with `repeat_with`, not `vec![x; n]`: cloning a
-            // tracker drops its pre-reserved span capacity (Vec::clone
-            // allocates exactly `len`), which would put `note_busy`
-            // back on the allocator in the hot loop.
-            power: std::iter::repeat_with(|| PowerModeTracker::new(POWERDOWN_AFTER))
-                .take((cfg.logical_channels * cfg.dimms_per_channel * cfg.ranks_per_dimm) as usize)
-                .collect(),
             profile: StageProfile::new(),
             burst,
             clock,
@@ -562,11 +628,6 @@ impl MemorySystem {
     /// it. See [`crate::System::set_host_profiler`].
     pub fn set_host_profiler(&mut self, host: HostHandle) {
         self.host = host;
-    }
-
-    /// Index of the power tracker for `(ch, dimm, rank)`.
-    fn pidx(&self, ch: u32, dimm: u32, rank: u32) -> usize {
-        ((ch * self.cfg.dimms_per_channel + dimm) * self.cfg.ranks_per_dimm + rank) as usize
     }
 
     /// Turns on telemetry collection for the rest of the run: registers
@@ -716,7 +777,7 @@ impl MemorySystem {
                 let ids = &t.chans[ch as usize];
                 (ids.queue_depth, ids.inflight)
             };
-            let depth = self.queue.channel_depth(ch) as f64;
+            let depth = self.queue.bucket(ch).len() as f64;
             let inflight = f64::from(self.channels[ch as usize].inflight);
             t.tel.registry.set(qd, depth);
             t.tel.registry.set(inf, inflight);
@@ -735,12 +796,12 @@ impl MemorySystem {
     pub fn finish_telemetry(&mut self, end: Time) -> Option<Telemetry> {
         let mut mt = self.tel.take()?;
         let ranks = self.cfg.ranks_per_dimm;
-        for ch in 0..self.cfg.logical_channels {
+        for (ch, c) in (0u32..).zip(&self.channels) {
             for d in 0..self.cfg.dimms_per_channel {
                 let ids = mt.chans[ch as usize].dimms[d as usize];
                 let mut res = fbd_power::ModeResidency::default();
                 for r in 0..ranks {
-                    let tracker = &self.power[self.pidx(ch, d, r)];
+                    let tracker = &c.power[c.rank_slot(d, r)];
                     let rr = tracker.residency(end);
                     res.active += rr.active;
                     res.standby += rr.standby;
@@ -830,33 +891,14 @@ impl MemorySystem {
     pub fn submit(&mut self, req: MemRequest) -> (u32, Time) {
         let mapped = self.mapper.map(req.line);
         let ready = req.arrival + self.cfg.controller_overhead;
-        if !self.queue.try_push(req, mapped) {
-            self.spill.push_back((req, mapped));
-        }
+        self.queue.push(req, mapped);
         (mapped.channel, ready)
     }
 
-    fn drain_spill(&mut self) {
-        while !self.queue.is_full() {
-            match self.spill.pop_front() {
-                Some((req, mapped)) => {
-                    let ok = self.queue.try_push(req, mapped);
-                    debug_assert!(ok, "queue had space");
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// True if any transaction is queued (or spilled) for channel `ch`,
-    /// or a dropped prefetch is waiting for an idle-slot re-issue.
+    /// True if any transaction is queued (or backlogged) for channel
+    /// `ch`, or a dropped prefetch is waiting for an idle-slot re-issue.
     pub fn has_work(&self, ch: u32) -> bool {
-        self.queue.iter().any(|e| e.mapped.channel == ch)
-            || self.spill.iter().any(|(_, m)| m.channel == ch)
-            || self
-                .reliability
-                .as_deref()
-                .is_some_and(|r| !r.pending[ch as usize].is_empty())
+        self.queue.has_work(ch) || !self.channels[ch as usize].reissue.is_empty()
     }
 
     /// A completion was observed on `ch`: release its in-flight slot.
@@ -870,7 +912,6 @@ impl MemorySystem {
     /// counts as busy time for the power-mode residency model.
     fn run_refreshes(&mut self, ch: u32, now: Time) {
         let ranks = self.cfg.ranks_per_dimm;
-        let dimms_per_channel = self.cfg.dimms_per_channel;
         let mut ops = std::mem::take(&mut self.refresh_buf);
         ops.clear();
         self.refresh_mgr.due(ch, now, &mut ops);
@@ -889,8 +930,8 @@ impl MemorySystem {
                 }
             }
             for r in 0..ranks {
-                let i = ((ch * dimms_per_channel + op.dimm) * ranks + r) as usize;
-                self.power[i].note_busy(op.at, op.at + op.t_rfc);
+                let i = channel.rank_slot(op.dimm, r);
+                channel.power[i].note_busy(op.at, op.at + op.t_rfc);
             }
         }
         self.refresh_buf = ops;
@@ -922,7 +963,7 @@ impl MemorySystem {
             self.host.mark_sampled(Phase::Controller);
             return None;
         }
-        let Some(id) = self.pick_for(ch, now) else {
+        let Some(picked) = self.pick_for(ch, now) else {
             // The channel has an idle slot: recovery work (a prefetch
             // re-issue, then a due scrub sweep) may claim it. Demand
             // traffic always won the pick above, so recovery never
@@ -934,110 +975,106 @@ impl MemorySystem {
                 }
             }
             // Nothing ready now; maybe a queued transaction becomes
-            // schedulable later (spilled ones re-enter via the queue).
+            // schedulable later (a backlogged one enters the bucket when
+            // some channel's take admits it).
             let overhead = self.cfg.controller_overhead;
             let next = self
                 .queue
+                .bucket(ch)
                 .iter()
-                .filter(|e| e.mapped.channel == ch)
                 .map(|e| e.req.arrival + overhead)
                 .filter(|t| *t > now)
                 .min();
             self.host.mark_sampled(Phase::Controller);
             return next;
         };
-        let entry = self.queue.remove(id).expect("picked entry exists");
-        self.drain_spill();
-        let first_is_write = entry.req.kind == AccessKind::Write;
+        let first_is_write = picked.req.kind == AccessKind::Write;
+        let entry = self.take(picked);
         // Everything up to the pick is controller work; the execute
         // calls below are the transaction's datapath.
         self.host.mark_sampled(Phase::Controller);
-        issued.push(self.execute(entry, now));
-        self.channels[ch as usize].inflight += 1;
+        self.issue(entry, now, issued);
         // Burst the write drain on a shared-bus channel: commit the whole
         // batch in one decision so the next reads' ACT/tRCD pipeline
         // overlaps the write burst on the data bus (what a real
-        // controller's command scheduler achieves).
+        // controller's command scheduler achieves). A picked read stays
+        // queued and resumes at the next decision.
         if first_is_write && self.cfg.tech == MemoryTech::Ddr2 {
             while self.channels[ch as usize].inflight < MAX_INFLIGHT_PER_CHANNEL {
-                let Some(nid) = self.pick_for(ch, now) else {
-                    break;
-                };
-                let next_entry = self.queue.remove(nid).expect("picked entry exists");
-                if next_entry.req.kind != AccessKind::Write {
-                    // Put it back; reads resume at the next decision.
-                    self.queue.restore(next_entry);
-                    break;
+                match self.pick_for(ch, now) {
+                    Some(next) if next.req.kind == AccessKind::Write => {
+                        let entry = self.take(next);
+                        self.issue(entry, now, issued);
+                    }
+                    _ => break,
                 }
-                self.drain_spill();
-                issued.push(self.execute(next_entry, now));
-                self.channels[ch as usize].inflight += 1;
             }
         }
         self.host.mark_sampled(Phase::Datapath);
         Some(self.next_slot(ch, now))
     }
 
-    /// Applies the channel's scheduling policy to its ready transactions.
-    fn pick_for(&mut self, ch: u32, now: Time) -> Option<fbd_types::RequestId> {
+    /// Takes a picked entry out of the queue, admitting backlogged
+    /// requests into the freed slot before anything executes.
+    fn take(&mut self, picked: QueueEntry) -> QueueEntry {
+        self.queue
+            .take(picked.mapped.channel, picked.req.id)
+            .expect("picked entry is queued")
+    }
+
+    /// Executes a taken entry and counts it in flight on its channel.
+    fn issue(&mut self, entry: QueueEntry, now: Time, issued: &mut Vec<Issued>) {
+        let ch = entry.mapped.channel as usize;
+        issued.push(self.execute(entry, now));
+        self.channels[ch].inflight += 1;
+    }
+
+    /// Applies channel `ch`'s scheduling policy to its ready
+    /// transactions and returns a copy of the picked entry, which stays
+    /// queued.
+    fn pick_for(&mut self, ch: u32, now: Time) -> Option<QueueEntry> {
         let overhead = self.cfg.controller_overhead;
-        let ready = |e: &QueueEntry| e.mapped.channel == ch && e.req.arrival + overhead <= now;
-        {
-            let table = self.table.as_ref();
-            let channels = &self.channels;
-            // Bank-readiness window: a bank that can accept an ACT soon
-            // keeps the data bus busy; one deep in its tRC/precharge
-            // window would stall it.
-            let slack = self.clock * 2;
-            let mut classify = |e: &QueueEntry| -> SchedClass {
-                if e.req.kind.is_read() {
-                    if let Some(t) = table {
-                        if t.would_hit(ch, e.mapped.dimm, e.req.line) {
-                            return SchedClass::Hit;
-                        }
-                    }
-                }
-                let ranks = self.cfg.ranks_per_dimm;
-                let (row_open, act_at, wtr_until) = match &channels[ch as usize].path {
-                    ChannelPath::Fbd { dimms, .. } => {
-                        let d = &dimms[e.mapped.dimm as usize];
-                        (
-                            d.is_row_open_at(
-                                e.mapped.rank as usize,
-                                e.mapped.bank as usize,
-                                e.mapped.row,
-                            ),
-                            d.earliest_act_at(e.mapped.rank as usize, e.mapped.bank as usize),
-                            d.read_turnaround_until(e.mapped.rank as usize),
-                        )
-                    }
-                    ChannelPath::Ddr2 { dimms, .. } => {
-                        let d = &dimms[(e.mapped.dimm * ranks + e.mapped.rank) as usize];
-                        (
-                            d.is_row_open(e.mapped.bank as usize, e.mapped.row),
-                            d.earliest_act(e.mapped.bank as usize),
-                            d.read_turnaround_until(),
-                        )
-                    }
-                };
-                // A read into a rank still inside its write-to-read
-                // turnaround would stall; prefer ranks past it.
-                let wtr_blocked = e.req.kind.is_read() && wtr_until > now + slack;
-                if row_open && !wtr_blocked {
-                    SchedClass::Hit
-                } else if act_at <= now + slack && !wtr_blocked {
-                    SchedClass::Ready
-                } else {
-                    SchedClass::NotReady
-                }
-            };
-            let mut candidates = std::mem::take(&mut self.cand_buf);
-            candidates.clear();
-            candidates.extend(self.queue.iter().filter(|e| ready(e)).copied());
-            let picked = self.scheds[ch as usize].pick(&candidates, &mut classify);
-            self.cand_buf = candidates;
-            picked
-        }
+        let table = self.table.as_ref();
+        let Channel {
+            path, sched, ranks, ..
+        } = &mut self.channels[ch as usize];
+        let (path, ranks) = (&*path, *ranks);
+        // Bank-readiness window: a bank that can accept an ACT soon
+        // keeps the data bus busy; one deep in its tRC/precharge window
+        // would stall it.
+        let slack = self.clock * 2;
+        let mut classify = |e: &QueueEntry| -> SchedClass {
+            if e.req.kind.is_read()
+                && table.is_some_and(|t| t.would_hit(ch, e.mapped.dimm, e.req.line))
+            {
+                return SchedClass::Hit;
+            }
+            let (row_open, act_at, wtr_until) = path.bank_state(&e.mapped, ranks);
+            // A read into a rank still inside its write-to-read
+            // turnaround would stall; prefer ranks past it.
+            let wtr_blocked = e.req.kind.is_read() && wtr_until > now + slack;
+            if row_open && !wtr_blocked {
+                SchedClass::Hit
+            } else if act_at <= now + slack && !wtr_blocked {
+                SchedClass::Ready
+            } else {
+                SchedClass::NotReady
+            }
+        };
+        let mut candidates = std::mem::take(&mut self.cand_buf);
+        candidates.clear();
+        candidates.extend(
+            self.queue
+                .bucket(ch)
+                .iter()
+                .filter(|e| e.req.arrival + overhead <= now)
+                .copied(),
+        );
+        let picked = sched
+            .pick(&candidates, &mut classify)
+            .and_then(|id| candidates.iter().find(|e| e.req.id == id).copied());
+        self.cand_buf = candidates;
+        picked
     }
 
     /// The earliest instant after `now` at which another command can be
@@ -1080,14 +1117,9 @@ impl MemorySystem {
     /// poisoned line issues the repair rewrite in the same decision.
     /// Returns the next decision instant when something was issued.
     fn dispatch_recovery(&mut self, ch: u32, now: Time, issued: &mut Vec<Issued>) -> Option<Time> {
-        let reissue = self
-            .reliability
-            .as_deref_mut()
-            .and_then(|r| r.pending[ch as usize].pop_front());
-        if let Some(line) = reissue {
+        if let Some(line) = self.channels[ch as usize].reissue.pop_front() {
             let entry = self.synth_entry(AccessKind::HardwarePrefetch, line, now);
-            issued.push(self.execute_read(entry, now));
-            self.channels[ch as usize].inflight += 1;
+            self.issue(entry, now, issued);
             let rel = self
                 .reliability
                 .as_deref_mut()
@@ -1106,8 +1138,7 @@ impl MemorySystem {
             entry.mapped.channel, ch,
             "scrub lines stay on their channel"
         );
-        issued.push(self.execute_read(entry, now));
-        self.channels[ch as usize].inflight += 1;
+        self.issue(entry, now, issued);
         let rel = self
             .reliability
             .as_deref_mut()
@@ -1120,10 +1151,56 @@ impl MemorySystem {
             rel.silent.scrubbed_clean += 1;
             rel.counters.scrub_rewrites += 1;
             let entry = self.synth_entry(AccessKind::Write, line, now);
-            issued.push(self.execute_write(entry, now));
-            self.channels[ch as usize].inflight += 1;
+            self.issue(entry, now, issued);
         }
         Some(self.next_slot(ch, now))
+    }
+
+    /// One column access on a DDR2 channel, read or write: the ACT (if
+    /// the row is closed) and the column command on the shared command
+    /// bus, then the burst on the shared data bus. Stamps the stages
+    /// into `st`: command-bus slot wait is queueing, the bank's
+    /// precharge/turnaround window is DRAM wait, then the ACT→CAS→burst
+    /// pipeline maps onto the DRAM stages with the data burst standing
+    /// in for the return link.
+    fn ddr2_access(
+        &mut self,
+        m: &MappedAddr,
+        kind: ColKind,
+        now: Time,
+        st: &mut StageStamper,
+    ) -> AccessPlan {
+        let op = ColumnOp {
+            kind,
+            auto_precharge: self.cfg.page_policy == PagePolicy::ClosePage,
+            burst: self.burst,
+        };
+        let chan = &mut self.channels[m.channel as usize];
+        let slot = chan.rank_slot(m.dimm, m.rank);
+        let ChannelPath::Ddr2 { cmd, bus, dimms } = &mut chan.path else {
+            unreachable!("DDR2 access on an FB-DIMM channel");
+        };
+        let dimm = &mut dimms[slot];
+        // An open-row hit needs only the column command on the shared
+        // command bus; anything else needs ACT + CAS.
+        let n_cmds = if dimm.is_row_open(m.bank as usize, m.row) {
+            1
+        } else {
+            2
+        };
+        let slots = cmd.issue_many(now, n_cmds);
+        let plan = dimm.plan(m.bank as usize, m.row, op, slots[0], bus);
+        st.to(Stage::CtrlQueue, plan.first_cmd_at());
+        st.to(Stage::DramWait, plan.act_at.unwrap_or(plan.cmd_at));
+        st.to(Stage::DramAct, plan.cmd_at);
+        st.to(Stage::DramCas, plan.data_start);
+        st.to(Stage::NorthLink, plan.data_end);
+        dimm.commit(&plan, bus);
+        chan.power[slot].note_busy(plan.first_cmd_at(), plan.data_end);
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.ddr2_access(m.channel, m.dimm, &plan);
+        }
+        plan
     }
 
     fn execute_read(&mut self, entry: QueueEntry, now: Time) -> Issued {
@@ -1152,7 +1229,6 @@ impl MemorySystem {
             t.count_read(m.channel);
         }
 
-        let pi = self.pidx(m.channel, m.dimm, m.rank);
         // Under the controller's recovery policy a corrupted northbound
         // transfer for a prefetch read is dropped instead of replayed.
         let droppable = fbd_ctrl::droppable(req.kind);
@@ -1163,17 +1239,13 @@ impl MemorySystem {
         // backoff and corrupted slots under fault injection) is charged
         // to its own stage at each link crossing.
         let mut st = StageBreakdown::stamper(req.arrival);
-        let (completion, service, dropped, escaped) = match &mut self.channels[m.channel as usize]
-            .path
-        {
+        let chan = &mut self.channels[m.channel as usize];
+        let slot = chan.rank_slot(m.dimm, m.rank);
+        let (completion, service, dropped, escaped) = match &mut chan.path {
             ChannelPath::Fbd { link, dimms } => {
                 st.to(Stage::CtrlQueue, req.arrival + entry.queue_wait(now));
                 let cmd = link.send_command_checked(now);
-                self.host
-                    .add(Counter::FramesSent, 1 + cmd.failed.len() as u64);
-                if !cmd.failed.is_empty() {
-                    self.host.add(Counter::Retries, cmd.failed.len() as u64);
-                }
+                count_frames(&self.host, &cmd);
                 st.to(Stage::SouthLink, cmd.first_done);
                 st.to(Stage::Retry, cmd.slot.done);
                 let cmd_at_amb = cmd.slot.done;
@@ -1187,7 +1259,9 @@ impl MemorySystem {
                     .table
                     .as_mut()
                     .is_some_and(|t| t.lookup_hit(m.channel, m.dimm, req.line));
-                if hit {
+                // Each service leaves the demanded line at the AMB at
+                // `ready`; all three then share the northbound return.
+                let (ready, service) = if hit {
                     let data_ready = match self.cfg.amb.mode {
                         // FBD-APFL: charge the full DRAM latency without
                         // touching the bank (Figure 9's ablation).
@@ -1199,26 +1273,10 @@ impl MemorySystem {
                     st.to(Stage::AmbProc, data_ready);
                     self.stats.amb_hits += 1;
                     self.chan_counts[m.channel as usize].amb_hits += 1;
-                    let north = link.return_read_data_checked(m.dimm, data_ready, droppable);
-                    self.host
-                        .add(Counter::FramesSent, 1 + north.failed.len() as u64);
-                    if !north.failed.is_empty() {
-                        self.host.add(Counter::Retries, north.failed.len() as u64);
-                    }
-                    st.to(Stage::NorthQueue, north.first_start);
-                    st.to(Stage::NorthLink, north.first_done);
-                    st.to(Stage::Retry, north.slot.done);
                     if let Some(t) = self.tel.as_deref_mut() {
                         t.amb_hit(m.channel, m.dimm, cmd_at_amb);
-                        t.retry_frames(m.channel, TID_NORTH, &north.failed);
-                        t.north_frame(m.channel, north.slot);
                     }
-                    (
-                        north.slot.done,
-                        ServiceKind::AmbCacheHit,
-                        north.dropped,
-                        cmd.escaped || north.escaped,
-                    )
+                    (data_ready, ServiceKind::AmbCacheHit)
                 } else if let Some(table) = self.table.as_mut() {
                     // Group fetch: demanded line first, K−1 fills.
                     let k = self.cfg.amb.region_lines;
@@ -1230,28 +1288,11 @@ impl MemorySystem {
                     let fills = region.lines(u64::from(k)).filter(|l| *l != req.line);
                     let filled = table.fill(m.channel, m.dimm, fills);
                     self.stats.lines_prefetched += filled.inserted;
-                    self.power[pi].note_busy(out.service_start(), out.fill_done);
-                    let north =
-                        link.return_read_data_checked(m.dimm, out.demanded_ready, droppable);
-                    self.host
-                        .add(Counter::FramesSent, 1 + north.failed.len() as u64);
-                    if !north.failed.is_empty() {
-                        self.host.add(Counter::Retries, north.failed.len() as u64);
-                    }
-                    st.to(Stage::NorthQueue, north.first_start);
-                    st.to(Stage::NorthLink, north.first_done);
-                    st.to(Stage::Retry, north.slot.done);
+                    chan.power[slot].note_busy(out.service_start(), out.fill_done);
                     if let Some(t) = self.tel.as_deref_mut() {
                         t.group_fetch(m.channel, m.dimm, m.bank, &out, &filled);
-                        t.retry_frames(m.channel, TID_NORTH, &north.failed);
-                        t.north_frame(m.channel, north.slot);
                     }
-                    (
-                        north.slot.done,
-                        ServiceKind::DramAccessWithPrefetch,
-                        north.dropped,
-                        cmd.escaped || north.escaped,
-                    )
+                    (out.demanded_ready, ServiceKind::DramAccessWithPrefetch)
                 } else {
                     let out = dimm.read_line_at(rank, m.bank as usize, m.row, cmd_at_amb);
                     st.to(Stage::DramWait, out.service_start());
@@ -1260,72 +1301,40 @@ impl MemorySystem {
                     if out.row_hit {
                         self.stats.row_hits += 1;
                     }
-                    self.power[pi].note_busy(out.service_start(), out.data_end);
-                    let north = link.return_read_data_checked(m.dimm, out.data_ready, droppable);
-                    self.host
-                        .add(Counter::FramesSent, 1 + north.failed.len() as u64);
-                    if !north.failed.is_empty() {
-                        self.host.add(Counter::Retries, north.failed.len() as u64);
-                    }
-                    st.to(Stage::NorthQueue, north.first_start);
-                    st.to(Stage::NorthLink, north.first_done);
-                    st.to(Stage::Retry, north.slot.done);
+                    chan.power[slot].note_busy(out.service_start(), out.data_end);
                     if let Some(t) = self.tel.as_deref_mut() {
                         t.dram_read(m.channel, m.dimm, m.bank, &out);
-                        t.retry_frames(m.channel, TID_NORTH, &north.failed);
-                        t.north_frame(m.channel, north.slot);
                     }
                     let service = if out.row_hit {
                         ServiceKind::RowBufferHit
                     } else {
                         ServiceKind::DramAccess
                     };
-                    (
-                        north.slot.done,
-                        service,
-                        north.dropped,
-                        cmd.escaped || north.escaped,
-                    )
-                }
-            }
-            ChannelPath::Ddr2 { cmd, bus, dimms } => {
-                // Close page needs ACT + CAS on the shared command bus;
-                // an open-page hit needs one; a conflict needs three.
-                let dimm = &mut dimms[(m.dimm * self.cfg.ranks_per_dimm + m.rank) as usize];
-                let n_cmds = if dimm.is_row_open(m.bank as usize, m.row) {
-                    1
-                } else {
-                    2
+                    (out.data_ready, service)
                 };
-                let slots = cmd.issue_many(now, n_cmds);
-                let op = ColumnOp {
-                    kind: ColKind::Read,
-                    auto_precharge: self.cfg.page_policy == PagePolicy::ClosePage,
-                    burst: self.burst,
-                };
-                let plan = dimm.plan(m.bank as usize, m.row, op, slots[0], bus);
-                // Command-bus slot wait counts as queueing; the bank's
-                // precharge/turnaround window is DRAM wait; then the
-                // ACT→CAS→burst pipeline maps onto the DRAM stages with
-                // the data burst standing in for the return link.
-                st.to(Stage::CtrlQueue, plan.first_cmd_at());
-                st.to(Stage::DramWait, plan.act_at.unwrap_or(plan.cmd_at));
-                st.to(Stage::DramAct, plan.cmd_at);
-                st.to(Stage::DramCas, plan.data_start);
-                st.to(Stage::NorthLink, plan.data_end);
-                let row_hit = !plan.is_row_miss();
-                if row_hit {
-                    self.stats.row_hits += 1;
-                }
-                dimm.commit(&plan, bus);
-                self.power[pi].note_busy(plan.first_cmd_at(), plan.data_end);
+                let north = link.return_read_data_checked(m.dimm, ready, droppable);
+                count_frames(&self.host, &north);
+                st.to(Stage::NorthQueue, north.first_start);
+                st.to(Stage::NorthLink, north.first_done);
+                st.to(Stage::Retry, north.slot.done);
                 if let Some(t) = self.tel.as_deref_mut() {
-                    t.ddr2_access(m.channel, m.dimm, &plan);
+                    t.retry_frames(m.channel, TID_NORTH, &north.failed);
+                    t.north_frame(m.channel, north.slot);
                 }
-                let service = if row_hit {
-                    ServiceKind::RowBufferHit
-                } else {
+                (
+                    north.slot.done,
+                    service,
+                    north.dropped,
+                    cmd.escaped || north.escaped,
+                )
+            }
+            ChannelPath::Ddr2 { .. } => {
+                let plan = self.ddr2_access(&m, ColKind::Read, now, &mut st);
+                let service = if plan.is_row_miss() {
                     ServiceKind::DramAccess
+                } else {
+                    self.stats.row_hits += 1;
+                    ServiceKind::RowBufferHit
                 };
                 (plan.data_end, service, false, false)
             }
@@ -1347,7 +1356,7 @@ impl MemorySystem {
                 rel.silent.demand_consumed += 1;
             }
             if dropped && rel.reissue_budget > 0 {
-                let q = &mut rel.pending[m.channel as usize];
+                let q = &mut self.channels[m.channel as usize].reissue;
                 if q.len() < rel.reissue_budget {
                     q.push_back(req.line);
                 }
@@ -1406,21 +1415,18 @@ impl MemorySystem {
         if let Some(table) = self.table.as_mut() {
             table.invalidate(m.channel, m.dimm, req.line);
         }
-        let pi = self.pidx(m.channel, m.dimm, m.rank);
         // Posted-write attribution, accept-to-drain: the stamper walks
         // from arrival to the last data beat at the devices, so the
         // stage durations sum to the recorded write latency exactly as
         // they do for reads.
         let mut st = StageBreakdown::stamper(req.arrival);
-        let (done, escaped) = match &mut self.channels[m.channel as usize].path {
+        let chan = &mut self.channels[m.channel as usize];
+        let slot = chan.rank_slot(m.dimm, m.rank);
+        let (done, escaped) = match &mut chan.path {
             ChannelPath::Fbd { link, dimms } => {
                 st.to(Stage::CtrlQueue, req.arrival + entry.queue_wait(now));
                 let wdata = link.send_write_data_checked(now);
-                self.host
-                    .add(Counter::FramesSent, 1 + wdata.failed.len() as u64);
-                if !wdata.failed.is_empty() {
-                    self.host.add(Counter::Retries, wdata.failed.len() as u64);
-                }
+                count_frames(&self.host, &wdata);
                 st.to(Stage::SouthLink, wdata.first_done);
                 st.to(Stage::Retry, wdata.slot.done);
                 let out = dimms[m.dimm as usize].write_line_at(
@@ -1436,7 +1442,7 @@ impl MemorySystem {
                 st.to(Stage::AmbProc, out.service_start());
                 st.to(Stage::DramAct, out.cmd_at);
                 st.to(Stage::DramCas, out.data_end);
-                self.power[pi].note_busy(out.service_start(), out.data_end);
+                chan.power[slot].note_busy(out.service_start(), out.data_end);
                 if let Some(t) = self.tel.as_deref_mut() {
                     t.retry_frames(m.channel, TID_SOUTH, &wdata.failed);
                     t.south_frame("wdata", m.channel, wdata.slot);
@@ -1444,34 +1450,8 @@ impl MemorySystem {
                 }
                 (out.data_end, wdata.escaped)
             }
-            ChannelPath::Ddr2 { cmd, bus, dimms } => {
-                let dimm = &mut dimms[(m.dimm * self.cfg.ranks_per_dimm + m.rank) as usize];
-                let n_cmds = if dimm.is_row_open(m.bank as usize, m.row) {
-                    1
-                } else {
-                    2
-                };
-                let slots = cmd.issue_many(now, n_cmds);
-                let op = ColumnOp {
-                    kind: ColKind::Write,
-                    auto_precharge: self.cfg.page_policy == PagePolicy::ClosePage,
-                    burst: self.burst,
-                };
-                let plan = dimm.plan(m.bank as usize, m.row, op, slots[0], bus);
-                // Same mapping as DDR2 reads: command-bus slot wait is
-                // queueing, the bank's precharge/turnaround window is
-                // DRAM wait, and the write burst on the shared data bus
-                // stands in for the return link.
-                st.to(Stage::CtrlQueue, plan.first_cmd_at());
-                st.to(Stage::DramWait, plan.act_at.unwrap_or(plan.cmd_at));
-                st.to(Stage::DramAct, plan.cmd_at);
-                st.to(Stage::DramCas, plan.data_start);
-                st.to(Stage::NorthLink, plan.data_end);
-                dimm.commit(&plan, bus);
-                self.power[pi].note_busy(plan.first_cmd_at(), plan.data_end);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.ddr2_access(m.channel, m.dimm, &plan);
-                }
+            ChannelPath::Ddr2 { .. } => {
+                let plan = self.ddr2_access(&m, ColKind::Write, now, &mut st);
                 (plan.data_end, false)
             }
         };
@@ -1555,7 +1535,9 @@ impl MemorySystem {
             EnergyModel::micron_ddr2_667(buffered)
         };
         let ranks = self.cfg.ranks_per_dimm;
-        let mut activity = Vec::with_capacity(self.power.len());
+        let mut activity = Vec::with_capacity(
+            (self.cfg.logical_channels * self.cfg.dimms_per_channel * ranks) as usize,
+        );
         for (ch, c) in self.channels.iter().enumerate() {
             for d in 0..self.cfg.dimms_per_channel {
                 for r in 0..ranks {
@@ -1568,7 +1550,7 @@ impl MemorySystem {
                         dimm: d,
                         rank: r,
                         ops,
-                        residency: self.power[self.pidx(ch as u32, d, r)].residency(end),
+                        residency: c.power[c.rank_slot(d, r)].residency(end),
                     });
                 }
             }

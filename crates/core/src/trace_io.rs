@@ -240,7 +240,9 @@ pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
 
 /// Runs `requests` through `mem` open-loop: submits every request up
 /// front (each keeps its own arrival time), then runs decisions and
-/// completions on the shared [`EventQueue`] until `mem` drains. Returns
+/// completions on the shared [`EventQueue`] until `mem` drains (a channel
+/// left with work when the events run out is woken at the last event
+/// time). Returns
 /// the instant the last issued transaction completed ([`Time::ZERO`] if
 /// none was issued).
 ///
@@ -261,7 +263,22 @@ pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemReque
     }
     let mut issued = Vec::new();
     let mut finished = Time::ZERO;
-    while let Some((t, ev, count)) = events.pop() {
+    let mut last = Time::ZERO;
+    loop {
+        let Some((t, ev, count)) = events.pop() else {
+            // Out of events with work left: a request admitted from the
+            // backlog by another channel's take, after every decision of
+            // its own channel had run. Wake each such channel now.
+            let channels = 0..mem.config().logical_channels;
+            if !channels.clone().any(|ch| mem.has_work(ch)) {
+                break;
+            }
+            for ch in channels.filter(|&ch| mem.has_work(ch)) {
+                events.push(last, Ev::Decide(ch), true);
+            }
+            continue;
+        };
+        last = t;
         // `count` > 1 only for deduped decisions. Re-running the handler
         // back to back matches the heap's order because a decision at `t`
         // only pushes work strictly later or its own channel's `Decide`.
@@ -378,6 +395,37 @@ mod tests {
         assert_eq!(result.mem.writes, 4);
         assert!(result.finished > Time::from_ns(950));
         assert!(result.bandwidth_gbps() > 0.0);
+    }
+
+    #[test]
+    fn drive_serves_a_request_admitted_from_the_backlog() {
+        // A one-entry queue: the channel-1 read is admitted, the
+        // channel-0 read waits in the backlog. Channel 0's only decision
+        // runs while its read is still backlogged; taking the channel-1
+        // entry admits it later, with no decision of channel 0 left.
+        let mut cfg = MemoryConfig::fbdimm_default();
+        cfg.queue_capacity = 1;
+        let mapper = fbd_ctrl::InterleavedMapper::new(&cfg);
+        let line_on = |ch: u32| {
+            (0..)
+                .map(LineAddr::new)
+                .find(|l| fbd_ctrl::AddressMapper::map(&mapper, *l).channel == ch)
+                .unwrap()
+        };
+        let read = |id: u64, line: LineAddr| {
+            MemRequest::new(
+                RequestId(id),
+                CoreId(0),
+                AccessKind::DemandRead,
+                line,
+                Time::ZERO,
+            )
+        };
+        let mut mem = MemorySystem::new(&cfg);
+        let finished = drive(&mut mem, [read(0, line_on(1)), read(1, line_on(0))]);
+        assert!(!mem.has_work(0), "channel 0's read was never issued");
+        assert_eq!(mem.stats().demand_reads, 2);
+        assert!(finished > Time::ZERO);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! The controller is technology-agnostic policy behind pluggable
 //! interfaces: it decodes addresses ([`AddressMapper`], default
-//! [`InterleavedMapper`]), buffers transactions ([`TransactionQueue`]),
-//! reorders them ([`SchedulerPolicy`], default [`HitFirstScheduler`]),
+//! [`InterleavedMapper`]), buffers transactions per channel under one
+//! shared capacity ([`TransactionQueue`]), reorders each channel's
+//! ([`SchedulerPolicy`], default [`HitFirstScheduler`]),
 //! times refreshes ([`RefreshManager`]) and — when AMB prefetching is
 //! enabled — tracks every AMB cache's content ([`PrefetchTable`]) so
 //! hits are known before any channel command is sent. Implementations

@@ -135,7 +135,7 @@ fn store_flood_generates_writebacks_and_completes() {
 #[test]
 fn request_accounting_is_conserved() {
     // Demand reads at the controller equal L2 misses from the cores
-    // (no requests lost in the queue/spill path, none double-counted).
+    // (no requests lost in the queue/backlog path, none double-counted).
     let exp = ExperimentConfig {
         seed: 7,
         budget: 120_000,
@@ -182,7 +182,7 @@ fn amb_hit_latency_never_below_33ns() {
 
 #[test]
 fn deep_queue_spill_preserves_all_requests() {
-    // Tiny transaction queue forces constant spilling; nothing is lost.
+    // Tiny transaction queue keeps a constant backlog; nothing is lost.
     let mut cfg = SystemConfig::paper_default(2);
     cfg.mem.queue_capacity = 4;
     let exp = ExperimentConfig {
