@@ -494,25 +494,30 @@ fn first_difference(a: &Json, b: &Json, path: &str) -> Option<String> {
     }
 }
 
-/// Runs `fbdsim compare <args> --json` and checks the host-stripped
-/// document against `tests/golden/<file>`, byte for byte after both are
-/// re-serialized by the same writer.
-fn assert_compare_golden(file: &str, args: &[&str]) {
-    let mut full = vec!["compare"];
-    full.extend_from_slice(args);
-    full.push("--json");
-    let out = fbdsim(&full);
+/// Runs `fbdsim <args>` and returns its stdout, failing the test on a
+/// non-zero exit.
+fn stdout_of(args: &[&str]) -> String {
+    let out = fbdsim(args);
     assert_eq!(
         exit_code(&out),
         0,
-        "fbdsim {full:?} failed: {}",
+        "fbdsim {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let fresh = strip_host(&String::from_utf8(out.stdout).expect("UTF-8 JSON"));
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+fn read_golden(file: &str) -> String {
     let path = golden_path(file);
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let golden = strip_host(&golden);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+/// Runs `fbdsim <args>` (which print one stats JSON document) and
+/// checks the host-stripped document against `tests/golden/<file>`,
+/// byte for byte after both are re-serialized by the same writer.
+fn assert_json_golden(file: &str, args: &[&str]) {
+    let fresh = strip_host(&stdout_of(args));
+    let golden = strip_host(&read_golden(file));
     if fresh != golden {
         let a = json::parse(&golden).expect("golden JSON");
         let b = json::parse(&fresh).expect("fresh JSON");
@@ -521,10 +526,63 @@ fn assert_compare_golden(file: &str, args: &[&str]) {
             "`fbdsim {}` no longer matches tests/golden/{file}: first difference at {at}\n\
              regenerate (only for an intended change of results) with:\n  \
              cargo run --release --offline --bin fbdsim -- {} | jq 'del(..|.host?)' > tests/golden/{file}",
-            full.join(" "),
-            full.join(" "),
+            args.join(" "),
+            args.join(" "),
         );
     }
+}
+
+/// Runs `fbdsim compare <args> --json` against a JSON golden.
+fn assert_compare_golden(file: &str, args: &[&str]) {
+    let mut full = vec!["compare"];
+    full.extend_from_slice(args);
+    full.push("--json");
+    assert_json_golden(file, &full);
+}
+
+/// Checks `fresh` against the text golden `tests/golden/<file>` and
+/// names the first differing line and the command that regenerates it.
+fn assert_text_golden(file: &str, fresh: &str, regenerate: &str) {
+    let golden = read_golden(file);
+    if fresh != golden {
+        let (n, (want, got)) = golden
+            .lines()
+            .chain(std::iter::repeat(""))
+            .zip(fresh.lines().chain(std::iter::repeat("")))
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .expect("the texts differ somewhere");
+        panic!(
+            "output no longer matches tests/golden/{file}: first difference on line {}\n  \
+             golden: {want}\n  fresh:  {got}\n\
+             regenerate (only for an intended change of results) with:\n  {regenerate}",
+            n + 1,
+        );
+    }
+}
+
+/// The human `run` report without its `  host ` line, whose wall-clock
+/// figures legitimately differ between two invocations.
+fn without_host_line(text: &str) -> String {
+    text.lines()
+        .filter(|l| !l.starts_with("  host "))
+        .flat_map(|l| [l, "\n"])
+        .collect()
+}
+
+/// Checks the stdout of `fbdsim <args>` against a text golden; with
+/// `strip_host`, the human report's `  host ` line is dropped first.
+fn assert_stdout_golden(file: &str, args: &[&str], strip_host: bool) {
+    let mut fresh = stdout_of(args);
+    let mut regenerate = format!(
+        "cargo run --release --offline --bin fbdsim -- {}",
+        args.join(" ")
+    );
+    if strip_host {
+        fresh = without_host_line(&fresh);
+        regenerate.push_str(" | grep -v '^  host '");
+    }
+    assert_text_golden(file, &fresh, &format!("{regenerate} > tests/golden/{file}"));
 }
 
 #[test]
@@ -612,25 +670,153 @@ fn golden_replay_of_an_8c1_trace_on_every_paper_system() {
         fresh.push_str(&String::from_utf8(out.stdout).expect("UTF-8 report"));
     }
     std::fs::remove_file(&trace).ok();
-    let path = golden_path(FILE);
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    if fresh != golden {
-        let (n, (want, got)) = golden
-            .lines()
-            .chain(std::iter::repeat(""))
-            .zip(fresh.lines().chain(std::iter::repeat("")))
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .expect("the texts differ somewhere");
-        panic!(
-            "replay output no longer matches tests/golden/{FILE}: first difference on line {}\n  \
-             golden: {want}\n  fresh:  {got}\n\
-             regenerate (only for an intended change of results) with:\n  \
-             cargo run --release --offline --bin fbdsim -- {} && \
-             for s in ddr2 fbd fbd-ap fbd-apfl; do target/release/fbdsim replay --trace target/golden-8c1.csv --system $s; done > tests/golden/{FILE}",
-            n + 1,
-            rec.join(" ").replace(trace_s, "target/golden-8c1.csv"),
-        );
-    }
+    let regenerate = format!(
+        "cargo run --release --offline --bin fbdsim -- {} && \
+         for s in ddr2 fbd fbd-ap fbd-apfl; do target/release/fbdsim replay --trace target/golden-8c1.csv --system $s; done > tests/golden/{FILE}",
+        rec.join(" ").replace(trace_s, "target/golden-8c1.csv"),
+    );
+    assert_text_golden(FILE, &fresh, &regenerate);
+}
+
+// CLI goldens: every subcommand that resolves run options (`run`,
+// `profile`, `sweep`, `compare`) in each output format it offers —
+// human, CSV and JSON — at budget 20000, so the option resolver and
+// the run path behind them are checked against the code they replaced.
+
+const FAULT_LIFECYCLE: &[&str] = &[
+    "--fault-ber",
+    "1e-3",
+    "--fault-seed",
+    "7",
+    "--crc-bits",
+    "4",
+    "--scrub",
+    "patrol",
+    "--scrub-interval-ns",
+    "200",
+    "--failback",
+    "2000",
+    "--reissue",
+    "8",
+];
+
+fn with_faults(args: &[&'static str]) -> Vec<&'static str> {
+    args.iter().chain(FAULT_LIFECYCLE).copied().collect()
+}
+
+#[test]
+fn golden_run_4c1_with_the_recovery_lifecycle_armed() {
+    let args = [
+        "run",
+        "--workload",
+        "4C-1",
+        "--system",
+        "fbd-ap",
+        "--budget",
+        "20000",
+    ];
+    assert_stdout_golden("run_4c1_faults.txt", &with_faults(&args), true);
+    let mut csv = with_faults(&args);
+    csv.push("--csv");
+    assert_stdout_golden("run_4c1_faults.csv", &csv, false);
+}
+
+#[test]
+fn golden_run_json_with_metrics_and_series() {
+    assert_json_golden(
+        "run_1c_swim_series.json",
+        &[
+            "run",
+            "--workload",
+            "1C-swim",
+            "--substrate",
+            "fbd-ap",
+            "--budget",
+            "20000",
+            "--sample-interval",
+            "256",
+            "--json",
+        ],
+    );
+}
+
+#[test]
+fn golden_run_at_fast_fidelity() {
+    assert_stdout_golden(
+        "run_1c_swim_fast.txt",
+        &[
+            "run",
+            "--workload",
+            "1C-swim",
+            "--substrate",
+            "fbd-ap",
+            "--budget",
+            "20000",
+            "--fidelity",
+            "fast",
+        ],
+        true,
+    );
+}
+
+#[test]
+fn golden_profile_table_and_folded_stacks() {
+    let folded = tmp_path("golden-profile.folded");
+    let folded_s = folded.to_str().unwrap();
+    let args = [
+        "profile",
+        "--workload",
+        "1C-swim",
+        "--budget",
+        "20000",
+        "--folded-out",
+        folded_s,
+    ];
+    let table = stdout_of(&args);
+    let stacks = std::fs::read_to_string(&folded).expect("folded file written");
+    std::fs::remove_file(&folded).ok();
+    let regenerate = format!(
+        "cargo run --release --offline --bin fbdsim -- {} > tests/golden/profile_1c_swim.txt",
+        args.join(" ")
+            .replace(folded_s, "tests/golden/profile_1c_swim.folded"),
+    );
+    assert_text_golden("profile_1c_swim.txt", &table, &regenerate);
+    assert_text_golden("profile_1c_swim.folded", &stacks, &regenerate);
+}
+
+#[test]
+fn golden_sweep_json_at_both_fidelities() {
+    let args = [
+        "sweep",
+        "--workload",
+        "1C-mgrid",
+        "--knob",
+        "k",
+        "--budget",
+        "20000",
+        "--json",
+    ];
+    assert_json_golden("sweep_1c_mgrid_k.json", &args);
+    let fast: Vec<&str> = args
+        .iter()
+        .chain(&["--fidelity", "fast"])
+        .copied()
+        .collect();
+    assert_json_golden("sweep_1c_mgrid_k_fast.json", &fast);
+}
+
+#[test]
+fn golden_compare_csv() {
+    assert_stdout_golden(
+        "compare_1c_swim.csv",
+        &[
+            "compare",
+            "--workload",
+            "1C-swim",
+            "--budget",
+            "20000",
+            "--csv",
+        ],
+        false,
+    );
 }
