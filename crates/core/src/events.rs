@@ -6,13 +6,17 @@
 //!   wheel") with power-of-two time buckets, a two-level occupancy
 //!   bitmap for O(1) next-event lookup, and an overflow heap for events
 //!   beyond the window. Identical `(time, event)` entries pushed with
-//!   `dedup` are collapsed into one slot entry carrying a multiplicity
-//!   count, so e.g. a channel is never enqueued twice for the same
-//!   instant — the count preserves how many times the handler must run.
+//!   `dedup` (or [`push_n`](EventQueue::push_n)) are collapsed into one
+//!   slot entry carrying a multiplicity count, so e.g. a channel is
+//!   never enqueued twice for the same instant — the count preserves how
+//!   many times the handler must run. Overflow-heap entries carry their
+//!   count too, so a multiplicity push past the window is one heap
+//!   operation.
 //! * a plain `BinaryHeap<Reverse<(Time, T)>>` — the seed implementation,
-//!   kept as a differential reference. Select it with the environment
-//!   variable `FBD_EVENT_QUEUE=heap`; the golden-parity suite
-//!   byte-compares the two.
+//!   kept as the unbatched differential reference: it stores every push
+//!   (`push_n` pushes `n` copies) and pops them one at a time. Select it
+//!   with the environment variable `FBD_EVENT_QUEUE=heap`; the
+//!   golden-parity suite byte-compares the two.
 //!
 //! Both pop events in strictly nondecreasing `(Time, T)` order, with
 //! same-timestamp events ordered by `T`'s `Ord` — the wheel reproduces
@@ -43,8 +47,9 @@ const OCC_WORDS: usize = SLOTS / 64;
 /// (the ring reuses bucket capacity as the window wraps).
 const SLOT_CAP: usize = 16;
 
-/// One bucket entry: an event plus how many identical pushes it stands
-/// for (always 1 unless pushed with `dedup`).
+/// One bucket (or overflow) entry: an event plus how many identical
+/// pushes it stands for (always 1 unless pushed with `dedup` or
+/// [`EventWheel::push_n`]).
 type Entry<T> = (Time, T, u32);
 
 /// Windowed calendar queue keyed on clock-aligned time buckets.
@@ -62,9 +67,9 @@ pub struct EventWheel<T> {
     cursor: u64,
     /// Entries currently in the ring (not counting `overflow`).
     len: usize,
-    /// Events beyond the window; strictly later than everything in the
-    /// ring (their absolute slot is ≥ `wbase + SLOTS`).
-    overflow: BinaryHeap<Reverse<(Time, T)>>,
+    /// Events beyond the window with their counts; strictly later than
+    /// everything in the ring (their absolute slot is ≥ `wbase + SLOTS`).
+    overflow: BinaryHeap<Reverse<Entry<T>>>,
 }
 
 impl<T: Ord + Copy> Default for EventWheel<T> {
@@ -96,21 +101,34 @@ impl<T: Ord + Copy> EventWheel<T> {
     /// already in its bucket absorbs the push by incrementing its count
     /// instead of storing a second entry.
     pub fn push(&mut self, at: Time, ev: T, dedup: bool) {
+        self.insert(at, ev, 1, dedup);
+    }
+
+    /// Queues `ev` at `at` standing for `n` identical deduped pushes: an
+    /// identical entry absorbs it by adding `n` to its count. `n == 0`
+    /// queues nothing.
+    pub fn push_n(&mut self, at: Time, ev: T, n: u32) {
+        if n > 0 {
+            self.insert(at, ev, n, true);
+        }
+    }
+
+    fn insert(&mut self, at: Time, ev: T, n: u32, dedup: bool) {
         let abs = Self::abs_slot(at);
         debug_assert!(abs >= self.cursor, "event scheduled before the cursor");
         if abs >= self.wbase + SLOTS as u64 {
-            self.overflow.push(Reverse((at, ev)));
+            self.overflow.push(Reverse((at, ev, n)));
             return;
         }
         let idx = (abs & SLOT_MASK) as usize;
         let slot = &mut self.slots[idx];
         if dedup {
             if let Some(e) = slot.iter_mut().find(|e| e.0 == at && e.1 == ev) {
-                e.2 += 1;
+                e.2 += n;
                 return;
             }
         }
-        slot.push((at, ev, 1));
+        slot.push((at, ev, n));
         self.len += 1;
         self.occ[idx >> 6] |= 1u64 << (idx & 63);
     }
@@ -170,20 +188,20 @@ impl<T: Ord + Copy> EventWheel<T> {
     /// moves every overflow event that now fits into the window.
     fn advance_window(&mut self) {
         debug_assert_eq!(self.len, 0);
-        let Some(Reverse((first, _))) = self.overflow.peek() else {
+        let Some(Reverse((first, ..))) = self.overflow.peek() else {
             return;
         };
         self.wbase = Self::abs_slot(*first);
         self.cursor = self.wbase;
         let end = self.wbase + SLOTS as u64;
-        while let Some(Reverse((at, _))) = self.overflow.peek() {
+        while let Some(Reverse((at, ..))) = self.overflow.peek() {
             if Self::abs_slot(*at) >= end {
                 break;
             }
-            let Reverse((at, ev)) = self.overflow.pop().expect("peeked");
+            let Reverse((at, ev, n)) = self.overflow.pop().expect("peeked");
             // Re-bucket with dedup so duplicates that met in the
             // overflow heap collapse like direct pushes would.
-            self.push(at, ev, true);
+            self.insert(at, ev, n, true);
         }
     }
 }
@@ -215,6 +233,21 @@ impl<T: Ord + Copy> EventQueue<T> {
         match self {
             EventQueue::Wheel(w) => w.push(at, ev, dedup),
             EventQueue::Heap(h) => h.push(Reverse((at, ev))),
+        }
+    }
+
+    /// Queues `ev` at `at` as `n` identical deduped pushes: the wheel
+    /// adds `n` to one entry's count, the heap stores `n` copies (so it
+    /// still pops, and its caller still runs, every one). `n == 0`
+    /// queues nothing.
+    pub fn push_n(&mut self, at: Time, ev: T, n: u32) {
+        match self {
+            EventQueue::Wheel(w) => w.push_n(at, ev, n),
+            EventQueue::Heap(h) => {
+                for _ in 0..n {
+                    h.push(Reverse((at, ev)));
+                }
+            }
         }
     }
 
@@ -342,6 +375,53 @@ mod tests {
             .map(|e| e.0.as_ps())
             .collect();
         assert_eq!(got, times);
+    }
+
+    #[test]
+    fn push_n_drains_like_n_deduped_pushes_on_both_queues() {
+        // In the window and past it, and zero counts (in the window and
+        // past it) that queue nothing.
+        let cases = [
+            (t(5_000), 2u32, 3u32),
+            (t(200_000_000), 1, 4),
+            (t(9_000), 0, 0),
+            (t(300_000_000), 0, 0),
+        ];
+        let kinds = || {
+            [
+                EventQueue::Wheel(EventWheel::new()),
+                EventQueue::<u32>::Heap(BinaryHeap::new()),
+            ]
+        };
+        for (mut batched, mut single) in kinds().into_iter().zip(kinds()) {
+            for &(at, ev, n) in &cases {
+                batched.push_n(at, ev, n);
+                for _ in 0..n {
+                    single.push(at, ev, true);
+                }
+            }
+            let want: Vec<(u64, u32)> = [(5_000, 2); 3]
+                .into_iter()
+                .chain([(200_000_000, 1); 4])
+                .collect();
+            assert_eq!(drain(&mut single), want);
+            assert_eq!(drain(&mut batched), want);
+        }
+    }
+
+    #[test]
+    fn overflow_count_rebuckets_and_merges_with_a_direct_push() {
+        // A counted push past the window is one overflow entry; once the
+        // window reaches it, a direct push at the same key joins it.
+        let far = t(100_000_000);
+        let mut w = EventWheel::new();
+        w.push_n(far, 9u32, 3);
+        w.push(t(99_999_000), 8, false);
+        assert_eq!(w.overflow.len(), 2);
+        assert_eq!(w.pop(), Some((t(99_999_000), 8, 1)));
+        w.push(far, 9, true);
+        assert_eq!(w.pop(), Some((far, 9, 4)));
+        assert_eq!(w.pop(), None);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use fidelity::{
 };
 pub use memsys::{ChannelCounters, DecideResult, Issued, MemorySystem};
 pub use parallel::parallel_map;
-pub use system::{RunResult, System};
+pub use system::{RunResult, System, MAX_SIM_TIME};
 pub use trace_io::{drive, replay, MemoryTrace, ReplayResult, TraceRecord};
 
 /// Build provenance baked in at compile time by `build.rs`: crate

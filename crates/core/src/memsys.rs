@@ -955,6 +955,18 @@ impl MemorySystem {
     /// issued transactions into `issued` (not cleared first) and
     /// returning when the channel should next decide (`None`: wait for
     /// a new arrival or a completion).
+    ///
+    /// # Idempotence
+    ///
+    /// A decision that issues nothing can be repeated at the same `now`
+    /// with no effect: the repeat finds no refresh due (the first call
+    /// moved the deadlines past `now`), no arrived candidate (the
+    /// scheduler leaves its state alone on an empty slice), no re-issue
+    /// and no scrub due (`next_scrub` returned `None` without advancing),
+    /// so it issues nothing, changes no state and returns the same
+    /// instant. The event loops rely on this to run such a decision once
+    /// for all its same-instant duplicates, as long as nothing else
+    /// touches this memory system between them.
     pub fn decide_into(&mut self, ch: u32, now: Time, issued: &mut Vec<Issued>) -> Option<Time> {
         if self.refresh_active {
             self.run_refreshes(ch, now);

@@ -22,9 +22,10 @@ use crate::events::EventQueue;
 use crate::memsys::{ChannelCounters, Issued, MemorySystem};
 use crate::trace_io::{MemoryTrace, TraceRecord};
 
-/// Safety valve: abort runs that exceed this much simulated time
-/// (indicates a deadlock bug, not a slow workload).
-const MAX_SIM_TIME: Time = Time::from_ns(1_000_000_000); // 1 s
+/// Safety valve: closed-loop runs that exceed this much simulated time
+/// abort (a deadlock bug, not a slow workload), and trace files may not
+/// schedule an arrival past it.
+pub const MAX_SIM_TIME: Time = Time::from_ns(1_000_000_000); // 1 s
 
 /// Retired requests after which the run is considered to be in
 /// allocation steady state (every pool and scratch buffer has hit its
@@ -335,10 +336,16 @@ impl System {
         self.host.mark_sampled(Phase::Controller);
     }
 
-    fn run_decision(&mut self, ch: u32) {
+    /// Runs one decision for `ch`, the first of `runs` identical queued
+    /// tokens. Returns `true` when it issued nothing: an idle decision is
+    /// idempotent at `now` (see [`MemorySystem::decide_into`]), so the
+    /// other `runs - 1` would each issue nothing and push the same next
+    /// decision; that push carries all `runs` and the caller skips them.
+    fn run_decision(&mut self, ch: u32, runs: u32) -> bool {
         let mut issued = std::mem::take(&mut self.issued_buf);
         debug_assert!(issued.is_empty());
         let next_decision = self.mem.decide_into(ch, self.now, &mut issued);
+        let idle = issued.is_empty();
         for issued in issued.drain(..) {
             match issued {
                 Issued::Read { resp } => {
@@ -357,10 +364,12 @@ impl System {
         }
         self.issued_buf = issued;
         if let Some(next) = next_decision {
-            self.push(next.max(self.now), Event::Decide(ch));
+            let n = if idle { runs } else { 1 };
+            self.events.push_n(next.max(self.now), Event::Decide(ch), n);
         }
         self.host.mark_sampled(Phase::Controller);
         self.host.bump(Counter::Decisions);
+        idle
     }
 
     /// Counts a retired request; at [`STEADY_RETIRED`] the allocation
@@ -399,12 +408,14 @@ impl System {
             // seed heap popped those back to back (equal keys cannot be
             // interleaved), so re-running the handler — with the finish
             // check between runs, which the handler cannot perturb —
-            // reproduces it exactly.
-            for _ in 0..count {
+            // reproduces it exactly. An idle decision forwards the runs
+            // left instead (identical runs leave `any_done` unchanged).
+            for i in 0..count {
                 self.host.bump(Counter::Events);
+                let mut forwarded = false;
                 match ev {
                     Event::Decide(ch) => {
-                        self.run_decision(ch);
+                        forwarded = self.run_decision(ch, count - i);
                     }
                     Event::ReadDone(ch, line, dropped) => {
                         self.mem.complete(ch);
@@ -453,6 +464,9 @@ impl System {
                 }
                 if self.cpu.any_done(self.now) {
                     break 'run;
+                }
+                if forwarded {
+                    break;
                 }
             }
         }

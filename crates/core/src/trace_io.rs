@@ -25,6 +25,7 @@ use fbd_types::{LineAddr, RequestId};
 
 use crate::events::EventQueue;
 use crate::memsys::{ChannelCounters, Issued, MemorySystem};
+use crate::system::MAX_SIM_TIME;
 
 /// One recorded memory transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,14 +141,25 @@ impl MemoryTrace {
     /// # Errors
     ///
     /// Returns a [`ParseTraceError`] naming the offending line on any
-    /// malformed row, and propagates I/O errors as parse errors.
-    pub fn from_csv<R: BufRead>(input: R) -> Result<MemoryTrace, ParseTraceError> {
+    /// malformed row or an arrival past [`MAX_SIM_TIME`], and propagates
+    /// I/O errors as parse errors.
+    pub fn from_csv<R: BufRead>(mut input: R) -> Result<MemoryTrace, ParseTraceError> {
         let mut trace = MemoryTrace::new();
-        for (i, line) in input.lines().enumerate() {
-            let line = line.map_err(|e| ParseTraceError {
+        // One buffer for every row: `lines()` would allocate a `String`
+        // per record.
+        let mut buf = String::new();
+        for i in 0.. {
+            let err = |reason: &str| ParseTraceError {
                 line: i + 1,
-                reason: e.to_string(),
-            })?;
+                reason: reason.to_string(),
+            };
+            buf.clear();
+            if input.read_line(&mut buf).map_err(|e| err(&e.to_string()))? == 0 {
+                break;
+            }
+            // Strip the terminator as `lines()` does: `\n` or `\r\n`.
+            let line = buf.strip_suffix('\n').unwrap_or(&buf);
+            let line = line.strip_suffix('\r').unwrap_or(line);
             if i == 0 && line.starts_with("arrival_ps") {
                 continue; // header
             }
@@ -155,14 +167,13 @@ impl MemoryTrace {
                 continue;
             }
             let mut fields = line.split(',');
-            let err = |reason: &str| ParseTraceError {
-                line: i + 1,
-                reason: reason.to_string(),
-            };
             let arrival: u64 = fields
                 .next()
                 .and_then(|f| f.trim().parse().ok())
                 .ok_or_else(|| err("bad arrival"))?;
+            if arrival > MAX_SIM_TIME.as_ps() {
+                return Err(err("arrival past the 1 s simulated-time limit"));
+            }
             let kind = fields
                 .next()
                 .and_then(|f| kind_from_code(f.trim()))
@@ -187,7 +198,7 @@ impl MemoryTrace {
 }
 
 /// Result of replaying a trace against a memory configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReplayResult {
     /// Memory statistics of the replay.
     pub mem: MemStats,
@@ -221,21 +232,32 @@ impl ReplayResult {
 ///
 /// Panics if the configuration is invalid.
 pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
+    replay_on(EventQueue::from_env(), cfg, trace).0
+}
+
+/// [`replay`] on a given event queue; also returns the number of event
+/// handler runs.
+fn replay_on(
+    events: EventQueue<Ev>,
+    cfg: &MemoryConfig,
+    trace: &MemoryTrace,
+) -> (ReplayResult, u64) {
     let mut mem = MemorySystem::new(cfg);
     let requests = trace
         .records()
         .iter()
         .enumerate()
         .map(|(i, r)| MemRequest::new(RequestId(i as u64), r.core, r.kind, r.line, r.arrival));
-    let finished = drive(&mut mem, requests);
-    ReplayResult {
+    let (finished, runs) = drive_on(events, &mut mem, requests);
+    let result = ReplayResult {
         energy: mem.energy_report(finished),
         finished,
         profile: mem.latency_profile().clone(),
         channels: mem.channel_counters().to_vec(),
         faults: mem.fault_report(finished),
         mem: mem.finish_stats(),
-    }
+    };
+    (result, runs)
 }
 
 /// Runs `requests` through `mem` open-loop: submits every request up
@@ -250,13 +272,24 @@ pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
 /// hand-built [`MemorySystem`] (e.g. one with telemetry enabled) from a
 /// synthetic request stream.
 pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemRequest>) -> Time {
-    /// Completions sort before decisions at the same instant.
-    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    enum Ev {
-        Done(u32),
-        Decide(u32),
-    }
-    let mut events = EventQueue::from_env();
+    drive_on(EventQueue::from_env(), mem, requests).0
+}
+
+/// An open-loop event; completions sort before decisions at the same
+/// instant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Ev {
+    Done(u32),
+    Decide(u32),
+}
+
+/// [`drive`] on a given event queue; also returns the number of event
+/// handler runs.
+fn drive_on(
+    mut events: EventQueue<Ev>,
+    mem: &mut MemorySystem,
+    requests: impl IntoIterator<Item = MemRequest>,
+) -> (Time, u64) {
     for req in requests {
         let (ch, ready) = mem.submit(req);
         events.push(ready, Ev::Decide(ch), true);
@@ -264,6 +297,7 @@ pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemReque
     let mut issued = Vec::new();
     let mut finished = Time::ZERO;
     let mut last = Time::ZERO;
+    let mut runs = 0;
     loop {
         let Some((t, ev, count)) = events.pop() else {
             // Out of events with work left: a request admitted from the
@@ -282,10 +316,16 @@ pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemReque
         // `count` > 1 only for deduped decisions. Re-running the handler
         // back to back matches the heap's order because a decision at `t`
         // only pushes work strictly later or its own channel's `Decide`.
-        for _ in 0..count {
+        for i in 0..count {
+            runs += 1;
             match ev {
                 Ev::Decide(ch) => {
                     let next = mem.decide_into(ch, t, &mut issued);
+                    // An idle decision is idempotent (see `decide_into`):
+                    // the `count - i - 1` runs left would each issue
+                    // nothing and push this same `next`, so forward them
+                    // with this run's push and skip them.
+                    let idle = issued.is_empty();
                     for issued in issued.drain(..) {
                         let done = match issued {
                             Issued::Read { resp } => resp.completion,
@@ -295,8 +335,12 @@ pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemReque
                         finished = finished.max(done);
                         events.push(done.max(t), Ev::Done(ch), false);
                     }
+                    let n = if idle { count - i } else { 1 };
                     if let Some(next) = next {
-                        events.push(next.max(t), Ev::Decide(ch), true);
+                        events.push_n(next.max(t), Ev::Decide(ch), n);
+                    }
+                    if idle {
+                        break;
                     }
                 }
                 Ev::Done(ch) => {
@@ -308,7 +352,7 @@ pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemReque
             }
         }
     }
-    finished
+    (finished, runs)
 }
 
 /// Dur helper for the replay result (re-exported convenience).
@@ -426,6 +470,87 @@ mod tests {
         assert!(!mem.has_work(0), "channel 0's read was never issued");
         assert_eq!(mem.stats().demand_reads, 2);
         assert!(finished > Time::ZERO);
+    }
+
+    /// A seeded open-loop read/write trace: exponential gaps of mean
+    /// 20 ns, a third writes, half the records from four sequential
+    /// streams and half from random lines.
+    fn rw_trace(records: u64, seed: u64) -> MemoryTrace {
+        let mut x = seed;
+        let mut uniform = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut streams = [1u64 << 12, 1 << 16, 1 << 18, 1 << 20];
+        let mut t = MemoryTrace::new();
+        let mut at_ps = 0.0;
+        for _ in 0..records {
+            at_ps += -(1.0 - uniform()).ln() * 20_000.0;
+            let kind = if uniform() < 1.0 / 3.0 {
+                AccessKind::Write
+            } else {
+                AccessKind::DemandRead
+            };
+            let (line, core) = if uniform() < 0.5 {
+                let s = (uniform() * 4.0) as usize;
+                streams[s] += 1;
+                (streams[s], s as u32)
+            } else {
+                ((uniform() * (1u64 << 22) as f64) as u64, 0)
+            };
+            t.push(TraceRecord {
+                arrival: Time::from_ps(at_ps as u64),
+                kind,
+                line: LineAddr::new(line),
+                core: CoreId(core),
+            });
+        }
+        t
+    }
+
+    /// The wheel runs an idle decision once for all its same-instant
+    /// duplicates; the heap runs every one. Results must not differ,
+    /// under faults, scrub, fail-back and re-issue.
+    fn assert_forwarding_matches_the_unbatched_heap(substrate: &str) {
+        use fbd_types::config::{FaultConfig, ScrubPolicyKind};
+        let trace = rw_trace(3_000, 0x9e37_79b9_7f4a_7c15);
+        let mut cfg = fbd_types::substrate::substrates()
+            .get(substrate)
+            .expect("registered substrate")
+            .config();
+        cfg.faults = FaultConfig {
+            ber: 1e-3,
+            seed: 1,
+            crc_bits: 4,
+            scrub: ScrubPolicyKind::Patrol,
+            scrub_interval_ns: 200,
+            failback_quiet_ns: 2_000,
+            reissue_budget: 8,
+            ..FaultConfig::off()
+        };
+        let wheel = EventQueue::Wheel(crate::events::EventWheel::new());
+        let (wheel, wheel_runs) = replay_on(wheel, &cfg, &trace);
+        let heap = EventQueue::Heap(std::collections::BinaryHeap::new());
+        let (heap, heap_runs) = replay_on(heap, &cfg, &trace);
+        assert_eq!(wheel, heap, "{substrate}");
+        // Linear: about one completion, one issuing decision and three
+        // idle ones per record (~5.6 runs here), where re-running every
+        // duplicate costs about n/2 decisions per record.
+        let per_record = wheel_runs as f64 / trace.len() as f64;
+        assert!(per_record <= 8.0, "{substrate}: {per_record} runs/record");
+        assert!(heap_runs > 100 * wheel_runs, "{substrate}");
+    }
+
+    #[test]
+    fn forwarded_idle_decisions_match_the_heap_on_fbd_ap() {
+        assert_forwarding_matches_the_unbatched_heap("fbd-ap");
+    }
+
+    #[test]
+    fn forwarded_idle_decisions_match_the_heap_on_ddr2() {
+        assert_forwarding_matches_the_unbatched_heap("ddr2");
     }
 
     #[test]

@@ -36,6 +36,10 @@ pub trait RefreshManager: Send + std::fmt::Debug {
     /// Appends to `out` every refresh on channel `ch` whose deadline is
     /// at or before `now`, advancing the internal deadlines. Ops are
     /// emitted DIMM by DIMM, oldest deadline first within a DIMM.
+    ///
+    /// Deadlines must move strictly past `now`, so a second call at the
+    /// same `now` appends nothing and changes nothing (the event loops
+    /// skip repeated idle decisions on this basis).
     fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>);
 }
 

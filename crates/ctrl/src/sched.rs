@@ -45,6 +45,11 @@ pub trait SchedulerPolicy: Send + std::fmt::Debug {
     /// to one channel and to schedulable arrivals). The slice is a
     /// caller-owned scratch buffer of copied entries, so policies can
     /// scan it repeatedly without allocating.
+    ///
+    /// An empty `candidates` slice must return `None` and leave the
+    /// policy unchanged: the controller's idle decisions are idempotent
+    /// (see `MemorySystem::decide_into`), and the event loops skip their
+    /// repeats.
     fn pick(
         &mut self,
         candidates: &[QueueEntry],
@@ -106,7 +111,8 @@ impl HitFirstScheduler {
     /// to one channel), classifying each entry with `classify`. Two
     /// passes over the slice, no allocation.
     ///
-    /// Returns `None` when `candidates` is empty.
+    /// Returns `None` when `candidates` is empty, before touching the
+    /// write-drain state.
     pub fn pick<F>(&mut self, candidates: &[QueueEntry], mut classify: F) -> Option<RequestId>
     where
         F: FnMut(&QueueEntry) -> SchedClass,

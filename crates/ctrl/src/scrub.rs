@@ -31,7 +31,9 @@ pub trait ScrubPolicy: Send + std::fmt::Debug {
     /// Asks for a line to scrub on `channel` at an idle decision point.
     /// `None` means no sweep is due (rate limit, or nothing observed
     /// yet). A returned line counts as dispatched: the policy advances
-    /// its cursor and rate-limit clock.
+    /// its cursor and rate-limit clock. Returning `None` must leave the
+    /// policy unchanged, so a repeated idle decision at the same `now`
+    /// gets `None` again (the event loops skip such repeats).
     fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr>;
 }
 

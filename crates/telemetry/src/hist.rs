@@ -186,7 +186,7 @@ impl LogHistogram {
 /// invariant (stage durations sum to the observed end-to-end latency).
 /// Read classes and the posted-write class share the same stage grid
 /// but are counted and surfaced separately.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageProfile {
     /// `[class][stage]`, dense by `ReqClass::index` / `Stage::index`.
     stages: Vec<LogHistogram>,

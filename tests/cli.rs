@@ -368,6 +368,32 @@ fn replay_rejects_malformed_traces_with_a_diagnostic() {
 }
 
 #[test]
+fn replay_rejects_arrivals_past_the_simulated_time_limit() {
+    // One far past the 1 s limit (once an allocation abort), and
+    // `u64::MAX` ps (once a wrapped clock "finishing" at 0.06 µs).
+    for arrival in ["18446744073000000000", "18446744073709551615"] {
+        let path = tmp_path(&format!("far-{arrival}.csv"));
+        std::fs::write(
+            &path,
+            format!("arrival_ps,kind,line,core\n100,R,7,0\n{arrival},R,5,0\n"),
+        )
+        .unwrap();
+        let out = fbdsim(&[
+            "replay",
+            "--trace",
+            path.to_str().unwrap(),
+            "--system",
+            "fbd",
+        ]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(exit_code(&out), 2, "arrival {arrival}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("line 3"), "diagnostic names the line: {err}");
+        assert!(err.contains("limit"), "diagnostic names the limit: {err}");
+    }
+}
+
+#[test]
 fn run_stats_json_has_a_consistent_energy_object() {
     let path = tmp_path("run.json");
     let out = fbdsim(&[

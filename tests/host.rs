@@ -42,6 +42,14 @@ fn profiled_run_partitions_wall_time_and_counts_the_hot_loop() {
         assert!(profiler.counter(c) > 0, "counter {c:?} never moved");
     }
     assert_eq!(profiler.counter(Counter::Retries), 0);
+    // An idle decision runs once for all its same-instant duplicates
+    // (about 4.2 decisions per retired request when each re-ran).
+    let decisions = profiler.counter(Counter::Decisions);
+    let retired = profiler.counter(Counter::RequestsRetired);
+    assert!(
+        decisions as f64 <= 3.5 * retired as f64,
+        "{decisions} decisions for {retired} retired requests"
+    );
     // DRAM commands reconcile with the device statistics.
     assert_eq!(
         profiler.counter(Counter::DramCommands),
