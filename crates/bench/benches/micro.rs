@@ -103,8 +103,8 @@ fn bench_full_system(c: &mut Criterion) {
         let l2_lines = u64::from(cfg.cpu.l2_bytes) / fbd_types::CACHE_LINE_BYTES;
         let warmup = 2 * l2_lines / u64::from(cfg.cpu.cores);
         b.iter(|| {
-            let mut sys =
-                fbd_core::System::with_warmup(&cfg, w.traces(exp.seed), exp.budget, warmup);
+            let mut sys = fbd_core::System::new(&cfg, w.traces(exp.seed), exp.budget);
+            sys.warm(warmup);
             sys.enable_telemetry(&tc);
             black_box(sys.run().elapsed)
         })

@@ -35,6 +35,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod compose;
+mod engine;
 pub mod events;
 pub mod experiment;
 pub mod fidelity;

@@ -488,9 +488,8 @@ impl MemorySystem {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: &MemoryConfig) -> MemorySystem {
-        cfg.validate().expect("invalid memory configuration");
         MemorySystem::compose(cfg, &Composition::from_config(cfg))
-            .expect("default composition resolves")
+            .expect("invalid memory configuration")
     }
 
     /// Builds the subsystem from an explicit [`Composition`]: each
@@ -964,7 +963,7 @@ impl MemorySystem {
     /// scheduler leaves its state alone on an empty slice), no re-issue
     /// and no scrub due (`next_scrub` returned `None` without advancing),
     /// so it issues nothing, changes no state and returns the same
-    /// instant. The event loops rely on this to run such a decision once
+    /// instant. The event loop relies on this to run such a decision once
     /// for all its same-instant duplicates, as long as nothing else
     /// touches this memory system between them.
     pub fn decide_into(&mut self, ch: u32, now: Time, issued: &mut Vec<Issued>) -> Option<Time> {

@@ -1,53 +1,33 @@
 //! The full-system simulation engine.
 //!
-//! An event-driven loop couples the processor complex (`fbd-cpu`) to the
-//! memory subsystem ([`crate::memsys::MemorySystem`]): cores emit
-//! requests, channel decision events schedule them, completions flow
-//! back and unblock commit. The run ends when any core commits its
-//! instruction budget (the paper's stop condition).
+//! The processor complex (`fbd-cpu`) drives the memory subsystem
+//! ([`crate::memsys::MemorySystem`]) as the closed-loop front end of
+//! the one event loop: cores emit requests, channel decision events
+//! schedule them, completions flow back and unblock commit. The run
+//! ends when any core commits its instruction budget (the paper's stop
+//! condition).
 
 use fbd_cpu::{CpuComplex, TraceSource};
 use fbd_faults::FaultReport;
 use fbd_power::EnergyReport;
 use fbd_telemetry::host::{Counter, HostHandle, HostReport, Phase};
-use fbd_telemetry::{MetricId, SampleObserver, StageProfile, Telemetry, TelemetryConfig};
+use fbd_telemetry::{SampleObserver, StageProfile, Telemetry, TelemetryConfig};
 use fbd_types::config::SystemConfig;
-use fbd_types::request::AccessKind;
+use fbd_types::request::MemRequest;
 use fbd_types::stats::{CoreStats, MemStats};
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;
 
 use crate::compose::Composition;
+use crate::engine::{Engine, FrontEnd};
 use crate::events::EventQueue;
-use crate::memsys::{ChannelCounters, Issued, MemorySystem};
-use crate::trace_io::{MemoryTrace, TraceRecord};
+use crate::memsys::{ChannelCounters, MemorySystem};
+use crate::trace_io::MemoryTrace;
 
 /// Safety valve: closed-loop runs that exceed this much simulated time
 /// abort (a deadlock bug, not a slow workload), and trace files may not
 /// schedule an arrival past it.
 pub const MAX_SIM_TIME: Time = Time::from_ns(1_000_000_000); // 1 s
-
-/// Retired requests after which the run is considered to be in
-/// allocation steady state (every pool and scratch buffer has hit its
-/// high-water mark); the `alloc-count` gate measures from here.
-const STEADY_RETIRED: u64 = 1_000;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// Run a scheduling decision for a logical channel.
-    Decide(u32),
-    /// A read completed at the controller; deliver to the cores and free
-    /// the channel's in-flight slot. The flag marks a transfer whose
-    /// northbound data was dropped under fault injection (the line is
-    /// not cached).
-    ReadDone(u32, LineAddr, bool),
-    /// A write finished at the devices; free the in-flight slot.
-    WriteDone(u32),
-    /// A core's self-wake (ROB stall expiry or projected finish).
-    CpuWake,
-    /// Take a telemetry epoch snapshot.
-    Sample,
-}
 
 /// Results of one simulation run.
 #[derive(Clone, Debug)]
@@ -129,30 +109,44 @@ impl RunResult {
 pub struct System {
     cpu: CpuComplex,
     mem: MemorySystem,
-    events: EventQueue<Event>,
-    now: Time,
-    /// Scratch for requests drained from the cores each pump (reused so
-    /// the steady-state loop never allocates).
-    req_buf: Vec<fbd_types::request::MemRequest>,
-    /// Scratch for transactions issued per decision (same reuse).
-    issued_buf: Vec<Issued>,
-    /// Requests retired so far (drives the steady-state allocation
-    /// snapshot at [`STEADY_RETIRED`]).
-    retired: u64,
-    /// Earliest outstanding [`Event::CpuWake`], or a past time when
-    /// none is queued. [`pump_cpu`](Self::pump_cpu) skips scheduling a
-    /// wake at or after an already-outstanding one: the earlier wake
-    /// re-pumps and re-schedules, so the skipped wake could only ever
-    /// have been a no-op pump. Without this, every pump while the CPU
-    /// is memory-stalled queued another wake for the same instant —
-    /// dozens of identical events per bucket.
-    cpu_wake_at: Time,
-    capture: Option<MemoryTrace>,
-    /// `(l2_mshr_occupancy, outstanding_misses)` gauge handles, set when
-    /// telemetry is enabled.
-    cpu_gauges: Option<(MetricId, MetricId)>,
-    /// Host-side profiler handle (no-op unless a profiler is attached).
-    host: HostHandle,
+    engine: Engine,
+}
+
+/// The processor complex is the closed-loop front end.
+impl FrontEnd for CpuComplex {
+    const COMPLETIONS_FIRST: bool = false;
+
+    fn pump(&mut self, now: Time, out: &mut Vec<MemRequest>) -> Option<Time> {
+        self.advance_into(now, out)
+    }
+
+    fn read_done(&mut self, now: Time, line: LineAddr, dropped: bool) {
+        // Software prefetches and demand reads both fill the L2; the
+        // complex routes waiters by line.
+        let deliver = now + self.fill_latency();
+        if dropped {
+            self.complete_dropped(line, deliver);
+        } else {
+            self.complete(line, deliver);
+        }
+    }
+
+    fn done(&self, now: Time) -> bool {
+        assert!(
+            now <= MAX_SIM_TIME,
+            "simulation exceeded the safety time limit"
+        );
+        self.any_done(now)
+    }
+
+    fn set_gauges(&self, tel: &mut Telemetry) {
+        let (lines, slots) = self.occupancy();
+        let reg = &mut tel.registry;
+        let mshr = reg.gauge("cpu.l2_mshr_occupancy");
+        reg.set(mshr, lines as f64);
+        let outstanding = reg.gauge("cpu.outstanding_misses");
+        reg.set(outstanding, slots as f64);
+    }
 }
 
 impl System {
@@ -164,23 +158,8 @@ impl System {
     /// Panics if the configuration is invalid or the trace count does
     /// not match the core count.
     pub fn new(cfg: &SystemConfig, traces: Vec<Box<dyn TraceSource>>, budget: u64) -> System {
-        cfg.validate().expect("invalid system configuration");
-        System {
-            cpu: CpuComplex::new(&cfg.cpu, traces, budget),
-            mem: MemorySystem::new(&cfg.mem),
-            events: EventQueue::from_env(),
-            now: Time::ZERO,
-            // Sized to the per-pump ceiling (every L2 MSHR missing at
-            // once, each with a dirty writeback, plus prefetcher
-            // suggestions) so steady state never grows them.
-            req_buf: Vec::with_capacity(cfg.cpu.l2_mshrs as usize * 2 + 64),
-            issued_buf: Vec::with_capacity(64),
-            retired: 0,
-            cpu_wake_at: Time::ZERO,
-            capture: None,
-            cpu_gauges: None,
-            host: HostHandle::off(),
-        }
+        System::composed(cfg, traces, budget, &Composition::from_config(&cfg.mem))
+            .expect("invalid system configuration")
     }
 
     /// Like [`new`](Self::new), but composes the memory subsystem from
@@ -205,18 +184,10 @@ impl System {
         Ok(System {
             cpu: CpuComplex::new(&cfg.cpu, traces, budget),
             mem,
-            events: EventQueue::from_env(),
-            now: Time::ZERO,
-            // Sized to the per-pump ceiling (every L2 MSHR missing at
+            // Sized to the per-pump ceiling: every L2 MSHR missing at
             // once, each with a dirty writeback, plus prefetcher
-            // suggestions) so steady state never grows them.
-            req_buf: Vec::with_capacity(cfg.cpu.l2_mshrs as usize * 2 + 64),
-            issued_buf: Vec::with_capacity(64),
-            retired: 0,
-            cpu_wake_at: Time::ZERO,
-            capture: None,
-            cpu_gauges: None,
-            host: HostHandle::off(),
+            // suggestions.
+            engine: Engine::new(EventQueue::from_env(), cfg.cpu.l2_mshrs as usize * 2 + 64),
         })
     }
 
@@ -226,7 +197,7 @@ impl System {
     /// instrumentation site is a no-op branch.
     pub fn set_host_profiler(&mut self, host: HostHandle) {
         self.mem.set_host_profiler(host.clone());
-        self.host = host;
+        self.engine.host = host;
     }
 
     /// Attaches a [`SampleObserver`] notified with every epoch-sampler
@@ -241,44 +212,27 @@ impl System {
     /// Records every transaction handed to the memory controller; the
     /// trace is returned in [`RunResult::trace`].
     pub fn enable_trace_capture(&mut self) {
-        self.capture = Some(MemoryTrace::new());
+        self.engine.capture = Some(MemoryTrace::new());
     }
 
     /// Turns on telemetry for the run: the memory subsystem registers
     /// its metrics and tracks, the processor registers its occupancy
-    /// gauges, and (when sampling is configured) the event loop
-    /// schedules epoch snapshots. The collected [`Telemetry`] is
-    /// returned in [`RunResult::telemetry`].
+    /// gauges, and (when sampling is configured) the event loop takes
+    /// epoch snapshots. The collected [`Telemetry`] is returned in
+    /// [`RunResult::telemetry`].
     ///
     /// # Panics
     ///
     /// Panics if `config.sample_interval` is `Some(Dur::ZERO)`.
     pub fn enable_telemetry(&mut self, config: &TelemetryConfig) {
         self.mem.enable_telemetry(config);
-        let reg = &mut self.mem.telemetry_mut().expect("just enabled").registry;
-        self.cpu_gauges = Some((
-            reg.gauge("cpu.l2_mshr_occupancy"),
-            reg.gauge("cpu.outstanding_misses"),
-        ));
+        self.cpu
+            .set_gauges(self.mem.telemetry_mut().expect("just enabled"));
     }
 
-    /// Like [`new`](Self::new), but first fast-forwards each trace
-    /// through the L2 for `warmup_ops` operations per core so capacity
-    /// evictions (writeback traffic) are present from the start.
-    pub fn with_warmup(
-        cfg: &SystemConfig,
-        traces: Vec<Box<dyn TraceSource>>,
-        budget: u64,
-        warmup_ops: u64,
-    ) -> System {
-        let mut sys = System::new(cfg, traces, budget);
-        sys.cpu.warm_l2(warmup_ops);
-        sys
-    }
-
-    /// Fast-forwards the traces through the L2 for `ops_per_core`
-    /// operations (see [`Self::with_warmup`]); usable on an already
-    /// constructed system before `run`.
+    /// Fast-forwards each trace through the L2 for `ops_per_core`
+    /// operations so capacity evictions (writeback traffic) are present
+    /// from the start; usable on a constructed system before `run`.
     pub fn warm(&mut self, ops_per_core: u64) {
         self.cpu.warm_l2(ops_per_core);
     }
@@ -296,92 +250,6 @@ impl System {
         self.cpu.warm_restore(state)
     }
 
-    fn push(&mut self, at: Time, ev: Event) {
-        debug_assert!(at >= self.now, "event scheduled in the past");
-        // Decisions are the only event kind pushed redundantly (one per
-        // submitted request / completion); the wheel collapses identical
-        // same-instant entries into one multiplicity-counted entry.
-        let dedup = matches!(ev, Event::Decide(_));
-        self.events.push(at, ev, dedup);
-    }
-
-    /// Pulls new requests from the cores and schedules the resulting
-    /// channel decisions and CPU wakes.
-    fn pump_cpu(&mut self) {
-        let mut reqs = std::mem::take(&mut self.req_buf);
-        debug_assert!(reqs.is_empty());
-        let next_wake = self.cpu.advance_into(self.now, &mut reqs);
-        self.host.mark_sampled(Phase::Cpu);
-        for req in reqs.drain(..) {
-            if let Some(trace) = self.capture.as_mut() {
-                trace.push(TraceRecord {
-                    arrival: req.arrival,
-                    kind: req.kind,
-                    line: req.line,
-                    core: req.core,
-                });
-            }
-            let (ch, ready) = self.mem.submit(req);
-            self.push(ready.max(self.now), Event::Decide(ch));
-        }
-        self.req_buf = reqs;
-        if let Some(wake) = next_wake {
-            // Schedule only if no earlier (or equal) wake is already
-            // outstanding; that wake's own pump re-schedules the rest.
-            if wake > self.now && (self.cpu_wake_at <= self.now || wake < self.cpu_wake_at) {
-                self.push(wake, Event::CpuWake);
-                self.cpu_wake_at = wake;
-            }
-        }
-        self.host.mark_sampled(Phase::Controller);
-    }
-
-    /// Runs one decision for `ch`, the first of `runs` identical queued
-    /// tokens. Returns `true` when it issued nothing: an idle decision is
-    /// idempotent at `now` (see [`MemorySystem::decide_into`]), so the
-    /// other `runs - 1` would each issue nothing and push the same next
-    /// decision; that push carries all `runs` and the caller skips them.
-    fn run_decision(&mut self, ch: u32, runs: u32) -> bool {
-        let mut issued = std::mem::take(&mut self.issued_buf);
-        debug_assert!(issued.is_empty());
-        let next_decision = self.mem.decide_into(ch, self.now, &mut issued);
-        let idle = issued.is_empty();
-        for issued in issued.drain(..) {
-            match issued {
-                Issued::Read { resp } => {
-                    self.push(
-                        resp.completion,
-                        Event::ReadDone(ch, resp.line, resp.dropped),
-                    );
-                    // Software prefetches and demand reads both fill the
-                    // L2; the complex routes waiters by line.
-                    debug_assert!(resp.kind != AccessKind::Write);
-                }
-                Issued::Write { done } => {
-                    self.push(done.max(self.now), Event::WriteDone(ch));
-                }
-            }
-        }
-        self.issued_buf = issued;
-        if let Some(next) = next_decision {
-            let n = if idle { runs } else { 1 };
-            self.events.push_n(next.max(self.now), Event::Decide(ch), n);
-        }
-        self.host.mark_sampled(Phase::Controller);
-        self.host.bump(Counter::Decisions);
-        idle
-    }
-
-    /// Counts a retired request; at [`STEADY_RETIRED`] the allocation
-    /// steady state begins and the `alloc-count` snapshot is taken.
-    fn note_retired(&mut self) {
-        self.host.bump(Counter::RequestsRetired);
-        self.retired += 1;
-        if self.retired == STEADY_RETIRED {
-            self.host.note_steady_start();
-        }
-    }
-
     /// Runs the simulation to completion and returns the results.
     ///
     /// # Panics
@@ -390,102 +258,25 @@ impl System {
     /// finish) or exceeds the safety time limit — both indicate bugs,
     /// not workload properties.
     pub fn run(mut self) -> RunResult {
-        self.pump_cpu();
-        let due = self.mem.next_sample_due();
-        if due != Time::NEVER {
-            self.push(due, Event::Sample);
-        }
-        'run: loop {
-            let Some((at, ev, count)) = self.events.pop() else {
-                panic!("simulation deadlock: no events pending and no core finished");
-            };
-            assert!(
-                at <= MAX_SIM_TIME,
-                "simulation exceeded the safety time limit"
-            );
-            self.now = self.now.max(at);
-            // `count` > 1 only for deduped same-instant decisions; the
-            // seed heap popped those back to back (equal keys cannot be
-            // interleaved), so re-running the handler — with the finish
-            // check between runs, which the handler cannot perturb —
-            // reproduces it exactly. An idle decision forwards the runs
-            // left instead (identical runs leave `any_done` unchanged).
-            for i in 0..count {
-                self.host.bump(Counter::Events);
-                let mut forwarded = false;
-                match ev {
-                    Event::Decide(ch) => {
-                        forwarded = self.run_decision(ch, count - i);
-                    }
-                    Event::ReadDone(ch, line, dropped) => {
-                        self.mem.complete(ch);
-                        let deliver = self.now + self.cpu.fill_latency();
-                        if dropped {
-                            self.cpu.complete_dropped(line, deliver);
-                        } else {
-                            self.cpu.complete(line, deliver);
-                        }
-                        self.pump_cpu();
-                        if self.mem.has_work(ch) {
-                            self.push(self.now, Event::Decide(ch));
-                        }
-                        self.note_retired();
-                        self.host.mark_sampled(Phase::Controller);
-                    }
-                    Event::WriteDone(ch) => {
-                        self.mem.complete(ch);
-                        if self.mem.has_work(ch) {
-                            self.push(self.now, Event::Decide(ch));
-                        }
-                        self.note_retired();
-                        self.host.mark_sampled(Phase::Controller);
-                    }
-                    Event::CpuWake => {
-                        self.pump_cpu();
-                    }
-                    Event::Sample => {
-                        if let Some((mshr, outstanding)) = self.cpu_gauges {
-                            let (lines, slots) = self.cpu.occupancy();
-                            if let Some(tel) = self.mem.telemetry_mut() {
-                                tel.registry.set(mshr, lines as f64);
-                                tel.registry.set(outstanding, slots as f64);
-                            }
-                        }
-                        self.mem.sample_telemetry(self.now);
-                        // `sample` advances the next deadline strictly
-                        // past `now`, so this cannot self-schedule a
-                        // busy loop.
-                        let due = self.mem.next_sample_due();
-                        if due != Time::NEVER {
-                            self.push(due, Event::Sample);
-                        }
-                        self.host.mark_sampled(Phase::Telemetry);
-                    }
-                }
-                if self.cpu.any_done(self.now) {
-                    break 'run;
-                }
-                if forwarded {
-                    break;
-                }
-            }
-        }
-        // End of the hot loop: close the steady-state allocation window
-        // before stats collection (which legitimately allocates).
-        self.host.note_steady_end();
-        let elapsed = self.now - Time::ZERO;
-        let cores = self.cpu.finish(self.now);
-        let telemetry = self.mem.finish_telemetry(self.now);
+        self.engine.run(&mut self.mem, &mut self.cpu);
+        let now = self.engine.now;
+        assert!(
+            self.cpu.any_done(now),
+            "simulation deadlock: no events pending and no core finished"
+        );
+        let elapsed = now - Time::ZERO;
+        let cores = self.cpu.finish(now);
+        let telemetry = self.mem.finish_telemetry(now);
         let mem = self.mem.finish_stats();
         let ops = &mem.dram_ops;
         // ACT/PRE are counted as pairs; expand to individual commands.
-        self.host.set(
+        self.engine.host.set(
             Counter::DramCommands,
             ops.act_pre * 2 + ops.col_total() + ops.refreshes,
         );
         let instructions: u64 = cores.iter().map(|c| c.instructions).sum();
-        self.host.mark(Phase::Finish);
-        let mut host = self.host.finish_report(
+        self.engine.host.mark(Phase::Finish);
+        let mut host = self.engine.host.finish_report(
             elapsed,
             self.mem.config().data_rate.clock_period(),
             instructions,
@@ -496,10 +287,10 @@ impl System {
             cores,
             mem,
             channels: self.mem.channel_counters().to_vec(),
-            energy: self.mem.energy_report(self.now),
+            energy: self.mem.energy_report(now),
             profile: self.mem.latency_profile().clone(),
-            faults: self.mem.fault_report(self.now),
-            trace: self.capture,
+            faults: self.mem.fault_report(now),
+            trace: self.engine.capture,
             telemetry,
             host,
         }

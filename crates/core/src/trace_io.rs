@@ -23,8 +23,9 @@ use fbd_types::stats::MemStats;
 use fbd_types::time::{Dur, Time};
 use fbd_types::{LineAddr, RequestId};
 
+use crate::engine::{Engine, Event, FrontEnd};
 use crate::events::EventQueue;
-use crate::memsys::{ChannelCounters, Issued, MemorySystem};
+use crate::memsys::{ChannelCounters, MemorySystem};
 use crate::system::MAX_SIM_TIME;
 
 /// One recorded memory transaction.
@@ -141,8 +142,9 @@ impl MemoryTrace {
     /// # Errors
     ///
     /// Returns a [`ParseTraceError`] naming the offending line on any
-    /// malformed row or an arrival past [`MAX_SIM_TIME`], and propagates
-    /// I/O errors as parse errors.
+    /// malformed row, an arrival past [`MAX_SIM_TIME`] or an arrival
+    /// earlier than the previous row's, and propagates I/O errors as
+    /// parse errors.
     pub fn from_csv<R: BufRead>(mut input: R) -> Result<MemoryTrace, ParseTraceError> {
         let mut trace = MemoryTrace::new();
         // One buffer for every row: `lines()` would allocate a `String`
@@ -174,6 +176,10 @@ impl MemoryTrace {
             if arrival > MAX_SIM_TIME.as_ps() {
                 return Err(err("arrival past the 1 s simulated-time limit"));
             }
+            let arrival = Time::from_ps(arrival);
+            if trace.records.last().is_some_and(|r| r.arrival > arrival) {
+                return Err(err("arrival before the previous record's"));
+            }
             let kind = fields
                 .next()
                 .and_then(|f| kind_from_code(f.trim()))
@@ -187,7 +193,7 @@ impl MemoryTrace {
                 .and_then(|f| f.trim().parse().ok())
                 .ok_or_else(|| err("bad core"))?;
             trace.push(TraceRecord {
-                arrival: Time::from_ps(arrival),
+                arrival,
                 kind,
                 line: LineAddr::new(line_addr),
                 core: CoreId(core),
@@ -238,7 +244,7 @@ pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
 /// [`replay`] on a given event queue; also returns the number of event
 /// handler runs.
 fn replay_on(
-    events: EventQueue<Ev>,
+    events: EventQueue<Event>,
     cfg: &MemoryConfig,
     trace: &MemoryTrace,
 ) -> (ReplayResult, u64) {
@@ -248,7 +254,9 @@ fn replay_on(
         .iter()
         .enumerate()
         .map(|(i, r)| MemRequest::new(RequestId(i as u64), r.core, r.kind, r.line, r.arrival));
-    let (finished, runs) = drive_on(events, &mut mem, requests);
+    let mut engine = Engine::new(events, 0);
+    engine.run(&mut mem, &mut Stream(Some(requests)));
+    let finished = engine.finished;
     let result = ReplayResult {
         energy: mem.energy_report(finished),
         finished,
@@ -257,102 +265,39 @@ fn replay_on(
         faults: mem.fault_report(finished),
         mem: mem.finish_stats(),
     };
-    (result, runs)
+    (result, engine.runs)
 }
 
 /// Runs `requests` through `mem` open-loop: submits every request up
 /// front (each keeps its own arrival time), then runs decisions and
-/// completions on the shared [`EventQueue`] until `mem` drains (a channel
+/// completions on the shared event loop until `mem` drains (a channel
 /// left with work when the events run out is woken at the last event
-/// time). Returns
+/// time). Takes telemetry epoch snapshots when `mem` samples. Returns
 /// the instant the last issued transaction completed ([`Time::ZERO`] if
 /// none was issued).
 ///
-/// This is the event loop of [`replay`]; use it directly to drive a
-/// hand-built [`MemorySystem`] (e.g. one with telemetry enabled) from a
-/// synthetic request stream.
+/// This is the open-loop front end of [`replay`]; use it directly to
+/// drive a hand-built [`MemorySystem`] (e.g. one with telemetry
+/// enabled) from a synthetic request stream.
 pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemRequest>) -> Time {
-    drive_on(EventQueue::from_env(), mem, requests).0
+    let mut engine = Engine::new(EventQueue::from_env(), 0);
+    engine.run(mem, &mut Stream(Some(requests.into_iter())));
+    engine.finished
 }
 
-/// An open-loop event; completions sort before decisions at the same
-/// instant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    Done(u32),
-    Decide(u32),
-}
+/// An open-loop request stream: submits every request on the first
+/// pump and is never done, so the run ends when `mem` drains.
+struct Stream<I>(Option<I>);
 
-/// [`drive`] on a given event queue; also returns the number of event
-/// handler runs.
-fn drive_on(
-    mut events: EventQueue<Ev>,
-    mem: &mut MemorySystem,
-    requests: impl IntoIterator<Item = MemRequest>,
-) -> (Time, u64) {
-    for req in requests {
-        let (ch, ready) = mem.submit(req);
-        events.push(ready, Ev::Decide(ch), true);
-    }
-    let mut issued = Vec::new();
-    let mut finished = Time::ZERO;
-    let mut last = Time::ZERO;
-    let mut runs = 0;
-    loop {
-        let Some((t, ev, count)) = events.pop() else {
-            // Out of events with work left: a request admitted from the
-            // backlog by another channel's take, after every decision of
-            // its own channel had run. Wake each such channel now.
-            let channels = 0..mem.config().logical_channels;
-            if !channels.clone().any(|ch| mem.has_work(ch)) {
-                break;
-            }
-            for ch in channels.filter(|&ch| mem.has_work(ch)) {
-                events.push(last, Ev::Decide(ch), true);
-            }
-            continue;
-        };
-        last = t;
-        // `count` > 1 only for deduped decisions. Re-running the handler
-        // back to back matches the heap's order because a decision at `t`
-        // only pushes work strictly later or its own channel's `Decide`.
-        for i in 0..count {
-            runs += 1;
-            match ev {
-                Ev::Decide(ch) => {
-                    let next = mem.decide_into(ch, t, &mut issued);
-                    // An idle decision is idempotent (see `decide_into`):
-                    // the `count - i - 1` runs left would each issue
-                    // nothing and push this same `next`, so forward them
-                    // with this run's push and skip them.
-                    let idle = issued.is_empty();
-                    for issued in issued.drain(..) {
-                        let done = match issued {
-                            Issued::Read { resp } => resp.completion,
-                            Issued::Write { done } => done,
-                        };
-                        debug_assert!(done > t, "a transfer completes after its decision");
-                        finished = finished.max(done);
-                        events.push(done.max(t), Ev::Done(ch), false);
-                    }
-                    let n = if idle { count - i } else { 1 };
-                    if let Some(next) = next {
-                        events.push_n(next.max(t), Ev::Decide(ch), n);
-                    }
-                    if idle {
-                        break;
-                    }
-                }
-                Ev::Done(ch) => {
-                    mem.complete(ch);
-                    if mem.has_work(ch) {
-                        events.push(t, Ev::Decide(ch), true);
-                    }
-                }
-            }
+impl<I: Iterator<Item = MemRequest>> FrontEnd for Stream<I> {
+    const COMPLETIONS_FIRST: bool = true;
+
+    fn pump(&mut self, _now: Time, out: &mut Vec<MemRequest>) -> Option<Time> {
+        if let Some(requests) = self.0.take() {
+            out.extend(requests);
         }
+        None
     }
-    (finished, runs)
 }
 
 /// Dur helper for the replay result (re-exported convenience).

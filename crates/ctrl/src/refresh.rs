@@ -38,8 +38,8 @@ pub trait RefreshManager: Send + std::fmt::Debug {
     /// emitted DIMM by DIMM, oldest deadline first within a DIMM.
     ///
     /// Deadlines must move strictly past `now`, so a second call at the
-    /// same `now` appends nothing and changes nothing (the event loops
-    /// skip repeated idle decisions on this basis).
+    /// same `now` appends nothing and changes nothing (the event loop
+    /// skips repeated idle decisions on this basis).
     fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>);
 }
 

@@ -48,7 +48,7 @@ pub trait SchedulerPolicy: Send + std::fmt::Debug {
     ///
     /// An empty `candidates` slice must return `None` and leave the
     /// policy unchanged: the controller's idle decisions are idempotent
-    /// (see `MemorySystem::decide_into`), and the event loops skip their
+    /// (see `MemorySystem::decide_into`), and the event loop skips their
     /// repeats.
     fn pick(
         &mut self,

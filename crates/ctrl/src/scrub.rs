@@ -33,7 +33,7 @@ pub trait ScrubPolicy: Send + std::fmt::Debug {
     /// yet). A returned line counts as dispatched: the policy advances
     /// its cursor and rate-limit clock. Returning `None` must leave the
     /// policy unchanged, so a repeated idle decision at the same `now`
-    /// gets `None` again (the event loops skip such repeats).
+    /// gets `None` again (the event loop skips such repeats).
     fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr>;
 }
 

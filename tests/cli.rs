@@ -352,19 +352,30 @@ fn bad_numeric_arguments_are_usage_errors() {
 
 #[test]
 fn replay_rejects_malformed_traces_with_a_diagnostic() {
-    let path = tmp_path("corrupt.csv");
-    std::fs::write(&path, "arrival_ps,kind,line,core\n100,R,7,0\n200,W\n").unwrap();
-    let out = fbdsim(&[
-        "replay",
-        "--trace",
-        path.to_str().unwrap(),
-        "--system",
-        "fbd",
-    ]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(exit_code(&out), 2);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("line 3"), "diagnostic names the line: {err}");
+    // A truncated row, and an arrival that goes backwards (once a debug
+    // assertion panic, silently replayed by release builds).
+    for (name, bad_row) in [("truncated", "200,W"), ("backwards", "50,R,2,0")] {
+        let path = tmp_path(&format!("corrupt-{name}.csv"));
+        std::fs::write(
+            &path,
+            format!("arrival_ps,kind,line,core\n100,R,7,0\n{bad_row}\n"),
+        )
+        .unwrap();
+        let out = fbdsim(&[
+            "replay",
+            "--trace",
+            path.to_str().unwrap(),
+            "--system",
+            "fbd",
+        ]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(exit_code(&out), 2, "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("line 3"),
+            "{name}: diagnostic names the line: {err}"
+        );
+    }
 }
 
 #[test]

@@ -3,10 +3,12 @@
 //! simulator's own statistics.
 
 use fbd_core::experiment::ExperimentConfig;
-use fbd_core::System;
+use fbd_core::{drive, MemorySystem, System};
 use fbd_telemetry::{json, MetricValue, TelemetryConfig};
 use fbd_types::config::{MemoryConfig, SystemConfig};
-use fbd_types::time::Dur;
+use fbd_types::request::{AccessKind, CoreId, MemRequest};
+use fbd_types::time::{Dur, Time};
+use fbd_types::{LineAddr, RequestId};
 use fbd_workloads::Workload;
 
 fn fbd_ap(cores: u32) -> SystemConfig {
@@ -188,4 +190,86 @@ fn telemetry_runs_are_deterministic() {
         ta.tracer.expect("tracing").to_chrome_trace().to_json(),
         tb.tracer.expect("tracing").to_chrome_trace().to_json()
     );
+}
+
+/// Drives `requests` through `cfg` open-loop twice, plain and sampling
+/// every `interval`; asserts the two runs agree and returns the finish
+/// instant and the sampled run's epoch rows taken by the loop.
+fn drive_plain_and_sampled(
+    cfg: &MemoryConfig,
+    requests: impl Iterator<Item = MemRequest> + Clone,
+    interval: Dur,
+) -> (Time, Vec<fbd_telemetry::SampleRow>) {
+    let mut plain = MemorySystem::new(cfg);
+    let plain_finished = drive(&mut plain, requests.clone());
+    let mut sampled = MemorySystem::new(cfg);
+    sampled.enable_telemetry(&TelemetryConfig {
+        sample_interval: Some(interval),
+        trace: false,
+    });
+    let finished = drive(&mut sampled, requests);
+    // Sampling observes the run without moving it.
+    assert_eq!(finished, plain_finished);
+    assert_eq!(sampled.stats(), plain.stats());
+    let tel = sampled.telemetry().expect("telemetry enabled");
+    let rows = tel.sampler.as_ref().expect("sampling enabled").rows();
+    (finished, rows.to_vec())
+}
+
+#[test]
+fn sampled_open_loop_ends_with_an_epoch_series_and_unchanged_results() {
+    // 500 requests at one per 4 ns, every third a write, alternating
+    // between a sequential stream and scattered lines.
+    let requests = (0..500u64).map(|i| {
+        let kind = if i % 3 == 2 {
+            AccessKind::Write
+        } else {
+            AccessKind::DemandRead
+        };
+        let line = if i % 2 == 0 { 4096 + i } else { i * 7919 };
+        MemRequest::new(
+            RequestId(i),
+            CoreId(0),
+            kind,
+            LineAddr::new(line),
+            Time::from_ns(i * 4),
+        )
+    });
+    let interval = Dur::from_ns(100);
+    let cfg = MemoryConfig::fbdimm_with_prefetch();
+    let (finished, rows) = drive_plain_and_sampled(&cfg, requests, interval);
+    // One snapshot per elapsed epoch, taken by the loop itself.
+    let epochs = (finished - Time::ZERO) / interval;
+    assert!(
+        rows.len() as u64 + 1 >= epochs && rows.len() as u64 <= epochs,
+        "{} rows over {epochs} epochs",
+        rows.len()
+    );
+    for pair in rows.windows(2) {
+        assert_eq!(pair[1].at - pair[0].at, interval);
+    }
+
+    // A one-entry queue leaves a read admitted from the backlog with no
+    // decision queued for its channel; the end-of-events wake serves it
+    // at the last event's instant, sampled or not.
+    let mut cfg = MemoryConfig::fbdimm_with_prefetch();
+    cfg.queue_capacity = 1;
+    let mapper = fbd_ctrl::InterleavedMapper::new(&cfg);
+    let line_on = |ch: u32| {
+        (0..)
+            .map(LineAddr::new)
+            .find(|l| fbd_ctrl::AddressMapper::map(&mapper, *l).channel == ch)
+            .expect("every channel maps some line")
+    };
+    let reads = [line_on(1), line_on(0)].map(|line| {
+        MemRequest::new(
+            RequestId(line.as_u64()),
+            CoreId(0),
+            AccessKind::DemandRead,
+            line,
+            Time::ZERO,
+        )
+    });
+    let (_, rows) = drive_plain_and_sampled(&cfg, reads.into_iter(), Dur::from_ns(10));
+    assert!(!rows.is_empty());
 }
