@@ -18,7 +18,8 @@
 //! When built with `--features alloc-count`, a final section counts
 //! heap allocations across the steady-state window of the hot loop
 //! (after the first 1000 retired requests, until the budget is
-//! exhausted) and asserts the count is exactly zero.
+//! exhausted) on DDR2 and on FBD-AP, and asserts each count is exactly
+//! zero.
 //!
 //! Output: `BENCH_throughput.json` in `$FBD_OUT_DIR` (or the working
 //! directory). CI runs this on a small budget, checks every row has a
@@ -202,11 +203,16 @@ fn overhead_section() -> Json {
     ])
 }
 
-/// Runs the hot loop under the counting allocator and returns the
-/// allocation count across its steady-state window (started after 1000
-/// retired requests, closed when the loop exits), asserting it is
-/// exactly zero. Requires `--features alloc-count`; without it the
-/// section reports `null` and gates nothing.
+/// Systems the steady-state allocation gate covers: the DDR2 baseline
+/// (shared command and data bus) and FBD-AP (link, AMB prefetch).
+const STEADY_VARIANTS: [Variant; 2] = [Variant::Ddr2, Variant::FbdAp];
+
+/// Runs the hot loop of each of `STEADY_VARIANTS` under the counting
+/// allocator and returns the allocation counts across its steady-state
+/// window (started after 1000 retired requests, closed when the loop
+/// exits), asserting each is exactly zero. Requires
+/// `--features alloc-count`; without it the section reports `null` and
+/// gates nothing.
 fn steady_alloc_section() -> Json {
     // Big enough to retire well over the 1000 requests that open the
     // steady-state window (1C-swim ≈ 30 memory ops / 1000 instr).
@@ -214,32 +220,42 @@ fn steady_alloc_section() -> Json {
         budget: default_budget().max(100_000),
         ..experiment()
     };
-    let spec = RunSpec::new(system(Variant::FbdAp, 1))
-        .workload("1C-swim")
-        .experiment(exp)
-        .host_profiler(Arc::new(HostProfiler::enabled()));
-    let r: RunResult = spec.run();
-    let steady = r.host.steady_allocations;
-    match steady {
-        Some(n) => {
-            println!("steady-state allocations (after first 1000 retired requests): {n}");
-            assert_eq!(
-                n, 0,
-                "the hot loop allocated {n} times in steady state (must be allocation-free)"
-            );
-            Json::Obj(vec![
-                ("budget".into(), Json::from(exp.budget)),
-                ("steady_allocations".into(), Json::from(n)),
-            ])
+    let mut total = Some(0);
+    let mut systems = Vec::new();
+    for variant in STEADY_VARIANTS {
+        let spec = RunSpec::new(system(variant, 1))
+            .workload("1C-swim")
+            .experiment(exp)
+            .host_profiler(Arc::new(HostProfiler::enabled()));
+        let r: RunResult = spec.run();
+        let steady = r.host.steady_allocations;
+        let label = variant.label();
+        match steady {
+            Some(n) => {
+                println!(
+                    "{label}: steady-state allocations (after first 1000 retired requests): {n}"
+                );
+                assert_eq!(
+                    n, 0,
+                    "{label}: the hot loop allocated {n} times in steady state (must be allocation-free)"
+                );
+            }
+            None => println!(
+                "{label}: steady-state allocations: not measured (build with --features alloc-count)"
+            ),
         }
-        None => {
-            println!("steady-state allocations: not measured (build with --features alloc-count)");
-            Json::Obj(vec![
-                ("budget".into(), Json::from(exp.budget)),
-                ("steady_allocations".into(), Json::Null),
-            ])
-        }
+        total = total.zip(steady).map(|(t, n)| t + n);
+        systems.push((label.to_string(), steady.map_or(Json::Null, Json::from)));
     }
+    Json::Obj(vec![
+        ("budget".into(), Json::from(exp.budget)),
+        // Summed over `systems`, so one key gates them all.
+        (
+            "steady_allocations".into(),
+            total.map_or(Json::Null, Json::from),
+        ),
+        ("systems".into(), Json::Obj(systems)),
+    ])
 }
 
 fn main() {

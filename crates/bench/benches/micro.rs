@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the simulator's hot paths: address
-//! mapping, AMB-cache operations, scheduler picks, DRAM plan/commit and
-//! a short end-to-end run. These track the *simulator's* performance
-//! (simulation throughput), complementing the figure benches that track
-//! the *simulated system's* performance.
+//! mapping, AMB-cache operations, DRAM plan/commit, AMB region fetches,
+//! link reservations and a short end-to-end run. These track the
+//! *simulator's* performance (simulation throughput), complementing the
+//! figure benches that track the *simulated system's* performance.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -64,6 +64,24 @@ fn bench_dram_plan_commit(c: &mut Criterion) {
     });
 }
 
+fn bench_amb_fetch_group(c: &mut Criterion) {
+    let timings = fbd_types::config::DramTimings::ddr2_table2();
+    c.bench_function("amb/fetch_group", |b| {
+        let mut dimm = fbd_amb::AmbDimm::new(4, timings, Dur::from_ns(3), Dur::from_ns(6), true);
+        let mut now = Time::ZERO;
+        let mut bank = 0usize;
+        b.iter(|| {
+            bank = (bank + 1) % 4;
+            // A K = 4 region fetch per demand miss, each arriving as the
+            // previous one's demanded line is ready, so the private bus
+            // keeps a full prune window of history behind the fills.
+            let out = dimm.fetch_group_at(0, bank, 7, 4, now);
+            now = out.demanded_ready;
+            black_box(out.fill_done)
+        })
+    });
+}
+
 fn bench_timeline(c: &mut Criterion) {
     c.bench_function("link/timeline_reserve", |b| {
         let mut tl = fbd_link::Timeline::new(Dur::from_ns(3));
@@ -117,6 +135,7 @@ criterion_group!(
     bench_mapping,
     bench_amb_cache,
     bench_dram_plan_commit,
+    bench_amb_fetch_group,
     bench_timeline,
     bench_full_system
 );

@@ -1199,8 +1199,8 @@ impl MemorySystem {
         } else {
             2
         };
-        let slots = cmd.issue_many(now, n_cmds);
-        let plan = dimm.plan(m.bank as usize, m.row, op, slots[0], bus);
+        let first_cmd = cmd.issue_many(now, n_cmds);
+        let plan = dimm.plan(m.bank as usize, m.row, op, first_cmd, bus);
         st.to(Stage::CtrlQueue, plan.first_cmd_at());
         st.to(Stage::DramWait, plan.act_at.unwrap_or(plan.cmd_at));
         st.to(Stage::DramAct, plan.cmd_at);

@@ -79,8 +79,14 @@ impl DataBus {
     pub fn earliest_fit(&self, dir: ColKind, desired: Time, len: Dur) -> Time {
         assert!(!len.is_zero(), "burst length must be non-zero");
         let mut start = desired.max(self.horizon);
-        for i in 0..self.bursts.len() {
-            let (b_start, b_end, b_dir) = self.bursts[i];
+        // The bursts are sorted and disjoint, so their ends never
+        // decrease. A burst ending at least a clock (the largest bubble)
+        // before `start` can neither hold the new burst nor push it
+        // later, so the scan starts after all of them.
+        let first = self
+            .bursts
+            .partition_point(|&(_, e, _)| e + self.clock <= start);
+        for &(b_start, b_end, b_dir) in self.bursts.range(first..) {
             // Room before this burst (respecting its turnaround bubble)?
             if start + len + self.bubble(dir, b_dir) <= b_start {
                 return start;
@@ -94,12 +100,18 @@ impl DataBus {
         start
     }
 
-    /// Backwards-compatible probe: earliest start of a burst in `dir`
-    /// wanting to start at `desired` (uses the following gap only, so a
-    /// fit is guaranteed for any length at the returned time only if the
-    /// caller re-validates with [`earliest_fit`](Self::earliest_fit)).
-    pub fn earliest_start(&self, dir: ColKind, desired: Time) -> Time {
-        self.earliest_fit(dir, desired, self.clock)
+    /// Reference for [`earliest_fit`](Self::earliest_fit): the same gap
+    /// search scanning every burst from the oldest.
+    #[cfg(test)]
+    fn earliest_fit_linear(&self, dir: ColKind, desired: Time, len: Dur) -> Time {
+        let mut start = desired.max(self.horizon);
+        for &(b_start, b_end, b_dir) in &self.bursts {
+            if start + len + self.bubble(dir, b_dir) <= b_start {
+                return start;
+            }
+            start = start.max(b_end + self.bubble(dir, b_dir));
+        }
+        start
     }
 
     /// Records a committed burst occupying `[start, end)`.
@@ -115,11 +127,7 @@ impl DataBus {
             self.earliest_fit(dir, start, end - start) == start,
             "data burst overlaps another or violates turnaround"
         );
-        let idx = self
-            .bursts
-            .iter()
-            .position(|&(s, _, _)| s > start)
-            .unwrap_or(self.bursts.len());
+        let idx = self.bursts.partition_point(|&(s, _, _)| s <= start);
         self.bursts.insert(idx, (start, end, dir));
         self.busy += end - start;
         // Prune bursts too old to matter.
@@ -231,6 +239,63 @@ mod tests {
         let mut b = bus();
         b.commit(ColKind::Read, Time::from_ns(0), Time::from_ns(6));
         b.commit(ColKind::Read, Time::from_ns(3), Time::from_ns(9));
+    }
+
+    /// SplitMix64, the seeded sequence of the differential test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn dir(&mut self) -> ColKind {
+            if self.below(2) == 0 {
+                ColKind::Read
+            } else {
+                ColKind::Write
+            }
+        }
+    }
+
+    #[test]
+    fn gap_search_matches_the_linear_reference() {
+        let clk = Dur::from_ns(3);
+        let mut b = bus();
+        let mut rng = Mix(1);
+        let mut now = Time::ZERO;
+        for _ in 0..4_000 {
+            let dir = rng.dir();
+            let len = clk * (1 + rng.below(3));
+            let desired = match rng.below(4) {
+                // In order, behind the last burst.
+                0 => b.free_at(),
+                // From behind the horizon.
+                1 => Time::ZERO,
+                // Ahead of `now`, leaving gaps for later ones to fill.
+                _ => now + Dur::from_ps(500 * rng.below(120)),
+            };
+            let at = b.earliest_fit(dir, desired, len);
+            assert_eq!(at, b.earliest_fit_linear(dir, desired, len));
+            b.commit(dir, at, at + len);
+            now += Dur::from_ps(500 * rng.below(36));
+            // Probe around `now`, reaching back past the older bursts.
+            for _ in 0..4 {
+                let (dir, len) = (rng.dir(), clk * (1 + rng.below(3)));
+                let back = Dur::from_ps(500 * rng.below(200));
+                let desired = Time::from_ps(now.as_ps().saturating_sub(back.as_ps()));
+                assert_eq!(
+                    b.earliest_fit(dir, desired, len),
+                    b.earliest_fit_linear(dir, desired, len),
+                    "{dir:?} burst of {len} wanting {desired}"
+                );
+            }
+        }
+        assert!(b.horizon > Time::ZERO, "the history was never pruned");
     }
 
     #[test]

@@ -38,18 +38,22 @@ impl Ddr2CommandBus {
         self.bus.reserve(not_before, self.slot)
     }
 
-    /// Reserves `n` consecutive-ish command slots starting at or after
-    /// `not_before`, returning each slot start. Used for the
-    /// PRE(optional)+ACT+CAS command triple of one access.
-    pub fn issue_many(&mut self, not_before: Time, n: usize) -> Vec<Time> {
-        let mut slots = Vec::with_capacity(n);
-        let mut t = not_before;
-        for _ in 0..n {
-            let s = self.issue(t);
-            t = s + self.slot;
-            slots.push(s);
+    /// Reserves `n` command slots in order, each at least one slot after
+    /// the previous, starting at or after `not_before`; returns the first
+    /// slot's start. Used for the ACT+CAS pair of one access, whose
+    /// timing the bank plan derives from the first command.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn issue_many(&mut self, not_before: Time, n: usize) -> Time {
+        assert!(n > 0, "issue_many needs at least one command");
+        let first = self.issue(not_before);
+        let mut t = first + self.slot;
+        for _ in 1..n {
+            t = self.issue(t) + self.slot;
         }
-        slots
+        first
     }
 }
 
@@ -70,11 +74,12 @@ mod tests {
     #[test]
     fn issue_many_strictly_orders_slots() {
         let mut bus = Ddr2CommandBus::new(&MemoryConfig::ddr2_default());
-        let slots = bus.issue_many(Time::from_ns(10), 3);
-        assert_eq!(
-            slots,
-            vec![Time::from_ns(12), Time::from_ns(15), Time::from_ns(18)]
-        );
+        bus.issue(Time::from_ns(15)); // a slot already taken mid-sequence
+        assert_eq!(bus.issue_many(Time::from_ns(10), 3), Time::from_ns(12));
+        // The three commands took 12, 18 and 21 (15 was busy), in order;
+        // the gap before 12 stays free.
+        assert_eq!(bus.issue(Time::from_ns(12)), Time::from_ns(24));
+        assert_eq!(bus.issue(Time::ZERO), Time::ZERO);
     }
 
     #[test]

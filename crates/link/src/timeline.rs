@@ -69,9 +69,29 @@ impl Timeline {
     pub fn probe(&self, not_before: Time, duration: Dur) -> Time {
         assert!(!duration.is_zero(), "reservation must be non-zero");
         let mut start = not_before.max(self.horizon).align_up(self.clock);
-        for &(b_start, b_end) in &self.busy {
+        // The intervals are sorted and disjoint, so their ends never
+        // decrease. One ending at or before `start` can neither hold the
+        // window nor push it later, so the scan starts after all of them.
+        let first = self.busy.partition_point(|&(_, e)| e <= start);
+        for &(b_start, b_end) in self.busy.range(first..) {
             if start + duration <= b_start {
                 break; // fits in the gap before this interval
+            }
+            if start < b_end {
+                start = b_end.align_up(self.clock);
+            }
+        }
+        start
+    }
+
+    /// Reference for [`probe`](Self::probe): the same gap search
+    /// scanning every interval from the oldest.
+    #[cfg(test)]
+    fn probe_linear(&self, not_before: Time, duration: Dur) -> Time {
+        let mut start = not_before.max(self.horizon).align_up(self.clock);
+        for &(b_start, b_end) in &self.busy {
+            if start + duration <= b_start {
+                break;
             }
             if start < b_end {
                 start = b_end.align_up(self.clock);
@@ -113,11 +133,7 @@ impl Timeline {
 
     fn insert(&mut self, start: Time, end: Time) {
         // Find insertion point keeping the deque sorted by start.
-        let idx = self
-            .busy
-            .iter()
-            .position(|&(s, _)| s > start)
-            .unwrap_or(self.busy.len());
+        let idx = self.busy.partition_point(|&(s, _)| s <= start);
         self.busy.insert(idx, (start, end));
         // Merge adjacent/contiguous neighbours to bound the deque length.
         let mut i = idx.saturating_sub(1);
@@ -231,6 +247,58 @@ mod tests {
         t.reserve(Time::ZERO, Dur::from_ns(2));
         assert_eq!(t.carried(), Dur::from_ns(8));
         assert_eq!(t.free_after(), Time::from_ns(8)); // [0,6) then [6,8)
+    }
+
+    /// SplitMix64, the seeded sequence of the differential test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn gap_search_matches_the_linear_reference() {
+        let clk = Dur::from_ns(3);
+        let mut t = tl();
+        let mut rng = Mix(1);
+        let mut now = Time::ZERO;
+        for _ in 0..4_000 {
+            let len = clk * (1 + rng.below(3));
+            let not_before = match rng.below(4) {
+                // In order, behind the last window.
+                0 => t.free_after(),
+                // From behind the horizon.
+                1 => Time::ZERO,
+                // Ahead of `now`, leaving gaps for later ones to fill.
+                _ => now + Dur::from_ps(500 * rng.below(120)),
+            };
+            let at = t.probe(not_before, len);
+            assert_eq!(at, t.probe_linear(not_before, len));
+            if rng.below(2) == 0 {
+                t.reserve_at(at, len);
+            } else {
+                assert_eq!(t.reserve(not_before, len), at);
+            }
+            now += Dur::from_ps(500 * rng.below(36));
+            // Probe around `now`, reaching back past the older windows.
+            for _ in 0..4 {
+                let len = clk * (1 + rng.below(3));
+                let back = Dur::from_ps(500 * rng.below(200));
+                let not_before = Time::from_ps(now.as_ps().saturating_sub(back.as_ps()));
+                assert_eq!(
+                    t.probe(not_before, len),
+                    t.probe_linear(not_before, len),
+                    "window of {len} not before {not_before}"
+                );
+            }
+        }
+        assert!(t.horizon > Time::ZERO, "the history was never pruned");
     }
 
     #[test]
