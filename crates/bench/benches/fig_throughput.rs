@@ -148,9 +148,11 @@ fn min_walls(specs: &[&RunSpec]) -> Vec<f64> {
 }
 
 fn overhead_section() -> Json {
-    // Big enough that a 2% difference is above timer noise.
+    // Big enough that the `none` arm's min-of-5 wall is at least about
+    // 100 ms (0.15 s for 1C-swim on FBD-AP on a 2-vCPU VM), so the 2 ms
+    // floor below cannot hide a 2% cost.
     let exp = fbd_core::experiment::ExperimentConfig {
-        budget: default_budget().max(100_000),
+        budget: default_budget().max(2_000_000),
         ..experiment()
     };
     let base = RunSpec::new(system(Variant::FbdAp, 1))

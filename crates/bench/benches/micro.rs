@@ -8,7 +8,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::RunSpec;
-use fbd_ctrl::AddressMapper;
 use fbd_types::config::{MemoryConfig, SystemConfig};
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use fbd_core::{calibrate, parallel_map, pareto_frontier, Calibration, Fidelity, Warmup};
 use fbd_core::{RunResult, RunSpec};
-use fbd_ctrl::{schedulers, scrub_policies};
+use fbd_ctrl::schedulers;
 use fbd_telemetry::host::{Counter, HostProfiler, PHASES};
 use fbd_telemetry::live::{bar, fmt_duration, si, sparkline};
 use fbd_telemetry::{Json, LogHistogram, SampleObserver, TelemetryConfig};
@@ -42,7 +42,7 @@ use fbd_types::config::{
 };
 use fbd_types::request::{REQ_CLASSES, STAGES};
 use fbd_types::substrate::substrates;
-use fbd_types::time::DataRate;
+use fbd_types::time::{DataRate, Dur};
 use fbd_workloads::{paper_workloads, Workload};
 
 fn usage_text() -> String {
@@ -372,6 +372,32 @@ impl Resolved {
         }
         Ok(spec)
     }
+
+    /// The telemetry a point on `spec` runs with, if any: the sampler
+    /// cadence converted at `spec`'s memory clock, plus tracing. A
+    /// cadence too long to represent is a usage error.
+    fn telemetry(&self, spec: &RunSpec) -> Result<Option<TelemetryConfig>, Fail> {
+        if self.sample_cycles.is_none() && !self.trace {
+            return Ok(None);
+        }
+        let sample_interval = match self.sample_cycles {
+            None => None,
+            Some(c) => Some(clock(spec).checked_mul(c).ok_or_else(|| {
+                bad(format!(
+                    "--sample-interval {c} cycles overflows the simulated clock"
+                ))
+            })?),
+        };
+        Ok(Some(TelemetryConfig {
+            sample_interval,
+            trace: self.trace,
+        }))
+    }
+}
+
+/// The memory-clock period of `spec`'s system.
+fn clock(spec: &RunSpec) -> Dur {
+    spec.system().mem.data_rate.clock_period()
 }
 
 fn unknown_substrate(flag: &str, name: &str) -> Fail {
@@ -428,13 +454,14 @@ fn fault_options(args: &Args) -> Result<Option<FaultConfig>, Fail> {
     let scrub = match args.get("scrub") {
         None => off.scrub,
         Some(v) => ScrubPolicyKind::by_name(v).ok_or_else(|| {
+            let names = ScrubPolicyKind::ALL.map(ScrubPolicyKind::name);
             bad(format!(
                 "unknown scrub policy `{v}` (available: {})",
-                scrub_policies().available()
+                names.join("|")
             ))
         })?,
     };
-    Ok(Some(FaultConfig {
+    let fc = FaultConfig {
         ber: args.parsed("fault-ber", "a bit-error rate in [0, 1]", off.ber, |v| {
             number(v).filter(|b| (0.0..=1.0).contains(b))
         })?,
@@ -468,7 +495,9 @@ fn fault_options(args: &Args) -> Result<Option<FaultConfig>, Fail> {
             number,
         )?,
         ..off
-    }))
+    };
+    fc.validate().map_err(bad)?;
+    Ok(Some(fc))
 }
 
 /// Throttled `done/total/ETA` progress meter for grid commands. It
@@ -824,7 +853,10 @@ fn run_grid(grid: &[(String, RunSpec)], opts: &Resolved) -> Result<GridRun, Fail
     let Some((_, first)) = grid.first() else {
         return Ok(GridRun::default());
     };
-    let clock = |spec: &RunSpec| spec.system().mem.data_rate.clock_period();
+    let telemetry = grid
+        .iter()
+        .map(|(_, spec)| opts.telemetry(spec))
+        .collect::<Result<Vec<_>, Fail>>()?;
     let live = opts
         .live
         .then(|| LiveState::new(workload_name(first), grid.len(), clock(first)));
@@ -833,11 +865,8 @@ fn run_grid(grid: &[(String, RunSpec)], opts: &Resolved) -> Result<GridRun, Fail
         let (label, spec) = &grid[i];
         let profiler = Arc::new(HostProfiler::enabled());
         let mut point = spec.clone().host_profiler(Arc::clone(&profiler));
-        if opts.sample_cycles.is_some() || opts.trace {
-            point = point.telemetry(TelemetryConfig {
-                sample_interval: opts.sample_cycles.map(|c| clock(spec) * c),
-                trace: opts.trace,
-            });
+        if let Some(tc) = telemetry[i] {
+            point = point.telemetry(tc);
         }
         if let Some(state) = &live {
             state.register(label, profiler);
@@ -913,6 +942,11 @@ fn workload_name(spec: &RunSpec) -> &str {
 /// full metric registry and epoch time-series when telemetry ran.
 fn stats_document(label: &str, spec: &RunSpec, r: &RunResult) -> Vec<(String, Json)> {
     let comp = spec.composition();
+    let refresh = if spec.system().mem.refresh.enabled {
+        "staggered"
+    } else {
+        "none"
+    };
     let ipc_sum: f64 = r.ipcs().iter().sum();
     let bw = r.channel_bandwidth_gbps();
     let channels: Vec<Json> = r
@@ -938,10 +972,11 @@ fn stats_document(label: &str, spec: &RunSpec, r: &RunResult) -> Vec<(String, Js
         (
             "composition".to_string(),
             Json::Obj(vec![
-                ("substrate".into(), Json::from(comp.substrate.as_str())),
-                ("scheduler".into(), Json::from(comp.scheduler.as_str())),
-                ("mapper".into(), Json::from(comp.mapper.as_str())),
-                ("refresh".into(), Json::from(comp.refresh.as_str())),
+                ("substrate".into(), Json::from(comp.substrate)),
+                ("scheduler".into(), Json::from(comp.scheduler)),
+                // The mapper and refresh manager follow the config.
+                ("mapper".into(), Json::from("interleaved")),
+                ("refresh".into(), Json::from(refresh)),
             ]),
         ),
         ("elapsed_ns".to_string(), Json::from(r.elapsed.as_ns_f64())),
@@ -1913,8 +1948,6 @@ mod tests {
             .composition();
         assert_eq!(comp.substrate, "fbd-ap");
         assert_eq!(comp.scheduler, "fcfs");
-        assert_eq!(comp.mapper, "interleaved");
-        assert_eq!(comp.refresh, "none", "the paper runs without refresh");
         // The substrate label survives a config edit (e.g. fault
         // injection) that makes the config diverge from the preset.
         let mut spec = RunSpec::paper_default(1).try_substrate("fbd-ap").unwrap();
@@ -1943,11 +1976,10 @@ mod tests {
 
     #[test]
     fn telemetry_rejects_bad_sample_intervals() {
-        for bad in ["0", "-5", "abc", "1.5"] {
-            assert!(
-                run_opts(&["--sample-interval", bad]).is_err(),
-                "interval `{bad}` must be rejected"
-            );
+        for bad in ["0", "-5", "abc", "1.5", "18446744073709551615"] {
+            let telemetry = run_opts(&["--sample-interval", bad])
+                .and_then(|opts| opts.telemetry(&opts.on("substrate", "fbd-ap")?));
+            assert!(telemetry.is_err(), "interval `{bad}` must be rejected");
         }
     }
 
@@ -2004,6 +2036,7 @@ mod tests {
             dram.get("act_pre").and_then(Json::as_f64),
             Some(r.mem.dram_ops.act_pre as f64)
         );
+        assert_eq!(dram.get("refreshes").and_then(Json::as_f64), Some(0.0));
         // The energy object is always present and internally consistent:
         // the five components sum to the reported total.
         let energy = parsed.get("energy").unwrap();
@@ -2050,6 +2083,16 @@ mod tests {
         let doc = Json::Obj(stats_document("fbd-ap", &spec, &spec.run()));
         assert!(doc.get("metrics").is_none());
         assert!(doc.get("series").is_none());
+        // With refresh switched on, the composition names the staggered
+        // manager and its refreshes reach the DRAM counters.
+        let mut on = spec.clone();
+        on.system_mut().mem.refresh = fbd_types::config::RefreshConfig::ddr2_1gb();
+        let doc = Json::Obj(stats_document("fbd-ap", &on, &on.run()));
+        let c = doc.get("composition").expect("composition present");
+        assert_eq!(c.get("refresh").and_then(Json::as_str), Some("staggered"));
+        let dram = doc.get("dram").unwrap();
+        let refreshes = dram.get("refreshes").and_then(Json::as_f64).unwrap();
+        assert!(refreshes > 0.0, "refreshes: {refreshes}");
     }
 
     #[test]

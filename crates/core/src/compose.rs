@@ -1,51 +1,40 @@
-//! The composition of one memory system: which registered substrate,
-//! scheduler, mapper and refresh manager it is built from.
+//! The composition of one memory system: which registered substrate
+//! and scheduler it is built from.
 //!
-//! A [`Composition`] is the string-level description of a memory
-//! system. [`MemorySystem::compose`](crate::MemorySystem::compose)
-//! resolves each name against its registry and builds the system;
-//! [`Composition::from_config`] goes the other way, recovering the
-//! substrate and refresh names from a plain [`MemoryConfig`]. The
-//! scheduler is not part of a config: it is always chosen by name, and
-//! defaults to the registry's `hit-first`.
+//! A [`Composition`] holds the names a [`MemoryConfig`] cannot carry.
+//! [`MemorySystem::compose`](crate::MemorySystem::compose) resolves
+//! the scheduler against its registry and builds the system;
+//! [`Composition::from_config`] recovers the substrate label from a
+//! plain config. The scheduler is not part of a config: it is always
+//! chosen by name, and defaults to the registry's `hit-first`. The
+//! address mapper, refresh manager and scrub policy have no names to
+//! choose: they follow the config.
 
 use fbd_types::config::MemoryConfig;
 use fbd_types::substrate::substrates;
 
-/// Registry names selecting each pluggable part of a memory system.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Registry names selecting the pluggable parts of a memory system.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Composition {
     /// Substrate (timing + channel preset) name, or `custom` when the
     /// config matches no registered preset.
-    pub substrate: String,
+    pub substrate: &'static str,
     /// Scheduling policy name (`hit-first`, `fcfs`, …).
-    pub scheduler: String,
-    /// Address mapper name (`interleaved`).
-    pub mapper: String,
-    /// Refresh manager name (`staggered`, `none`).
-    pub refresh: String,
+    pub scheduler: &'static str,
 }
 
 impl Composition {
     /// Recovers the composition a plain config describes: the substrate
-    /// by preset equality (`custom` if none matches), the default
-    /// `hit-first` scheduler, and the refresh manager from the config's
-    /// master switch.
+    /// by preset equality (`custom` if none matches) and the default
+    /// `hit-first` scheduler.
     pub fn from_config(cfg: &MemoryConfig) -> Composition {
         let substrate = substrates()
             .iter()
             .find(|(_, s)| s.config() == *cfg)
             .map_or("custom", |(name, _)| name);
-        let refresh = if cfg.refresh.enabled {
-            "staggered"
-        } else {
-            "none"
-        };
         Composition {
-            substrate: substrate.to_owned(),
-            scheduler: "hit-first".to_owned(),
-            mapper: "interleaved".to_owned(),
-            refresh: refresh.to_owned(),
+            substrate,
+            scheduler: "hit-first",
         }
     }
 }
@@ -61,8 +50,7 @@ mod tests {
             let c = Composition::from_config(&cfg);
             assert_eq!(c.substrate, name);
             assert_eq!(c.scheduler, "hit-first");
-            assert_eq!(c.mapper, "interleaved");
-            assert_eq!(c.refresh, "none", "the paper runs without refresh");
+            assert!(!cfg.refresh.enabled, "the paper runs without refresh");
         }
     }
 
@@ -76,9 +64,11 @@ mod tests {
 
     #[test]
     fn refresh_switch_is_reflected() {
+        // Refresh is a config switch, not a composition name: turning it
+        // on leaves every preset, so the label reads `custom`.
         let mut cfg = MemoryConfig::fbdimm_default();
         cfg.refresh = fbd_types::config::RefreshConfig::ddr2_1gb();
         let c = Composition::from_config(&cfg);
-        assert_eq!(c.refresh, "staggered");
+        assert_eq!(c.substrate, "custom");
     }
 }

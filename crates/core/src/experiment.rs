@@ -159,10 +159,10 @@ impl From<SystemConfig> for RunSpec {
 /// whatever [`Composition::from_config`] would infer from the system
 /// configuration. Names are validated when set, so resolution at run
 /// time cannot fail.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct CompositionOverrides {
-    substrate: Option<String>,
-    scheduler: Option<String>,
+    substrate: Option<&'static str>,
+    scheduler: Option<&'static str>,
 }
 
 impl RunSpec {
@@ -265,7 +265,7 @@ impl RunSpec {
             )
         })?;
         self.system.mem = s.config();
-        self.overrides.substrate = Some(name.to_owned());
+        self.overrides.substrate = Some(s.name());
         Ok(self)
     }
 
@@ -287,13 +287,13 @@ impl RunSpec {
     ///
     /// Returns a description listing the registered names.
     pub fn try_scheduler(mut self, name: &str) -> Result<RunSpec, String> {
-        if fbd_ctrl::schedulers().get(name).is_none() {
-            return Err(format!(
+        let spec = fbd_ctrl::schedulers().get(name).ok_or_else(|| {
+            format!(
                 "unknown scheduler `{name}` (available: {})",
                 fbd_ctrl::schedulers().available()
-            ));
-        }
-        self.overrides.scheduler = Some(name.to_owned());
+            )
+        })?;
+        self.overrides.scheduler = Some(spec.name());
         Ok(self)
     }
 
@@ -302,14 +302,11 @@ impl RunSpec {
     /// selected via [`substrate`](Self::substrate) /
     /// [`scheduler`](Self::scheduler) taking precedence.
     pub fn composition(&self) -> Composition {
-        let mut comp = Composition::from_config(&self.system.mem);
-        if let Some(s) = &self.overrides.substrate {
-            comp.substrate.clone_from(s);
+        let comp = Composition::from_config(&self.system.mem);
+        Composition {
+            substrate: self.overrides.substrate.unwrap_or(comp.substrate),
+            scheduler: self.overrides.scheduler.unwrap_or(comp.scheduler),
         }
-        if let Some(s) = &self.overrides.scheduler {
-            comp.scheduler.clone_from(s);
-        }
-        comp
     }
 
     /// Turns AMB prefetching on (the paper's default prefetcher with
@@ -445,16 +442,11 @@ impl RunSpec {
             "seed={};budget={};warmup={:?}",
             self.exp.seed, self.exp.budget, self.exp.warmup
         );
-        // Composed policy names are semantic: a different scheduler,
-        // mapper or refresh manager is a different run. The substrate
-        // label is not — the system configuration above already pins
-        // everything a substrate selects.
-        let comp = self.composition();
-        let _ = write!(
-            key,
-            ";scheduler={};mapper={};refresh={}",
-            comp.scheduler, comp.mapper, comp.refresh
-        );
+        // The scheduler name is semantic: a different scheduler is a
+        // different run. The substrate label is not — the system
+        // configuration above already pins everything a substrate
+        // selects, and with it the mapper and the refresh switch.
+        let _ = write!(key, ";scheduler={}", self.composition().scheduler);
         key
     }
 

@@ -97,7 +97,7 @@ fn cache_key(spec: &RunSpec, workload: &Workload) -> u64 {
     // Substrates are not a normalized-away sweep dimension: a spec
     // composed on a different substrate must not reuse another's
     // calibration, so its label is folded into the key.
-    base ^ fnv1a(substrate_label(spec))
+    base ^ fnv1a(spec.composition().substrate)
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -109,15 +109,6 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
-}
-
-/// The registry name of the spec's substrate as a `'static` string
-/// (`custom` when the config matches no registered preset).
-fn substrate_label(spec: &RunSpec) -> &'static str {
-    let name = spec.composition().substrate;
-    fbd_types::substrate::substrates()
-        .get(&name)
-        .map_or("custom", |s| s.name())
 }
 
 fn observe(result: &RunResult) -> Observation {
@@ -187,7 +178,7 @@ pub fn calibrate(spec: &RunSpec) -> Result<Arc<Calibration>, String> {
         .collect();
     let (fit, holdout) = points.split_at(CALIBRATION_FIT_POINTS);
 
-    let calibrator = Calibrator::new(workload, exp.budget).substrate(substrate_label(spec));
+    let calibrator = Calibrator::new(workload, exp.budget).substrate(spec.composition().substrate);
     let params = calibrator.fit(fit);
     let report = calibrator.report(params, fit.len(), holdout);
     let cal = Arc::new(Calibration { report });

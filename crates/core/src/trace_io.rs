@@ -398,7 +398,7 @@ mod tests {
         let line_on = |ch: u32| {
             (0..)
                 .map(LineAddr::new)
-                .find(|l| fbd_ctrl::AddressMapper::map(&mapper, *l).channel == ch)
+                .find(|l| mapper.map(*l).channel == ch)
                 .unwrap()
         };
         let read = |id: u64, line: LineAddr| {

@@ -1,20 +1,19 @@
-//! Name-keyed registries for the controller's pluggable policies.
+//! The name-keyed registry of the controller's scheduling policies.
 //!
-//! Each registry publishes `&'static` spec objects keyed by a stable
-//! name, so a whole memory system can be composed from strings
-//! (`--scheduler fcfs`) without the core knowing the concrete types.
-//! Adding a policy means one new file implementing the spec trait plus
-//! one `register` call here — no enum edits, no controller edits.
+//! The registry publishes `&'static` spec objects keyed by a stable
+//! name, so a policy can be selected from a string (`--scheduler fcfs`)
+//! without the core knowing the concrete types. Adding a policy means
+//! one new file implementing [`SchedulerSpec`] plus one `register` call
+//! here — no enum edits, no controller edits. The address mapper,
+//! refresh manager and scrub policy have no alternatives to choose
+//! between: the memory system builds them straight from its config.
 
 use std::sync::OnceLock;
 
 use fbd_types::Registry;
 
 use crate::fcfs::FcfsSpec;
-use crate::mapping::{InterleavedSpec, MapperSpec};
-use crate::refresh::{NoRefreshSpec, RefreshSpec, StaggeredSpec};
 use crate::sched::{HitFirstSpec, SchedulerSpec};
-use crate::scrub::{NoScrubSpec, PatrolSpec, ScrubSpec};
 
 /// All registered scheduling policies, in registration order
 /// (`hit-first` first — it is the paper default).
@@ -22,42 +21,8 @@ pub fn schedulers() -> &'static Registry<dyn SchedulerSpec> {
     static REG: OnceLock<Registry<dyn SchedulerSpec>> = OnceLock::new();
     REG.get_or_init(|| {
         let mut r: Registry<dyn SchedulerSpec> = Registry::new("scheduler");
-        r.register("hit-first", &HitFirstSpec);
-        r.register("fcfs", &FcfsSpec);
-        r
-    })
-}
-
-/// All registered address mappers (`interleaved` is the paper default
-/// and currently the only entry).
-pub fn mappers() -> &'static Registry<dyn MapperSpec> {
-    static REG: OnceLock<Registry<dyn MapperSpec>> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut r: Registry<dyn MapperSpec> = Registry::new("mapper");
-        r.register("interleaved", &InterleavedSpec);
-        r
-    })
-}
-
-/// All registered refresh managers (`staggered` is the paper default).
-pub fn refresh_managers() -> &'static Registry<dyn RefreshSpec> {
-    static REG: OnceLock<Registry<dyn RefreshSpec>> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut r: Registry<dyn RefreshSpec> = Registry::new("refresh manager");
-        r.register("staggered", &StaggeredSpec);
-        r.register("none", &NoRefreshSpec);
-        r
-    })
-}
-
-/// All registered background-scrub policies (`none` is the default —
-/// scrubbing is strictly opt-in).
-pub fn scrub_policies() -> &'static Registry<dyn ScrubSpec> {
-    static REG: OnceLock<Registry<dyn ScrubSpec>> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut r: Registry<dyn ScrubSpec> = Registry::new("scrub policy");
-        r.register("none", &NoScrubSpec);
-        r.register("patrol", &PatrolSpec);
+        r.register(HitFirstSpec.name(), &HitFirstSpec as &dyn SchedulerSpec);
+        r.register(FcfsSpec.name(), &FcfsSpec);
         r
     })
 }
@@ -70,9 +35,6 @@ mod tests {
     #[test]
     fn default_policies_are_registered_first() {
         assert_eq!(schedulers().names().next(), Some("hit-first"));
-        assert_eq!(mappers().names().next(), Some("interleaved"));
-        assert_eq!(refresh_managers().names().next(), Some("staggered"));
-        assert_eq!(scrub_policies().names().next(), Some("none"));
     }
 
     #[test]
@@ -81,24 +43,6 @@ mod tests {
         for (_, spec) in schedulers().iter() {
             let _ = spec.build(&cfg);
         }
-        for (_, spec) in mappers().iter() {
-            let m = spec.build(&cfg);
-            assert!(m.capacity_lines() > 0);
-        }
-        for (_, spec) in refresh_managers().iter() {
-            let _ = spec.build(&cfg);
-        }
-        for (_, spec) in scrub_policies().iter() {
-            let _ = spec.build(&cfg);
-        }
-    }
-
-    #[test]
-    fn scrub_registry_lists_patrol() {
-        let spec = scrub_policies().get("patrol").expect("registered");
-        assert_eq!(spec.name(), "patrol");
-        assert!(scrub_policies().get("demand").is_none());
-        assert_eq!(scrub_policies().available(), "none|patrol");
     }
 
     #[test]

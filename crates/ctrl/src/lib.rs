@@ -1,26 +1,26 @@
 //! The memory controller: address mapping, the transaction queue, the
-//! scheduling policies, refresh management, and the prefetch
-//! information table.
+//! scheduling policies, refresh management, patrol scrubbing and the
+//! prefetch information table.
 //!
-//! The controller is technology-agnostic policy behind pluggable
-//! interfaces: it decodes addresses ([`AddressMapper`], default
-//! [`InterleavedMapper`]), buffers transactions per channel under one
+//! The controller is technology-agnostic policy: it decodes addresses
+//! ([`InterleavedMapper`]), buffers transactions per channel under one
 //! shared capacity ([`TransactionQueue`]), reorders each channel's
-//! ([`SchedulerPolicy`], default [`HitFirstScheduler`]),
-//! times refreshes ([`RefreshManager`]) and — when AMB prefetching is
-//! enabled — tracks every AMB cache's content ([`PrefetchTable`]) so
-//! hits are known before any channel command is sent. Implementations
-//! are published by name through the [`schedulers`], [`mappers`] and
-//! [`refresh_managers`] registries; the datapath (links, AMBs, DRAM
-//! devices) lives in the sibling crates and is wired together by
-//! `fbd-core`.
+//! ([`SchedulerPolicy`], default [`HitFirstScheduler`]), times
+//! refreshes ([`StaggeredRefresh`]), picks lines for background
+//! scrubbing ([`PatrolScrub`]) and — when AMB prefetching is enabled —
+//! tracks every AMB cache's content ([`PrefetchTable`]) so hits are
+//! known before any channel command is sent. Only the scheduler has
+//! alternatives to select by name, through the [`schedulers`]
+//! registry; the mapper, refresh manager and scrub policy follow the
+//! memory config. The datapath (links, AMBs, DRAM devices) lives in
+//! the sibling crates and is wired together by `fbd-core`.
 //!
 //! # Examples
 //!
 //! Decode a line under the paper's 4-cacheline interleaving:
 //!
 //! ```
-//! use fbd_ctrl::{AddressMapper, InterleavedMapper};
+//! use fbd_ctrl::InterleavedMapper;
 //! use fbd_types::config::MemoryConfig;
 //! use fbd_types::LineAddr;
 //!
@@ -29,6 +29,7 @@
 //! let b = mapper.map(LineAddr::new(7));
 //! // Blocks 6 and 7 share a region, hence a bank row (Figure 2).
 //! assert_eq!((a.channel, a.dimm, a.bank, a.row), (b.channel, b.dimm, b.bank, b.row));
+//! assert_eq!(mapper.unmap(a).as_u64(), 6);
 //! ```
 //!
 //! Build a scheduling policy by name from the registry:
@@ -54,18 +55,15 @@ pub mod refresh;
 pub mod sched;
 pub mod scrub;
 
-pub use compose::{mappers, refresh_managers, schedulers, scrub_policies};
+pub use compose::schedulers;
 pub use fcfs::{FcfsScheduler, FcfsSpec};
 pub use info_table::{FillOutcome, PrefetchTable};
-pub use mapping::{AddressMapper, InterleavedMapper, InterleavedSpec, MappedAddr, MapperSpec};
+pub use mapping::{InterleavedMapper, MappedAddr};
 pub use queue::{QueueEntry, TransactionQueue};
 pub use recovery::{droppable, northbound_action, CrcAction};
-pub use refresh::{
-    NoRefresh, NoRefreshSpec, RefreshManager, RefreshOp, RefreshSpec, StaggeredRefresh,
-    StaggeredSpec,
-};
+pub use refresh::{RefreshOp, StaggeredRefresh};
 pub use sched::{HitFirstScheduler, HitFirstSpec, SchedClass, SchedulerPolicy, SchedulerSpec};
-pub use scrub::{NoScrub, NoScrubSpec, PatrolScrub, PatrolSpec, ScrubPolicy, ScrubSpec};
+pub use scrub::PatrolScrub;
 
 #[cfg(all(test, feature = "proptest"))]
 mod proptests {

@@ -33,27 +33,12 @@ pub struct MappedAddr {
     pub col_line: u32,
 }
 
-/// Decodes cacheline addresses into memory-subsystem coordinates and
-/// back — the pluggable mapping interface ([`crate::MapperSpec`]
-/// publishes implementations by name).
+/// The controller's address mapper: G-line groups round-robin over
+/// {channel → DIMM → rank → bank}, with optional XOR bank permutation.
 ///
-/// `unmap` must invert `map` for every address within
+/// `unmap` inverts `map` for every address within
 /// [`capacity_lines`](Self::capacity_lines), for *any* validated
 /// geometry — including non-power-of-two DIMM counts.
-pub trait AddressMapper: Send + Sync + std::fmt::Debug {
-    /// Maps a cacheline address onto {channel, DIMM, rank, bank, row,
-    /// column}. Addresses beyond the capacity wrap around.
-    fn map(&self, line: LineAddr) -> MappedAddr;
-    /// Inverse of [`map`](Self::map) for addresses within capacity.
-    fn unmap(&self, m: MappedAddr) -> LineAddr;
-    /// The interleaving group size in cachelines.
-    fn group_lines(&self) -> u32;
-    /// Total mappable lines before addresses wrap.
-    fn capacity_lines(&self) -> u64;
-}
-
-/// The workspace's standard mapper: G-line groups round-robin over
-/// {channel → DIMM → rank → bank}, with optional XOR bank permutation.
 #[derive(Clone, Copy, Debug)]
 pub struct InterleavedMapper {
     channels: u64,
@@ -90,16 +75,9 @@ impl InterleavedMapper {
             permute: cfg.xor_permutation,
         }
     }
-}
-
-impl AddressMapper for InterleavedMapper {
-    /// The interleaving group size in cachelines.
-    fn group_lines(&self) -> u32 {
-        self.group_lines as u32
-    }
 
     /// Total mappable lines before addresses wrap.
-    fn capacity_lines(&self) -> u64 {
+    pub fn capacity_lines(&self) -> u64 {
         self.channels * self.dimms * self.ranks * self.banks * self.rows * self.lines_per_page
     }
 
@@ -107,7 +85,7 @@ impl AddressMapper for InterleavedMapper {
     ///
     /// Addresses beyond the capacity wrap around (row index is taken
     /// modulo the row count), mirroring physical-address aliasing.
-    fn map(&self, line: LineAddr) -> MappedAddr {
+    pub fn map(&self, line: LineAddr) -> MappedAddr {
         let line = line.as_u64();
         let group = line / self.group_lines;
         let offset = line % self.group_lines;
@@ -138,7 +116,7 @@ impl AddressMapper for InterleavedMapper {
     }
 
     /// Inverse of [`map`](Self::map) for addresses within capacity.
-    fn unmap(&self, m: MappedAddr) -> LineAddr {
+    pub fn unmap(&self, m: MappedAddr) -> LineAddr {
         let groups_per_row = self.lines_per_page / self.group_lines;
         let slot = u64::from(m.col_line) / self.group_lines;
         let offset = u64::from(m.col_line) % self.group_lines;
@@ -154,33 +132,6 @@ impl AddressMapper for InterleavedMapper {
             + u64::from(m.dimm) * self.channels
             + u64::from(m.channel);
         LineAddr::new(group * self.group_lines + offset)
-    }
-}
-
-/// A named, registerable [`AddressMapper`] factory (see
-/// [`crate::mappers`] for the registry).
-pub trait MapperSpec: Send + Sync + std::fmt::Debug {
-    /// Stable registry name (e.g. `interleaved`).
-    fn name(&self) -> &'static str;
-    /// One-line human description for listings.
-    fn description(&self) -> &'static str;
-    /// Builds the mapper for a validated configuration.
-    fn build(&self, cfg: &MemoryConfig) -> Box<dyn AddressMapper>;
-}
-
-/// Registry entry for [`InterleavedMapper`].
-#[derive(Debug)]
-pub struct InterleavedSpec;
-
-impl MapperSpec for InterleavedSpec {
-    fn name(&self) -> &'static str {
-        "interleaved"
-    }
-    fn description(&self) -> &'static str {
-        "group round-robin over channel/DIMM/rank/bank (paper Figure 2)"
-    }
-    fn build(&self, cfg: &MemoryConfig) -> Box<dyn AddressMapper> {
-        Box::new(InterleavedMapper::new(cfg))
     }
 }
 

@@ -412,8 +412,9 @@ impl FaultMode {
     }
 }
 
-/// Patrol-scrubbing policy selector. Mirrors the
-/// `fbd_ctrl::scrub_policies` registry entries.
+/// Patrol-scrubbing policy selector: the memory system builds an
+/// `fbd_ctrl::PatrolScrub` for [`Patrol`](Self::Patrol) and nothing for
+/// [`None`](Self::None).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ScrubPolicyKind {
     /// No background scrubbing (the default; zero-cost off path).
@@ -426,17 +427,16 @@ pub enum ScrubPolicyKind {
 }
 
 impl ScrubPolicyKind {
-    /// Resolves a scrub policy by its stable CLI/registry name:
-    /// `none` or `patrol`. Returns `None` for an unknown name.
+    /// Every policy, in the order CLI listings name them.
+    pub const ALL: [ScrubPolicyKind; 2] = [ScrubPolicyKind::None, ScrubPolicyKind::Patrol];
+
+    /// Resolves a scrub policy by its stable CLI name: `none` or
+    /// `patrol`. Returns `None` for an unknown name.
     pub fn by_name(name: &str) -> Option<ScrubPolicyKind> {
-        match name {
-            "none" => Some(ScrubPolicyKind::None),
-            "patrol" => Some(ScrubPolicyKind::Patrol),
-            _ => None,
-        }
+        ScrubPolicyKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// The stable CLI/registry name of this policy.
+    /// The stable CLI name of this policy.
     pub const fn name(self) -> &'static str {
         match self {
             ScrubPolicyKind::None => "none",
@@ -578,6 +578,24 @@ impl FaultConfig {
             return Err(ConfigError::new(
                 "faults.scrub_interval_ns",
                 "must be non-zero when scrubbing is active",
+            ));
+        }
+        if Dur::checked_from_ns(self.scrub_interval_ns).is_none() {
+            return Err(ConfigError::new(
+                "faults.scrub_interval_ns",
+                "must fit in 64-bit picoseconds",
+            ));
+        }
+        // Fail-back probes back off to 64 quiet periods
+        // (`fbd_faults::probe_delay`) and are scheduled at `now + delay`,
+        // so the quiet period keeps twice that much headroom.
+        if Dur::checked_from_ns(self.failback_quiet_ns)
+            .and_then(|quiet| quiet.checked_mul(128))
+            .is_none()
+        {
+            return Err(ConfigError::new(
+                "faults.failback_quiet_ns",
+                "must fit in 64-bit picoseconds after the 64x probe back-off",
             ));
         }
         if self.failback_enabled()
@@ -1164,11 +1182,15 @@ mod tests {
         let mut f = FaultConfig::off();
         f.scrub = ScrubPolicyKind::Patrol;
         assert!(f.recovery_active(), "scrubbing costs bandwidth even clean");
-        f.scrub_interval_ns = 0;
-        assert_eq!(
-            f.validate().unwrap_err().field(),
-            "faults.scrub_interval_ns"
-        );
+        for interval in [0, u64::MAX, u64::MAX / 1_000 + 1] {
+            f.scrub_interval_ns = interval;
+            assert_eq!(
+                f.validate().unwrap_err().field(),
+                "faults.scrub_interval_ns"
+            );
+        }
+        f.scrub_interval_ns = u64::MAX / 1_000;
+        f.validate().unwrap();
 
         let mut f = FaultConfig::off();
         f.failback_quiet_ns = 2_000;
@@ -1179,6 +1201,16 @@ mod tests {
         f.failback_max_probes = 6;
         f.failback_max_flaps = 0;
         assert_eq!(f.validate().unwrap_err().field(), "faults.failback");
+        f.failback_max_flaps = 3;
+        for quiet in [u64::MAX, u64::MAX / 1_000 + 1, u64::MAX / 1_000] {
+            f.failback_quiet_ns = quiet;
+            assert_eq!(
+                f.validate().unwrap_err().field(),
+                "faults.failback_quiet_ns"
+            );
+        }
+        f.failback_quiet_ns = u64::MAX / 128_000;
+        f.validate().unwrap();
 
         let mut f = FaultConfig::off();
         f.ber = 1e-5;
@@ -1197,7 +1229,7 @@ mod tests {
 
     #[test]
     fn scrub_policy_names_round_trip() {
-        for kind in [ScrubPolicyKind::None, ScrubPolicyKind::Patrol] {
+        for kind in ScrubPolicyKind::ALL {
             assert_eq!(ScrubPolicyKind::by_name(kind.name()), Some(kind));
         }
         assert_eq!(ScrubPolicyKind::by_name("bogus"), None);

@@ -1,10 +1,9 @@
 //! A minimal name-keyed component registry.
 //!
 //! Every composable interface in the workspace — timing specs and
-//! substrates here in `fbd-types`, scheduler/mapper/refresh-manager
-//! specs in `fbd-ctrl` — is published through a [`Registry`] so a
-//! component can be selected by its stable string name at `RunSpec`
-//! build time (DESIGN.md §14). Registries are built once behind a
+//! substrates here in `fbd-types`, scheduler specs in `fbd-ctrl` — is
+//! published through a [`Registry`] so a component can be selected by
+//! its stable string name at `RunSpec` build time (DESIGN.md §14). Registries are built once behind a
 //! `OnceLock` and hold `&'static` trait objects, so lookup is
 //! allocation-free and a registered component lives for the whole
 //! process.

@@ -117,6 +117,25 @@ impl Dur {
         Dur(ns * 1_000)
     }
 
+    /// Creates a duration from nanoseconds, or `None` if the picosecond
+    /// value does not fit in a `u64`.
+    #[inline]
+    pub const fn checked_from_ns(ns: u64) -> Option<Dur> {
+        match ns.checked_mul(1_000) {
+            Some(ps) => Some(Dur(ps)),
+            None => None,
+        }
+    }
+
+    /// `self * n`, or `None` on overflow.
+    #[inline]
+    pub const fn checked_mul(self, n: u64) -> Option<Dur> {
+        match self.0.checked_mul(n) {
+            Some(ps) => Some(Dur(ps)),
+            None => None,
+        }
+    }
+
     /// Raw picosecond value.
     #[inline]
     pub const fn as_ps(self) -> u64 {

@@ -334,6 +334,60 @@ fn bad_numeric_arguments_are_usage_errors() {
             "cosmic",
         ],
         &["compare", "--workload", "1C-swim", "--fault-seed", "7"],
+        // Time options whose picosecond value overflows a u64 (once an
+        // overflow panic in debug builds, silently wrapped in release).
+        &[
+            "run",
+            "--workload",
+            "4C-1",
+            "--substrate",
+            "fbd-ap",
+            "--budget",
+            "3000",
+            "--scrub",
+            "patrol",
+            "--scrub-interval-ns",
+            "18446744073709551615",
+        ],
+        &[
+            "run",
+            "--workload",
+            "4C-1",
+            "--substrate",
+            "fbd-ap",
+            "--budget",
+            "3000",
+            "--fault-ber",
+            "1e-3",
+            "--failback",
+            "18446744073709551615",
+        ],
+        // Fits in picoseconds, but not once the probe back-off
+        // multiplies it (a stuck lane fails over and probes).
+        &[
+            "run",
+            "--workload",
+            "4C-1",
+            "--substrate",
+            "fbd-ap",
+            "--budget",
+            "3000",
+            "--fault-ber",
+            "0.05",
+            "--fault-mode",
+            "stuck-lane",
+            "--failback",
+            "18446744073709551",
+        ],
+        &[
+            "run",
+            "--workload",
+            "1C-swim",
+            "--substrate",
+            "fbd-ap",
+            "--sample-interval",
+            "18446744073709551615",
+        ],
     ] {
         let out = fbdsim(cmd);
         assert_eq!(

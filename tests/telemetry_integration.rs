@@ -258,7 +258,7 @@ fn sampled_open_loop_ends_with_an_epoch_series_and_unchanged_results() {
     let line_on = |ch: u32| {
         (0..)
             .map(LineAddr::new)
-            .find(|l| fbd_ctrl::AddressMapper::map(&mapper, *l).channel == ch)
+            .find(|l| mapper.map(*l).channel == ch)
             .expect("every channel maps some line")
     };
     let reads = [line_on(1), line_on(0)].map(|line| {
