@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 
 use fbd_types::config::{AmbPrefetchConfig, Replacement};
-use fbd_types::LineAddr;
+use fbd_types::{LineAddr, LineSet};
 
 /// Tag state of one AMB's prefetch buffer.
 #[derive(Clone, Debug)]
@@ -21,6 +21,9 @@ pub struct PrefetchBuffer {
     /// Per-set queues ordered oldest-first (FIFO insertion order; LRU
     /// recency order when the ablation policy is active).
     sets: Vec<VecDeque<LineAddr>>,
+    /// Every line held in `sets`, so a lookup is one probe and a set
+    /// is walked only when the line is there.
+    index: LineSet,
     ways: usize,
     replacement: Replacement,
 }
@@ -39,6 +42,11 @@ impl PrefetchBuffer {
         let num_sets = entries / ways;
         PrefetchBuffer {
             sets: vec![VecDeque::with_capacity(ways); num_sets],
+            // Removals leave tombstones; once they use up the free
+            // slots the table rehashes in place if at most half full,
+            // and grows otherwise. Room for twice the lines keeps it at
+            // most half full, so churn never reallocates it.
+            index: LineSet::with_capacity_and_hasher(2 * entries, Default::default()),
             ways,
             replacement: cfg.replacement,
         }
@@ -48,9 +56,16 @@ impl PrefetchBuffer {
         (line.as_u64() % self.sets.len() as u64) as usize
     }
 
+    /// Where `line` sits in its set, which must hold it.
+    fn position(set: &VecDeque<LineAddr>, line: LineAddr) -> usize {
+        set.iter()
+            .position(|&l| l == line)
+            .expect("indexed line is in its set")
+    }
+
     /// True if `line` is present. No replacement-state side effects.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.sets[self.set_index(line)].contains(&line)
+        self.index.contains(&line)
     }
 
     /// Records a demand hit on `line`; returns whether it was present.
@@ -58,18 +73,16 @@ impl PrefetchBuffer {
     /// Under FIFO this is equivalent to [`contains`](Self::contains);
     /// under LRU the line is moved to most-recently-used.
     pub fn on_hit(&mut self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        match set.iter().position(|&l| l == line) {
-            Some(pos) => {
-                if self.replacement == Replacement::Lru {
-                    set.remove(pos);
-                    set.push_back(line);
-                }
-                true
-            }
-            None => false,
+        if !self.index.contains(&line) {
+            return false;
         }
+        if self.replacement == Replacement::Lru {
+            let idx = self.set_index(line);
+            let set = &mut self.sets[idx];
+            set.remove(Self::position(set, line));
+            set.push_back(line);
+        }
+        true
     }
 
     /// Inserts `line`, evicting the set's oldest (FIFO) or
@@ -78,44 +91,45 @@ impl PrefetchBuffer {
     /// its queue position without duplicating it.
     pub fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
         let idx = self.set_index(line);
-        let ways = self.ways;
         let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
+        if self.index.contains(&line) {
+            set.remove(Self::position(set, line));
             set.push_back(line);
             return None;
         }
-        let evicted = if set.len() == ways {
+        let evicted = if set.len() == self.ways {
             set.pop_front()
         } else {
             None
         };
         set.push_back(line);
+        if let Some(old) = evicted {
+            self.index.remove(&old);
+        }
+        self.index.insert(line);
         evicted
     }
 
     /// Removes `line` (a processor write made the prefetched copy
     /// stale). Returns whether it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
+        if !self.index.remove(&line) {
+            return false;
+        }
         let idx = self.set_index(line);
         let set = &mut self.sets[idx];
-        match set.iter().position(|&l| l == line) {
-            Some(pos) => {
-                set.remove(pos);
-                true
-            }
-            None => false,
-        }
+        set.remove(Self::position(set, line));
+        true
     }
 
     /// Lines currently held.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(VecDeque::len).sum()
+        self.index.len()
     }
 
     /// True if no lines are held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.index.is_empty()
     }
 
     /// Total capacity in lines.
@@ -230,6 +244,138 @@ mod tests {
         // The survivors are the 8 most recent.
         for i in 92..100 {
             assert!(buf.contains(LineAddr::new(i)));
+        }
+    }
+
+    /// The buffer before its line index: the same per-set queues, with
+    /// every lookup a linear scan of the line's set.
+    struct Linear {
+        sets: Vec<VecDeque<LineAddr>>,
+        ways: usize,
+        replacement: Replacement,
+    }
+
+    impl Linear {
+        fn new(cfg: &AmbPrefetchConfig) -> Linear {
+            let ways = cfg.associativity.ways(cfg.cache_lines) as usize;
+            Linear {
+                sets: vec![VecDeque::new(); cfg.cache_lines as usize / ways],
+                ways,
+                replacement: cfg.replacement,
+            }
+        }
+
+        fn set(&mut self, line: LineAddr) -> &mut VecDeque<LineAddr> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line.as_u64() % n) as usize]
+        }
+
+        fn position(&mut self, line: LineAddr) -> Option<usize> {
+            self.set(line).iter().position(|&l| l == line)
+        }
+
+        fn contains(&mut self, line: LineAddr) -> bool {
+            self.set(line).contains(&line)
+        }
+
+        fn on_hit(&mut self, line: LineAddr) -> bool {
+            let Some(pos) = self.position(line) else {
+                return false;
+            };
+            if self.replacement == Replacement::Lru {
+                let set = self.set(line);
+                set.remove(pos);
+                set.push_back(line);
+            }
+            true
+        }
+
+        fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
+            let (pos, ways) = (self.position(line), self.ways);
+            let set = self.set(line);
+            if let Some(pos) = pos {
+                set.remove(pos);
+                set.push_back(line);
+                return None;
+            }
+            let evicted = if set.len() == ways {
+                set.pop_front()
+            } else {
+                None
+            };
+            set.push_back(line);
+            evicted
+        }
+
+        fn invalidate(&mut self, line: LineAddr) -> bool {
+            let Some(pos) = self.position(line) else {
+                return false;
+            };
+            self.set(line).remove(pos);
+            true
+        }
+    }
+
+    /// SplitMix64, for a reproducible operation stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn indexed_buffer_matches_the_linear_reference() {
+        let shapes = [
+            Associativity::Full,
+            Associativity::Ways(4),
+            Associativity::Direct,
+        ];
+        let mut seed = 1u64;
+        for replacement in [Replacement::Fifo, Replacement::Lru] {
+            for assoc in shapes {
+                let cfg = cfg(64, assoc, replacement);
+                let mut buf = PrefetchBuffer::new(&cfg);
+                let mut reference = Linear::new(&cfg);
+                let index_capacity = buf.index.capacity();
+                for step in 0..6_000 {
+                    let r = splitmix(&mut seed);
+                    // 256 candidate lines over a 64-line buffer: about a
+                    // quarter of lookups hit. Stride them by 64 lines in
+                    // half the draws, so they also pile into one set.
+                    let pick = (r >> 8) % 256;
+                    let line = LineAddr::new(if r & 0x10 == 0 { pick } else { pick * 64 });
+                    let what = match r % 4 {
+                        0 => {
+                            assert_eq!(buf.insert(line), reference.insert(line));
+                            "insert"
+                        }
+                        1 => {
+                            assert_eq!(buf.on_hit(line), reference.on_hit(line));
+                            "on_hit"
+                        }
+                        2 => {
+                            assert_eq!(buf.contains(line), reference.contains(line));
+                            "contains"
+                        }
+                        _ => {
+                            assert_eq!(buf.invalidate(line), reference.invalidate(line));
+                            "invalidate"
+                        }
+                    };
+                    assert_eq!(
+                        buf.sets, reference.sets,
+                        "{replacement:?} {assoc:?}: step {step} {what} {line}"
+                    );
+                    assert_eq!(buf.len(), reference.sets.iter().map(VecDeque::len).sum());
+                }
+                assert_eq!(
+                    buf.index.capacity(),
+                    index_capacity,
+                    "{replacement:?} {assoc:?}: churn resized the line index"
+                );
+            }
         }
     }
 

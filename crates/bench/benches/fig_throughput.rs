@@ -18,8 +18,8 @@
 //! When built with `--features alloc-count`, a final section counts
 //! heap allocations across the steady-state window of the hot loop
 //! (after the first 1000 retired requests, until the budget is
-//! exhausted) on DDR2 and on FBD-AP, and asserts each count is exactly
-//! zero.
+//! exhausted) for `1C-swim` on DDR2 and on FBD-AP and for `8C-1` on
+//! FBD-AP, and asserts each count is exactly zero.
 //!
 //! Output: `BENCH_throughput.json` in `$FBD_OUT_DIR` (or the working
 //! directory). CI runs this on a small budget, checks every row has a
@@ -205,33 +205,39 @@ fn overhead_section() -> Json {
     ])
 }
 
-/// Systems the steady-state allocation gate covers: the DDR2 baseline
-/// (shared command and data bus) and FBD-AP (link, AMB prefetch).
-const STEADY_VARIANTS: [Variant; 2] = [Variant::Ddr2, Variant::FbdAp];
+/// Runs the steady-state allocation gate covers, as (system, workload,
+/// cores, label): one core streaming `1C-swim` on the DDR2 baseline
+/// (shared command and data bus) and on FBD-AP (link, AMB prefetch),
+/// and eight cores of `8C-1` on FBD-AP, which keep the transaction
+/// queue full and churn the AMB tags and the L2 MSHR table hardest.
+const STEADY_RUNS: [(Variant, &str, u32, &str); 3] = [
+    (Variant::Ddr2, "1C-swim", 1, "DDR2"),
+    (Variant::FbdAp, "1C-swim", 1, "FBD-AP"),
+    (Variant::FbdAp, "8C-1", 8, "FBD-AP 8C-1"),
+];
 
-/// Runs the hot loop of each of `STEADY_VARIANTS` under the counting
-/// allocator and returns the allocation counts across its steady-state
-/// window (started after 1000 retired requests, closed when the loop
-/// exits), asserting each is exactly zero. Requires
-/// `--features alloc-count`; without it the section reports `null` and
-/// gates nothing.
+/// Runs each of `STEADY_RUNS` under the counting allocator and returns
+/// the allocation counts across its steady-state window (started after
+/// 1000 retired requests, closed when the loop exits), asserting each
+/// is exactly zero. Requires `--features alloc-count`; without it the
+/// section reports `null` and gates nothing.
 fn steady_alloc_section() -> Json {
     // Big enough to retire well over the 1000 requests that open the
-    // steady-state window (1C-swim ≈ 30 memory ops / 1000 instr).
+    // steady-state window (1C-swim ≈ 30 memory ops / 1000 instr); the
+    // budget is per core.
     let exp = fbd_core::experiment::ExperimentConfig {
         budget: default_budget().max(100_000),
         ..experiment()
     };
     let mut total = Some(0);
     let mut systems = Vec::new();
-    for variant in STEADY_VARIANTS {
-        let spec = RunSpec::new(system(variant, 1))
-            .workload("1C-swim")
+    for (variant, workload, cores, label) in STEADY_RUNS {
+        let spec = RunSpec::new(system(variant, cores))
+            .workload(workload)
             .experiment(exp)
             .host_profiler(Arc::new(HostProfiler::enabled()));
         let r: RunResult = spec.run();
         let steady = r.host.steady_allocations;
-        let label = variant.label();
         match steady {
             Some(n) => {
                 println!(

@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the simulator's hot paths: address
-//! mapping, AMB-cache operations, DRAM plan/commit, AMB region fetches,
-//! link reservations and a short end-to-end run. These track the
+//! mapping, AMB-cache operations and tag lookups, the hit-first
+//! scheduler pick, DRAM plan/commit, AMB region fetches, link
+//! reservations and a short end-to-end run. These track the
 //! *simulator's* performance (simulation throughput), complementing the
 //! figure benches that track the *simulated system's* performance.
 
@@ -8,7 +9,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::RunSpec;
+use fbd_ctrl::{MappedAddr, PrefetchTable, QueueEntry, SchedClass};
 use fbd_types::config::{MemoryConfig, SystemConfig};
+use fbd_types::request::{AccessKind, CoreId, MemRequest, RequestId};
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;
 use fbd_workloads::Workload;
@@ -38,6 +41,77 @@ fn bench_amb_cache(c: &mut Criterion) {
             buf.insert(LineAddr::new(line % 256));
             black_box(buf.on_hit(LineAddr::new((line + 1) % 256)))
         })
+    });
+}
+
+/// Lookups in a full 64-line fully associative AMB buffer (the
+/// paper's default), alternating a resident and an absent line.
+fn bench_amb_would_hit(c: &mut Criterion) {
+    let mut table = PrefetchTable::new(&MemoryConfig::fbdimm_with_prefetch());
+    table.fill(0, 0, (0..64).map(|i| LineAddr::new(4 * i)));
+    let mut i = 0u64;
+    c.bench_function("amb_cache/would_hit", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            // Even `i`: a resident line; odd: the line after it.
+            let line = LineAddr::new(4 * (i % 64) + (i & 1));
+            black_box(table.would_hit(0, 0, line))
+        })
+    });
+}
+
+/// One hit-first pick over a 32-entry bucket (every fourth entry a
+/// write, below the drain threshold), classified as the controller
+/// does: an AMB-cache hit first, then bank state. Every AMB buffer is
+/// full, and only the 16th read's line is among its lines, so the pick
+/// meets 15 non-hits before its hit.
+fn bench_sched_pick(c: &mut Criterion) {
+    let cfg = MemoryConfig::fbdimm_with_prefetch();
+    let bucket: Vec<QueueEntry> = (0..32u64)
+        .map(|i| {
+            let kind = if i % 4 == 3 {
+                AccessKind::Write
+            } else {
+                AccessKind::DemandRead
+            };
+            let line = LineAddr::new(97 * i);
+            QueueEntry {
+                req: MemRequest::new(RequestId(i), CoreId(0), kind, line, Time::ZERO),
+                mapped: MappedAddr {
+                    channel: 0,
+                    dimm: (i % cfg.dimms_per_channel as u64) as u32,
+                    rank: 0,
+                    bank: (i % 8) as u32,
+                    row: i as u32,
+                    col_line: 0,
+                },
+                seq: i,
+            }
+        })
+        .collect();
+    let mut table = PrefetchTable::new(&cfg);
+    for dimm in 0..cfg.dimms_per_channel {
+        table.fill(0, dimm, (0..64).map(|i| LineAddr::new(1_000_000 + i)));
+    }
+    let hit = &bucket[20];
+    table.fill(0, hit.mapped.dimm, [hit.req.line]);
+    let mut classify = |e: &QueueEntry| {
+        if e.req.kind.is_read() && table.would_hit(0, e.mapped.dimm, e.req.line) {
+            SchedClass::Hit
+        } else if e.mapped.bank.is_multiple_of(2) {
+            SchedClass::Ready
+        } else {
+            SchedClass::NotReady
+        }
+    };
+    let mut sched = fbd_ctrl::schedulers()
+        .get("hit-first")
+        .expect("registered")
+        .build(&cfg);
+    let (now, overhead) = (Time::from_ns(100), cfg.controller_overhead);
+    assert_eq!(sched.pick(&bucket, now, overhead, &mut classify), Some(20));
+    c.bench_function("sched/pick_hit_first", |b| {
+        b.iter(|| black_box(sched.pick(black_box(&bucket), now, overhead, &mut classify)))
     });
 }
 
@@ -133,6 +207,8 @@ criterion_group!(
     benches,
     bench_mapping,
     bench_amb_cache,
+    bench_amb_would_hit,
+    bench_sched_pick,
     bench_dram_plan_commit,
     bench_amb_fetch_group,
     bench_timeline,

@@ -25,7 +25,7 @@
 //! decision follows one command slot later, so scheduling stays
 //! fine-grained.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use fbd_amb::{AmbDimm, GroupFetchOutcome, ReadOutcome, WriteOutcome};
 use fbd_ctrl::{
@@ -48,7 +48,7 @@ use fbd_types::request::{
 };
 use fbd_types::stats::MemStats;
 use fbd_types::time::{DataRate, Dur, Time};
-use fbd_types::{LineAddr, CACHE_LINE_BYTES};
+use fbd_types::{LineAddr, LineSet, CACHE_LINE_BYTES};
 
 use crate::compose::Composition;
 
@@ -405,7 +405,7 @@ struct Reliability {
     scrub: Option<PatrolScrub>,
     /// Lines whose last transfer escaped the CRC: silently corrupted
     /// in memory until a clean overwrite or a scrub repairs them.
-    poisoned: HashSet<LineAddr>,
+    poisoned: LineSet,
     /// Bound on each channel's re-issue queue.
     reissue_budget: usize,
     /// Controller-side recovery counters (scrub/re-issue activity),
@@ -443,9 +443,6 @@ pub struct MemorySystem {
     refresh: Option<StaggeredRefresh>,
     /// Scratch buffer reused across [`Self::run_refreshes`] calls.
     refresh_buf: Vec<RefreshOp>,
-    /// Scratch buffer of schedulable candidates reused across
-    /// [`Self::pick_for`] calls (steady state never allocates).
-    cand_buf: Vec<QueueEntry>,
     table: Option<PrefetchTable>,
     /// Closed-loop recovery state; `None` unless a CRC-escape model,
     /// scrubbing, or prefetch re-issue is configured.
@@ -560,7 +557,7 @@ impl MemorySystem {
         let reliability = if cfg.faults.recovery_active() {
             Some(Box::new(Reliability {
                 scrub: PatrolScrub::for_config(cfg),
-                poisoned: HashSet::new(),
+                poisoned: LineSet::default(),
                 reissue_budget: cfg.faults.reissue_budget as usize,
                 counters: FaultCounters::default(),
                 silent: SilentErrorReport::default(),
@@ -577,7 +574,6 @@ impl MemorySystem {
             ),
             refresh: cfg.refresh.enabled.then(|| StaggeredRefresh::new(cfg)),
             refresh_buf: Vec::new(),
-            cand_buf: Vec::new(),
             table: cfg.amb.is_enabled().then(|| PrefetchTable::new(cfg)),
             reliability,
             channels,
@@ -932,8 +928,8 @@ impl MemorySystem {
     ///
     /// A decision that issues nothing can be repeated at the same `now`
     /// with no effect: the repeat finds no refresh due (the first call
-    /// moved the deadlines past `now`), no arrived candidate (the
-    /// scheduler leaves its state alone on an empty slice), no re-issue
+    /// moved the deadlines past `now`), no schedulable entry (the
+    /// scheduler leaves its state alone when it finds none), no re-issue
     /// and no scrub due (`next_scrub` returned `None` without advancing),
     /// so it issues nothing, changes no state and returns the same
     /// instant. The event loop relies on this to run such a decision once
@@ -970,8 +966,8 @@ impl MemorySystem {
             self.host.mark_sampled(Phase::Controller);
             return next;
         };
-        let first_is_write = picked.req.kind == AccessKind::Write;
-        let entry = self.take(picked);
+        let entry = self.queue.take(ch, picked);
+        let first_is_write = entry.req.kind == AccessKind::Write;
         // Everything up to the pick is controller work; the execute
         // calls below are the transaction's datapath.
         self.host.mark_sampled(Phase::Controller);
@@ -984,8 +980,8 @@ impl MemorySystem {
         if first_is_write && self.cfg.tech == MemoryTech::Ddr2 {
             while self.channels[ch as usize].inflight < MAX_INFLIGHT_PER_CHANNEL {
                 match self.pick_for(ch, now) {
-                    Some(next) if next.req.kind == AccessKind::Write => {
-                        let entry = self.take(next);
+                    Some(next) if self.queue.bucket(ch)[next].req.kind == AccessKind::Write => {
+                        let entry = self.queue.take(ch, next);
                         self.issue(entry, now, issued);
                     }
                     _ => break,
@@ -996,14 +992,6 @@ impl MemorySystem {
         Some(self.next_slot(ch, now))
     }
 
-    /// Takes a picked entry out of the queue, admitting backlogged
-    /// requests into the freed slot before anything executes.
-    fn take(&mut self, picked: QueueEntry) -> QueueEntry {
-        self.queue
-            .take(picked.mapped.channel, picked.req.id)
-            .expect("picked entry is queued")
-    }
-
     /// Executes a taken entry and counts it in flight on its channel.
     fn issue(&mut self, entry: QueueEntry, now: Time, issued: &mut Vec<Issued>) {
         let ch = entry.mapped.channel as usize;
@@ -1011,10 +999,11 @@ impl MemorySystem {
         self.channels[ch].inflight += 1;
     }
 
-    /// Applies channel `ch`'s scheduling policy to its ready
-    /// transactions and returns a copy of the picked entry, which stays
-    /// queued.
-    fn pick_for(&mut self, ch: u32, now: Time) -> Option<QueueEntry> {
+    /// Applies channel `ch`'s scheduling policy to its bucket and
+    /// returns the picked entry's index there; the entry stays queued
+    /// until [`TransactionQueue::take`] (which also admits backlogged
+    /// requests into the freed slot before anything executes).
+    fn pick_for(&mut self, ch: u32, now: Time) -> Option<usize> {
         let overhead = self.cfg.controller_overhead;
         let table = self.table.as_ref();
         let Channel {
@@ -1043,20 +1032,7 @@ impl MemorySystem {
                 SchedClass::NotReady
             }
         };
-        let mut candidates = std::mem::take(&mut self.cand_buf);
-        candidates.clear();
-        candidates.extend(
-            self.queue
-                .bucket(ch)
-                .iter()
-                .filter(|e| e.req.arrival + overhead <= now)
-                .copied(),
-        );
-        let picked = sched
-            .pick(&candidates, &mut classify)
-            .and_then(|id| candidates.iter().find(|e| e.req.id == id).copied());
-        self.cand_buf = candidates;
-        picked
+        sched.pick(self.queue.bucket(ch), now, overhead, &mut classify)
     }
 
     /// The earliest instant after `now` at which another command can be

@@ -7,13 +7,11 @@
 //! software prefetch instructions into non-blocking prefetch reads
 //! (dropped when software prefetching is disabled).
 
-use std::collections::HashMap;
-
 use fbd_types::config::CpuConfig;
 use fbd_types::request::{AccessKind, CoreId, MemRequest};
 use fbd_types::stats::CoreStats;
 use fbd_types::time::{Dur, Time};
-use fbd_types::{LineAddr, RequestId};
+use fbd_types::{LineAddr, LineMap, RequestId};
 
 use crate::cache::{L2Cache, L2Outcome};
 use crate::core::OooCore;
@@ -86,7 +84,7 @@ pub struct CpuComplex {
     cores: Vec<CoreRunner>,
     l2: L2Cache,
     /// In-flight lines and who waits on them.
-    in_flight: HashMap<LineAddr, InFlightEntry>,
+    in_flight: LineMap<InFlightEntry>,
     /// Retired [`InFlightEntry`]s kept for reuse so the steady-state
     /// miss path never allocates (their `slots`/`waiters` capacity
     /// survives the round trip; the pool is bounded by the L2 MSHR
@@ -138,11 +136,17 @@ impl CpuComplex {
             cores,
             l2: L2Cache::new(u64::from(cfg.l2_bytes), cfg.l2_ways as usize),
             // The map never holds more than `l2_mshrs` lines, and every
-            // entry is recycled through the pool; seeding both with
+            // entry is recycled through the pool; seeding the pool with
             // that bound (and each entry's index lists with room for
             // every core) keeps the miss path off the allocator once
-            // the run reaches steady state.
-            in_flight: HashMap::with_capacity(cfg.l2_mshrs as usize + 1),
+            // the run reaches steady state. Removals leave tombstones,
+            // and a table that runs out of free slots while more than
+            // half full grows; room for twice the bound keeps it at
+            // most half full, so it only ever rehashes in place.
+            in_flight: LineMap::with_capacity_and_hasher(
+                2 * (cfg.l2_mshrs as usize + 1),
+                Default::default(),
+            ),
             entry_pool: (0..cfg.l2_mshrs as usize + 1)
                 .map(|_| InFlightEntry {
                     slots: Vec::with_capacity(cfg.cores as usize * 4),

@@ -70,7 +70,9 @@ impl OooCore {
             budget,
             free_idx: 0,
             free_time: Time::ZERO,
-            blocking: VecDeque::new(),
+            // Every pending load lies inside the ROB window, so `rob`
+            // entries keep the miss path off the allocator.
+            blocking: VecDeque::with_capacity(rob as usize),
             fetch_barrier: None,
         }
     }

@@ -14,7 +14,7 @@
 //! call.
 
 use fbd_types::config::{MemoryConfig, MemoryTech};
-use fbd_types::RequestId;
+use fbd_types::time::{Dur, Time};
 
 use crate::queue::QueueEntry;
 use crate::sched::{HitFirstScheduler, SchedClass, SchedulerPolicy, SchedulerSpec};
@@ -42,11 +42,15 @@ impl FcfsScheduler {
 impl SchedulerPolicy for FcfsScheduler {
     fn pick(
         &mut self,
-        candidates: &[QueueEntry],
+        bucket: &[QueueEntry],
+        now: Time,
+        overhead: Dur,
         _classify: &mut dyn FnMut(&QueueEntry) -> SchedClass,
-    ) -> Option<RequestId> {
-        // A constant class makes (class, seq) order pure arrival order.
-        self.inner.pick(candidates, |_| SchedClass::Ready)
+    ) -> Option<usize> {
+        // A constant class makes (class, seq) order pure arrival order;
+        // making it `Hit` stops the pick at the oldest entry of the
+        // phase.
+        self.inner.pick(bucket, now, overhead, |_| SchedClass::Hit)
     }
 }
 
@@ -74,8 +78,7 @@ mod tests {
     use super::*;
     use crate::mapping::MappedAddr;
     use fbd_types::request::{AccessKind, CoreId, MemRequest};
-    use fbd_types::time::Time;
-    use fbd_types::LineAddr;
+    use fbd_types::{LineAddr, RequestId};
 
     fn entry(id: u64, kind: AccessKind, seq: u64, bank: u32) -> QueueEntry {
         QueueEntry {
@@ -113,7 +116,10 @@ mod tests {
             }
         };
         let mut s = FcfsScheduler::new(4, false);
-        assert_eq!(s.pick(&entries, &mut classify), Some(RequestId(1)));
+        assert_eq!(
+            s.pick(&entries, Time::ZERO, Dur::ZERO, &mut classify),
+            Some(0)
+        );
     }
 
     #[test]
@@ -126,7 +132,10 @@ mod tests {
         ];
         let mut classify = |_: &QueueEntry| SchedClass::Ready;
         let mut s = FcfsScheduler::new(4, false);
-        assert_eq!(s.pick(&entries, &mut classify), Some(RequestId(2)));
+        assert_eq!(
+            s.pick(&entries, Time::ZERO, Dur::ZERO, &mut classify),
+            Some(1)
+        );
     }
 
     #[test]
@@ -134,6 +143,9 @@ mod tests {
         let cfg = MemoryConfig::fbdimm_default();
         let mut policy = FcfsSpec.build(&cfg);
         let empty: Vec<QueueEntry> = Vec::new();
-        assert_eq!(policy.pick(&empty, &mut |_| SchedClass::Ready), None);
+        assert_eq!(
+            policy.pick(&empty, Time::ZERO, Dur::ZERO, &mut |_| SchedClass::Ready),
+            None
+        );
     }
 }

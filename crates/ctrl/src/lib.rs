@@ -36,10 +36,13 @@
 //!
 //! ```
 //! use fbd_types::config::MemoryConfig;
+//! use fbd_types::time::{Dur, Time};
 //!
 //! let spec = fbd_ctrl::schedulers().get("fcfs").expect("registered");
 //! let mut policy = spec.build(&MemoryConfig::fbdimm_default());
-//! assert_eq!(policy.pick(&[], &mut |_| fbd_ctrl::SchedClass::Ready), None);
+//! // Nothing queued: nothing to pick at any instant.
+//! let (now, overhead) = (Time::from_ns(100), Dur::from_ns(12));
+//! assert_eq!(policy.pick(&[], now, overhead, &mut |_| fbd_ctrl::SchedClass::Ready), None);
 //! ```
 
 #![warn(missing_docs)]

@@ -9,13 +9,13 @@
 //! a FIFO backlog, and each [`take`](TransactionQueue::take) admits
 //! backlog entries until the queue is full again. An entry's age `seq`
 //! is assigned when it is admitted, so it orders entries across every
-//! bucket.
+//! bucket, and each bucket stays in `seq` order: admission appends and
+//! [`take`](TransactionQueue::take) closes the gap it leaves.
 
 use std::collections::VecDeque;
 
 use fbd_types::request::MemRequest;
 use fbd_types::time::{Dur, Time};
-use fbd_types::RequestId;
 
 use crate::mapping::MappedAddr;
 
@@ -38,13 +38,21 @@ impl QueueEntry {
     pub fn queue_wait(&self, at: Time) -> Dur {
         at.saturating_since(self.req.arrival)
     }
+
+    /// True once the controller's decode `overhead` has passed since
+    /// arrival (`arrival + overhead <= now`): only then may a scheduler
+    /// pick the entry.
+    #[inline]
+    pub fn schedulable(&self, now: Time, overhead: Dur) -> bool {
+        self.req.arrival + overhead <= now
+    }
 }
 
 /// Bounded, per-channel-bucketed transaction queue with an unbounded
 /// FIFO backlog behind it.
 #[derive(Clone, Debug)]
 pub struct TransactionQueue {
-    /// Admitted entries, one unordered bucket per logical channel.
+    /// Admitted entries, one bucket per logical channel, oldest first.
     buckets: Vec<Vec<QueueEntry>>,
     /// Requests that arrived while the queue was full, oldest first.
     backlog: VecDeque<(MemRequest, MappedAddr)>,
@@ -60,7 +68,7 @@ impl TransactionQueue {
     /// Creates an empty queue for `channels` logical channels sharing
     /// `capacity` entries. Every bucket is reserved to the full
     /// capacity (all entries may map to one channel), so admission
-    /// never allocates.
+    /// never allocates, and so is the backlog.
     ///
     /// # Panics
     ///
@@ -72,7 +80,9 @@ impl TransactionQueue {
             buckets: (0..channels)
                 .map(|_| Vec::with_capacity(capacity))
                 .collect(),
-            backlog: VecDeque::new(),
+            // A closed loop backlogs at most a few requests per core;
+            // room for a full queue's worth keeps it off the allocator.
+            backlog: VecDeque::with_capacity(capacity),
             backlogged: vec![0; channels],
             len: 0,
             capacity,
@@ -102,13 +112,16 @@ impl TransactionQueue {
         self.len += 1;
     }
 
-    /// Removes and returns the entry with the given id from channel
-    /// `ch`'s bucket, then admits backlogged requests (oldest first)
+    /// Removes and returns the entry at `index` in channel `ch`'s
+    /// bucket (the index a scheduler's pick returns), keeping the rest
+    /// in age order, then admits backlogged requests (oldest first)
     /// until the queue is full again.
-    pub fn take(&mut self, ch: u32, id: RequestId) -> Option<QueueEntry> {
-        let bucket = &mut self.buckets[ch as usize];
-        let pos = bucket.iter().position(|e| e.req.id == id)?;
-        let entry = bucket.swap_remove(pos);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of the bucket's bounds.
+    pub fn take(&mut self, ch: u32, index: usize) -> QueueEntry {
+        let entry = self.buckets[ch as usize].remove(index);
         self.len -= 1;
         while self.len < self.capacity {
             let Some((req, mapped)) = self.backlog.pop_front() else {
@@ -117,11 +130,11 @@ impl TransactionQueue {
             self.backlogged[mapped.channel as usize] -= 1;
             self.admit(req, mapped);
         }
-        Some(entry)
+        entry
     }
 
-    /// Channel `ch`'s admitted entries, unordered (the queue-depth
-    /// gauge is its length).
+    /// Channel `ch`'s admitted entries in age (`seq`) order, oldest
+    /// first (the queue-depth gauge is its length).
     pub fn bucket(&self, ch: u32) -> &[QueueEntry] {
         &self.buckets[ch as usize]
     }
@@ -152,7 +165,7 @@ mod tests {
     use super::*;
     use fbd_types::request::{AccessKind, CoreId};
     use fbd_types::time::Time;
-    use fbd_types::LineAddr;
+    use fbd_types::{LineAddr, RequestId};
 
     fn req(id: u64) -> MemRequest {
         MemRequest::new(
@@ -216,7 +229,7 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.backlog_len(), 99);
         for id in 0..100 {
-            assert_eq!(q.take(0, RequestId(id)).map(|e| e.req.id.0), Some(id));
+            assert_eq!(q.take(0, 0).req.id.0, id);
         }
         assert!(q.is_empty());
         assert_eq!(q.backlog_len(), 0);
@@ -230,16 +243,16 @@ mod tests {
         q.push(req(3), on(1));
         q.push(req(4), on(0));
         assert_eq!(q.backlog_len(), 2);
-        let first = q.take(0, RequestId(1)).unwrap();
-        assert_eq!(first.seq, 0);
+        let first = q.take(0, 0);
+        assert_eq!((first.req.id.0, first.seq), (1, 0));
         // One slot freed: only the oldest backlogged request enters,
         // and it is the third admission.
         assert_eq!(q.backlog_len(), 1);
         let admitted = q.bucket(1)[0];
         assert_eq!((admitted.req.id.0, admitted.seq), (3, 2));
-        q.take(0, RequestId(2)).unwrap();
-        let admitted = *q.bucket(0).iter().find(|e| e.req.id.0 == 4).unwrap();
-        assert_eq!(admitted.seq, 3);
+        assert_eq!(q.take(0, 0).req.id.0, 2);
+        let admitted = q.bucket(0)[0];
+        assert_eq!((admitted.req.id.0, admitted.seq), (4, 3));
         assert_eq!(q.backlog_len(), 0);
     }
 
@@ -250,7 +263,7 @@ mod tests {
         q.push(req(2), on(0));
         assert!(q.bucket(0).is_empty());
         assert!(q.has_work(0), "channel 0's only request is backlogged");
-        q.take(1, RequestId(1)).unwrap();
+        assert_eq!(q.take(1, 0).req.id.0, 1);
         assert_eq!(ids(&q, 0), vec![2]);
         assert!(q.has_work(0));
         assert!(!q.has_work(1));
@@ -276,21 +289,43 @@ mod tests {
         let mut q = TransactionQueue::new(1, 1);
         q.push(req(1), on(0));
         q.push(req(2), on(0));
-        q.take(0, RequestId(1));
+        q.take(0, 0);
         assert_eq!(q.bucket(0)[0].seq, 1);
     }
 
     #[test]
     fn take_frees_space_and_returns_entry() {
-        let mut q = TransactionQueue::new(2, 2);
+        let mut q = TransactionQueue::new(2, 3);
         q.push(req(1), on(0));
         q.push(req(2), on(1));
-        assert!(q.take(1, RequestId(1)).is_none(), "wrong channel");
-        assert_eq!(q.take(0, RequestId(1)).unwrap().req.id, RequestId(1));
-        assert!(q.take(0, RequestId(1)).is_none(), "already taken");
-        assert_eq!(q.len(), 1);
         q.push(req(3), on(0));
+        assert_eq!(q.take(0, 0).req.id.0, 1);
+        assert_eq!(q.len(), 2);
+        assert_eq!(ids(&q, 0), vec![3]);
+        assert_eq!(ids(&q, 1), vec![2]);
+        q.push(req(4), on(0));
         assert_eq!(q.backlog_len(), 0, "the freed slot admits directly");
+    }
+
+    #[test]
+    fn take_keeps_the_bucket_in_age_order() {
+        let mut q = TransactionQueue::new(1, 8);
+        for id in 0..6 {
+            q.push(req(id), on(0));
+        }
+        assert_eq!(q.take(0, 2).req.id.0, 2);
+        assert_eq!(q.take(0, 0).req.id.0, 0);
+        q.push(req(6), on(0));
+        let order: Vec<(u64, u64)> = q.bucket(0).iter().map(|e| (e.req.id.0, e.seq)).collect();
+        assert_eq!(order, vec![(1, 1), (3, 3), (4, 4), (5, 5), (6, 6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index")]
+    fn take_past_the_bucket_panics() {
+        let mut q = TransactionQueue::new(2, 2);
+        q.push(req(1), on(0));
+        q.take(1, 0);
     }
 
     #[test]

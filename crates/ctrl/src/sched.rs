@@ -15,7 +15,7 @@
 
 use fbd_types::config::{MemoryConfig, MemoryTech};
 use fbd_types::request::AccessKind;
-use fbd_types::RequestId;
+use fbd_types::time::{Dur, Time};
 
 use crate::queue::QueueEntry;
 
@@ -35,26 +35,31 @@ pub enum SchedClass {
 /// form of the scheduling interface; [`crate::schedulers`] publishes
 /// implementations by name).
 ///
-/// The controller collects the channel's schedulable entries and a
-/// `classify` callback that knows the bank and AMB-cache state; the
-/// policy picks the next transaction (or `None` when `candidates` is
-/// empty). Policies may keep state across picks (e.g. write-drain
-/// hysteresis), which is why `pick` takes `&mut self`.
+/// The controller hands over the channel's bucket, the instant and
+/// controller overhead that decide which entries are schedulable
+/// ([`QueueEntry::schedulable`]), and a `classify` callback that knows
+/// the bank and AMB-cache state; the policy picks the next transaction
+/// (or `None` when no entry is schedulable). Policies may keep state
+/// across picks (e.g. write-drain hysteresis), which is why `pick`
+/// takes `&mut self`.
 pub trait SchedulerPolicy: Send + std::fmt::Debug {
-    /// Picks the next transaction among `candidates` (already filtered
-    /// to one channel and to schedulable arrivals). The slice is a
-    /// caller-owned scratch buffer of copied entries, so policies can
-    /// scan it repeatedly without allocating.
+    /// Picks the next transaction among `bucket`'s schedulable entries
+    /// and returns its index in `bucket`. The bucket holds one
+    /// channel's entries in age (`seq`) order, as
+    /// [`TransactionQueue::bucket`](crate::TransactionQueue::bucket)
+    /// keeps them; policies read it in place.
     ///
-    /// An empty `candidates` slice must return `None` and leave the
-    /// policy unchanged: the controller's idle decisions are idempotent
-    /// (see `MemorySystem::decide_into`), and the event loop skips their
-    /// repeats.
+    /// With no schedulable entry the pick must return `None` and leave
+    /// the policy unchanged: the controller's idle decisions are
+    /// idempotent (see `MemorySystem::decide_into`), and the event loop
+    /// skips their repeats.
     fn pick(
         &mut self,
-        candidates: &[QueueEntry],
+        bucket: &[QueueEntry],
+        now: Time,
+        overhead: Dur,
         classify: &mut dyn FnMut(&QueueEntry) -> SchedClass,
-    ) -> Option<RequestId>;
+    ) -> Option<usize>;
 }
 
 /// A named, registerable [`SchedulerPolicy`] factory (see
@@ -107,24 +112,40 @@ impl HitFirstScheduler {
         }
     }
 
-    /// Picks the next transaction among `candidates` (the caller filters
-    /// to one channel), classifying each entry with `classify`. Two
-    /// passes over the slice, no allocation.
+    /// Picks the next transaction among `bucket`'s schedulable entries
+    /// (see [`SchedulerPolicy::pick`]), classifying entries with
+    /// `classify`. Two passes over the bucket in place: the first
+    /// counts schedulable reads and writes, the second walks the chosen
+    /// kind oldest first and stops at the first [`SchedClass::Hit`],
+    /// so only entries up to it are classified.
     ///
-    /// Returns `None` when `candidates` is empty, before touching the
+    /// Returns `None` when no entry is schedulable, before touching the
     /// write-drain state.
-    pub fn pick<F>(&mut self, candidates: &[QueueEntry], mut classify: F) -> Option<RequestId>
+    pub fn pick<F>(
+        &mut self,
+        bucket: &[QueueEntry],
+        now: Time,
+        overhead: Dur,
+        mut classify: F,
+    ) -> Option<usize>
     where
         F: FnMut(&QueueEntry) -> SchedClass,
     {
-        if candidates.is_empty() {
+        debug_assert!(
+            bucket.windows(2).all(|w| w[0].seq < w[1].seq),
+            "bucket out of age order"
+        );
+        let (mut reads, mut writes) = (0usize, 0usize);
+        for e in bucket.iter().filter(|e| e.schedulable(now, overhead)) {
+            if e.req.kind == AccessKind::Write {
+                writes += 1;
+            } else {
+                reads += 1;
+            }
+        }
+        if reads + writes == 0 {
             return None;
         }
-        let writes = candidates
-            .iter()
-            .filter(|e| e.req.kind == AccessKind::Write)
-            .count();
-        let reads = candidates.len() - writes;
         if writes >= self.write_drain_threshold {
             self.draining = true;
         } else if writes <= self.write_drain_threshold / 2 || !self.hysteresis {
@@ -136,24 +157,38 @@ impl HitFirstScheduler {
         } else {
             Phase::Reads
         };
-        candidates
-            .iter()
-            .filter(|e| match phase {
+        // Oldest first, so the first entry of the best class met is the
+        // minimum of (class, seq); nothing beats the first hit.
+        let mut best: Option<(SchedClass, usize)> = None;
+        for (i, e) in bucket.iter().enumerate() {
+            let in_phase = match phase {
                 Phase::Reads => e.req.kind != AccessKind::Write,
                 Phase::Writes => e.req.kind == AccessKind::Write,
-            })
-            .min_by_key(|e| (classify(e), e.seq))
-            .map(|e| e.req.id)
+            };
+            if !in_phase || !e.schedulable(now, overhead) {
+                continue;
+            }
+            let class = classify(e);
+            if class == SchedClass::Hit {
+                return Some(i);
+            }
+            if best.is_none_or(|(b, _)| class < b) {
+                best = Some((class, i));
+            }
+        }
+        best.map(|(_, i)| i)
     }
 }
 
 impl SchedulerPolicy for HitFirstScheduler {
     fn pick(
         &mut self,
-        candidates: &[QueueEntry],
+        bucket: &[QueueEntry],
+        now: Time,
+        overhead: Dur,
         classify: &mut dyn FnMut(&QueueEntry) -> SchedClass,
-    ) -> Option<RequestId> {
-        HitFirstScheduler::pick(self, candidates, |e| classify(e))
+    ) -> Option<usize> {
+        HitFirstScheduler::pick(self, bucket, now, overhead, |e| classify(e))
     }
 }
 
@@ -182,9 +217,9 @@ impl SchedulerSpec for HitFirstSpec {
 mod tests {
     use super::*;
     use crate::mapping::MappedAddr;
+    use crate::queue::TransactionQueue;
     use fbd_types::request::{CoreId, MemRequest};
-    use fbd_types::time::Time;
-    use fbd_types::LineAddr;
+    use fbd_types::{LineAddr, RequestId};
 
     fn entry(id: u64, kind: AccessKind, seq: u64, bank: u32) -> QueueEntry {
         QueueEntry {
@@ -211,10 +246,21 @@ mod tests {
         HitFirstScheduler::new(4, true)
     }
 
+    /// Picks at time zero with no controller overhead, so every entry
+    /// (all arrive at zero) is schedulable; returns the picked id.
+    fn pick_id(
+        s: &mut HitFirstScheduler,
+        entries: &[QueueEntry],
+        classify: impl FnMut(&QueueEntry) -> SchedClass,
+    ) -> Option<RequestId> {
+        s.pick(entries, Time::ZERO, Dur::ZERO, classify)
+            .map(|i| entries[i].req.id)
+    }
+
     #[test]
     fn empty_queue_yields_none() {
         let empty: Vec<QueueEntry> = Vec::new();
-        let picked = sched().pick(&empty, |_| SchedClass::Ready);
+        let picked = pick_id(&mut sched(), &empty, |_| SchedClass::Ready);
         assert_eq!(picked, None);
     }
 
@@ -224,7 +270,7 @@ mod tests {
             entry(1, AccessKind::Write, 0, 0),
             entry(2, AccessKind::DemandRead, 1, 0),
         ];
-        let picked = sched().pick(&entries, |_| SchedClass::Ready);
+        let picked = pick_id(&mut sched(), &entries, |_| SchedClass::Ready);
         assert_eq!(picked, Some(RequestId(2)));
     }
 
@@ -234,7 +280,7 @@ mod tests {
             entry(1, AccessKind::DemandRead, 0, 0),
             entry(2, AccessKind::DemandRead, 1, 1),
         ];
-        let picked = sched().pick(&entries, |e| {
+        let picked = pick_id(&mut sched(), &entries, |e| {
             if e.mapped.bank == 1 {
                 SchedClass::Hit
             } else {
@@ -247,10 +293,10 @@ mod tests {
     #[test]
     fn age_breaks_ties_within_a_class() {
         let entries = [
-            entry(5, AccessKind::DemandRead, 7, 0),
             entry(6, AccessKind::DemandRead, 3, 0),
+            entry(5, AccessKind::DemandRead, 7, 0),
         ];
-        let picked = sched().pick(&entries, |_| SchedClass::Ready);
+        let picked = pick_id(&mut sched(), &entries, |_| SchedClass::Ready);
         assert_eq!(picked, Some(RequestId(6)));
     }
 
@@ -261,14 +307,23 @@ mod tests {
             (0..4).map(|i| entry(i, AccessKind::Write, i, 0)).collect();
         entries.push(entry(10, AccessKind::DemandRead, 10, 0));
         // 4 writes trigger draining.
-        assert_eq!(s.pick(&entries, |_| SchedClass::Ready), Some(RequestId(0)));
+        assert_eq!(
+            pick_id(&mut s, &entries, |_| SchedClass::Ready),
+            Some(RequestId(0))
+        );
         entries.remove(0);
         // 3 writes remain: still above the low watermark → keep draining
         // even though a read is available.
-        assert_eq!(s.pick(&entries, |_| SchedClass::Ready), Some(RequestId(1)));
+        assert_eq!(
+            pick_id(&mut s, &entries, |_| SchedClass::Ready),
+            Some(RequestId(1))
+        );
         entries.remove(0);
         // 2 writes: at the watermark → back to reads.
-        assert_eq!(s.pick(&entries, |_| SchedClass::Ready), Some(RequestId(10)));
+        assert_eq!(
+            pick_id(&mut s, &entries, |_| SchedClass::Ready),
+            Some(RequestId(10))
+        );
     }
 
     #[test]
@@ -278,10 +333,16 @@ mod tests {
             (0..4).map(|i| entry(i, AccessKind::Write, i, 0)).collect();
         entries.push(entry(10, AccessKind::DemandRead, 10, 0));
         // At the threshold a write drains...
-        assert_eq!(s.pick(&entries, |_| SchedClass::Ready), Some(RequestId(0)));
+        assert_eq!(
+            pick_id(&mut s, &entries, |_| SchedClass::Ready),
+            Some(RequestId(0))
+        );
         entries.remove(0);
         // ...but with hysteresis off the next pick returns to reads.
-        assert_eq!(s.pick(&entries, |_| SchedClass::Ready), Some(RequestId(10)));
+        assert_eq!(
+            pick_id(&mut s, &entries, |_| SchedClass::Ready),
+            Some(RequestId(10))
+        );
     }
 
     #[test]
@@ -289,7 +350,7 @@ mod tests {
         let mut entries: Vec<QueueEntry> =
             (0..4).map(|i| entry(i, AccessKind::Write, i, 0)).collect();
         entries.push(entry(10, AccessKind::DemandRead, 10, 0));
-        let picked = sched().pick(&entries, |_| SchedClass::Ready);
+        let picked = pick_id(&mut sched(), &entries, |_| SchedClass::Ready);
         assert_eq!(
             picked,
             Some(RequestId(0)),
@@ -300,7 +361,7 @@ mod tests {
     #[test]
     fn writes_drain_when_no_reads_pending() {
         let entries = [entry(1, AccessKind::Write, 0, 0)];
-        let picked = sched().pick(&entries, |_| SchedClass::Ready);
+        let picked = pick_id(&mut sched(), &entries, |_| SchedClass::Ready);
         assert_eq!(picked, Some(RequestId(1)));
     }
 
@@ -310,7 +371,7 @@ mod tests {
             entry(1, AccessKind::Write, 0, 0),
             entry(2, AccessKind::SoftwarePrefetch, 1, 0),
         ];
-        let picked = sched().pick(&entries, |_| SchedClass::Ready);
+        let picked = pick_id(&mut sched(), &entries, |_| SchedClass::Ready);
         assert_eq!(picked, Some(RequestId(2)));
     }
 
@@ -320,7 +381,7 @@ mod tests {
             entry(1, AccessKind::DemandRead, 0, 0),
             entry(2, AccessKind::DemandRead, 1, 1),
         ];
-        let picked = sched().pick(&entries, |e| {
+        let picked = pick_id(&mut sched(), &entries, |e| {
             if e.mapped.bank == 0 {
                 SchedClass::NotReady
             } else {
@@ -328,5 +389,184 @@ mod tests {
             }
         });
         assert_eq!(picked, Some(RequestId(2)));
+    }
+
+    /// `entry`, arriving at `arrival_ns`.
+    fn arriving(e: QueueEntry, arrival_ns: u64) -> QueueEntry {
+        QueueEntry {
+            req: MemRequest {
+                arrival: Time::from_ns(arrival_ns),
+                ..e.req
+            },
+            ..e
+        }
+    }
+
+    #[test]
+    fn unschedulable_entries_are_neither_picked_nor_counted() {
+        let (now, overhead) = (Time::from_ns(100), Dur::from_ns(10));
+        // Four writes reach the drain threshold and the oldest read is
+        // a hit, but only the write at 50 ns and the read at 60 ns have
+        // cleared the overhead by 100 ns.
+        let bucket = [
+            arriving(entry(1, AccessKind::DemandRead, 0, 1), 95),
+            arriving(entry(2, AccessKind::Write, 1, 0), 50),
+            arriving(entry(3, AccessKind::Write, 2, 0), 95),
+            arriving(entry(4, AccessKind::Write, 3, 0), 95),
+            arriving(entry(5, AccessKind::Write, 4, 0), 95),
+            arriving(entry(6, AccessKind::DemandRead, 5, 0), 60),
+        ];
+        let mut hit_on_bank_1 = |e: &QueueEntry| {
+            if e.mapped.bank == 1 {
+                SchedClass::Hit
+            } else {
+                SchedClass::NotReady
+            }
+        };
+        let mut fcfs = crate::FcfsScheduler::new(4, true);
+        for policy in [&mut sched() as &mut dyn SchedulerPolicy, &mut fcfs] {
+            // One schedulable write is below the threshold: reads go,
+            // and the only schedulable read is the young one.
+            assert_eq!(
+                policy.pick(&bucket, now, overhead, &mut hit_on_bank_1),
+                Some(5),
+                "{policy:?}"
+            );
+            // Five nanoseconds on, all four writes count and drain.
+            assert_eq!(
+                policy.pick(&bucket, now + Dur::from_ns(5), overhead, &mut hit_on_bank_1),
+                Some(1),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pick_with_nothing_schedulable_leaves_the_drain_state_alone() {
+        let overhead = Dur::from_ns(10);
+        let writes: Vec<QueueEntry> = (0..4).map(|i| entry(i, AccessKind::Write, i, 0)).collect();
+        for hysteresis in [false, true] {
+            for drained in [false, true] {
+                let mut s = HitFirstScheduler::new(4, hysteresis);
+                if drained {
+                    s.pick(&writes, Time::from_ns(10), overhead, |_| SchedClass::Ready);
+                }
+                let before = s.draining;
+                assert_eq!(before, drained);
+                // Empty, and every entry still inside the overhead.
+                assert_eq!(
+                    s.pick(&[], Time::from_ns(10), overhead, |_| SchedClass::Ready),
+                    None
+                );
+                assert_eq!(
+                    s.pick(&writes, Time::from_ns(9), overhead, |_| SchedClass::Ready),
+                    None
+                );
+                assert_eq!(s.draining, before, "hysteresis {hysteresis}");
+            }
+        }
+    }
+
+    /// SplitMix64, for a reproducible operation stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn buckets_stay_in_age_order_and_the_pick_is_the_oldest_best() {
+        let overhead = Dur::from_ns(12);
+        let mut rng = 7u64;
+        let mut q = TransactionQueue::new(2, 16);
+        let mut scheds = [
+            HitFirstScheduler::new(4, true),
+            HitFirstScheduler::new(4, true),
+        ];
+        let mut now = Time::ZERO;
+        // The class is a pure function of the entry, as a classifier
+        // sees the bank and AMB state frozen during one pick.
+        let classify = |e: &QueueEntry| match (e.req.line.as_u64() ^ u64::from(e.mapped.bank)) % 3 {
+            0 => SchedClass::Hit,
+            1 => SchedClass::Ready,
+            _ => SchedClass::NotReady,
+        };
+        let (mut next_id, mut takes, mut backlogged) = (0, 0, 0);
+        for step in 0..4_000 {
+            let r = splitmix(&mut rng);
+            if !r.is_multiple_of(3) {
+                // Arrivals overfill the queue, so takes admit backlog.
+                let kind = if (r >> 8).is_multiple_of(3) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::DemandRead
+                };
+                let mut e = entry(next_id, kind, 0, ((r >> 16) % 8) as u32);
+                e.req.line = LineAddr::new((r >> 24) % 1024);
+                e.req.arrival = now;
+                e.mapped.channel = ((r >> 40) % 2) as u32;
+                q.push(e.req, e.mapped);
+                next_id += 1;
+            }
+            now += Dur::from_ns((r >> 48) % 8);
+            backlogged = backlogged.max(q.backlog_len());
+            for ch in 0..2u32 {
+                let bucket = q.bucket(ch);
+                assert!(
+                    bucket.windows(2).all(|w| w[0].seq < w[1].seq),
+                    "step {step}: channel {ch} out of age order"
+                );
+                // Brute force: the schedulable entries of the phase the
+                // counts select, minimised by (class, seq).
+                let ready: Vec<&QueueEntry> = bucket
+                    .iter()
+                    .filter(|e| e.req.arrival + overhead <= now)
+                    .collect();
+                let writes = ready
+                    .iter()
+                    .filter(|e| e.req.kind == AccessKind::Write)
+                    .count();
+                let mut reference = scheds[ch as usize];
+                let want = (!ready.is_empty()).then(|| {
+                    if writes >= 4 {
+                        reference.draining = true;
+                    } else if writes <= 2 {
+                        reference.draining = false;
+                    }
+                    let drain =
+                        (reference.draining && writes > 0) || writes >= 4 || writes == ready.len();
+                    ready
+                        .iter()
+                        .filter(|e| (e.req.kind == AccessKind::Write) == drain)
+                        .min_by_key(|e| (classify(e), e.seq))
+                        .map(|e| e.req.id)
+                        .expect("the phase has an entry")
+                });
+                let s = &mut scheds[ch as usize];
+                let picked = s.pick(bucket, now, overhead, classify);
+                assert_eq!(picked.map(|i| bucket[i].req.id), want, "step {step}");
+                assert_eq!(s.draining, reference.draining, "step {step}");
+                // Take the pick a fifth of the time, so arrivals
+                // outpace takes and the backlog fills; now and then
+                // take from anywhere in the bucket instead.
+                let take = match picked {
+                    Some(i) if (r >> 56) % 10 < 2 => Some(i),
+                    _ if !bucket.is_empty() && (r >> 52).is_multiple_of(16) => {
+                        Some((r >> 32) as usize % bucket.len())
+                    }
+                    _ => None,
+                };
+                if let Some(i) = take {
+                    q.take(ch, i);
+                    takes += 1;
+                }
+            }
+        }
+        assert!(
+            takes > 1_000 && backlogged > 50,
+            "{takes} takes, {backlogged} backlogged"
+        );
     }
 }

@@ -50,9 +50,17 @@ impl Timeline {
     /// Panics if `clock` is zero.
     pub fn new(clock: Dur) -> Timeline {
         assert!(!clock.is_zero(), "clock period must be non-zero");
+        // Every caller reserves whole clocks, and `insert` merges
+        // touching intervals, so each kept interval and the gap after
+        // it span at least two clocks. The pruning in `reserve_at` thus
+        // bounds the deque to one `PRUNE_WINDOW` of such pairs plus a
+        // short scheduled-ahead tail. Reserving that bound up front
+        // keeps reservations off the allocator for the whole run (the
+        // steady-state allocation gate in `fig_throughput`).
+        let cap = (PRUNE_WINDOW.as_ps() / (2 * clock.as_ps())) as usize + 256;
         Timeline {
             clock,
-            busy: VecDeque::new(),
+            busy: VecDeque::with_capacity(cap),
             horizon: Time::ZERO,
             carried: Dur::ZERO,
         }

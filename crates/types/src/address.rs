@@ -23,6 +23,8 @@
 //! ```
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::{HashMap, HashSet};
 
 /// Size of an L2 cache block / memory transfer unit, in bytes (Table 1).
 pub const CACHE_LINE_BYTES: u64 = 64;
@@ -120,6 +122,52 @@ impl fmt::Display for LineAddr {
     }
 }
 
+/// A fast hasher for [`LineAddr`] keys: one multiply by an odd 64-bit
+/// constant, then the product's high half folded into its low half.
+///
+/// The fold matters: the table picks a bucket from the hash's low bits,
+/// and the low bits of a bare product depend only on the key's low
+/// bits, so lines a power-of-two stride apart would share a bucket.
+/// Not resistant to chosen keys, which a simulator does not face; use
+/// it only for maps nothing iterates, since their order is arbitrary.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LineHasher(u64);
+
+impl LineHasher {
+    /// 2^64 / φ, odd: consecutive keys land far apart.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for LineHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(Self::MUL);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Builds [`LineHasher`]s (stateless, so every map hashes alike).
+pub type LineBuildHasher = BuildHasherDefault<LineHasher>;
+
+/// A map keyed by cacheline, hashed with [`LineHasher`].
+pub type LineMap<V> = HashMap<LineAddr, V, LineBuildHasher>;
+
+/// A set of cachelines, hashed with [`LineHasher`].
+pub type LineSet = HashSet<LineAddr, LineBuildHasher>;
+
 /// Identifier of a `K`-line prefetch region (paper §3.2).
 ///
 /// Region `r` of size `K` covers lines `r*K .. (r+1)*K`.
@@ -162,6 +210,41 @@ impl fmt::Display for RegionId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn line_hash(line: u64) -> u64 {
+        use core::hash::BuildHasher;
+        LineBuildHasher::default().hash_one(LineAddr::new(line))
+    }
+
+    #[test]
+    fn line_hash_spreads_strided_lines_over_low_bits() {
+        // A table of 256 buckets indexes by the low 8 bits. Lines a
+        // power-of-two stride apart must not pile into a few buckets: a
+        // bare product of lines 64 apart has its low 6 bits zero, so
+        // it would use 4 of the 256.
+        for stride in [1u64, 4, 64, 4096] {
+            let buckets: HashSet<u64> = (0..64).map(|i| line_hash(i * stride) & 0xff).collect();
+            assert!(
+                buckets.len() >= 40,
+                "stride {stride}: 64 lines hit only {} of 256 buckets",
+                buckets.len()
+            );
+        }
+    }
+
+    #[test]
+    fn line_map_is_a_plain_map() {
+        let mut map: LineMap<u32> = LineMap::default();
+        let mut set = LineSet::default();
+        for i in 0..1000u64 {
+            map.insert(LineAddr::new(i * 64), i as u32);
+            set.insert(LineAddr::new(i * 64));
+        }
+        assert_eq!(map.get(&LineAddr::new(640)), Some(&10));
+        assert!(set.contains(&LineAddr::new(64_000 - 64)));
+        assert!(!set.contains(&LineAddr::new(1)));
+        assert_eq!(line_hash(7), line_hash(7), "stateless: same key, same hash");
+    }
 
     #[test]
     fn phys_to_line_truncates() {
