@@ -18,9 +18,10 @@
 //! the scrub-traffic overhead registers.
 //!
 //! Output: `BENCH_scrub_sweep.json` in `$FBD_OUT_DIR` (or the working
-//! directory). Every metric is asserted finite, and every point
-//! asserts the stage-sum-equals-latency invariant with scrub and
-//! re-issue traffic in flight.
+//! directory), which is created before the first point runs. Every
+//! metric is asserted finite, and every point asserts the
+//! stage-sum-equals-latency invariant with scrub and re-issue traffic
+//! in flight.
 
 use fbd_bench::*;
 use fbd_telemetry::Json;
@@ -48,6 +49,7 @@ fn sweep_config(variant: Variant, cores: u32, ber: f64, scrub_interval_ns: u64) 
 }
 
 fn main() {
+    let out = JsonOut::from_env("BENCH_scrub_sweep.json");
     let exp = fbd_bench::experiment();
     banner(
         "Scrub sweep",
@@ -174,8 +176,5 @@ fn main() {
         ("budget".into(), Json::from(exp.budget)),
         ("points".into(), Json::Arr(points)),
     ]);
-    let dir = std::env::var("FBD_OUT_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&dir).join("BENCH_scrub_sweep.json");
-    std::fs::write(&path, doc.to_json_pretty(2)).expect("write BENCH_scrub_sweep.json");
-    println!("wrote {}", path.display());
+    out.write(&doc);
 }

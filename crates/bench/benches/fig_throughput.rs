@@ -22,9 +22,10 @@
 //! FBD-AP, and asserts each count is exactly zero.
 //!
 //! Output: `BENCH_throughput.json` in `$FBD_OUT_DIR` (or the working
-//! directory). CI runs this on a small budget, checks every row has a
-//! finite positive cycles/sec and a phase-fraction sum ≥ 0.95, and
-//! compares the geomean cycles/sec against a committed baseline.
+//! directory), which is created before the first row runs. CI runs this
+//! on a small budget, checks every row has a finite positive
+//! cycles/sec and a phase-fraction sum ≥ 0.95, and compares the
+//! geomean cycles/sec against a committed baseline.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -267,6 +268,7 @@ fn steady_alloc_section() -> Json {
 }
 
 fn main() {
+    let out = JsonOut::from_env("BENCH_throughput.json");
     let exp = fbd_bench::experiment();
     banner(
         "Throughput",
@@ -300,8 +302,5 @@ fn main() {
         ("overhead".into(), overhead),
         ("steady".into(), steady),
     ]);
-    let dir = std::env::var("FBD_OUT_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&dir).join("BENCH_throughput.json");
-    std::fs::write(&path, doc.to_json_pretty(2)).expect("write BENCH_throughput.json");
-    println!("wrote {}", path.display());
+    out.write(&doc);
 }

@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use fbd_core::experiment::{default_budget, reference_ipcs, smt_speedup, ExperimentConfig};
 pub use fbd_core::parallel_map;
 use fbd_core::{RunResult, RunSpec};
+use fbd_telemetry::Json;
 use fbd_types::config::{
     AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SystemConfig,
 };
@@ -302,6 +303,53 @@ pub fn emit_table(name: &str, rows: &[Vec<String>]) {
     }
 }
 
+/// The JSON document a bench writes: `<dir>/<file>`, where `dir` is
+/// `$FBD_OUT_DIR` or the working directory. Resolve it at the top of
+/// `main`: the directory is created then, so a path that cannot be
+/// created fails before any measuring starts, not after it.
+#[derive(Debug)]
+pub struct JsonOut {
+    path: PathBuf,
+}
+
+impl JsonOut {
+    /// `file` under `$FBD_OUT_DIR` (default `.`), creating the
+    /// directory.
+    ///
+    /// # Panics
+    ///
+    /// If the directory cannot be created.
+    pub fn from_env(file: &str) -> JsonOut {
+        let dir = std::env::var("FBD_OUT_DIR").unwrap_or_else(|_| ".".into());
+        JsonOut::create(Path::new(&dir), file)
+            .unwrap_or_else(|e| panic!("cannot create FBD_OUT_DIR {dir}: {e}"))
+    }
+
+    /// `file` under `dir`, creating `dir` and any missing parents.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the directory-creation failure.
+    pub fn create(dir: &Path, file: &str) -> std::io::Result<JsonOut> {
+        std::fs::create_dir_all(dir)?;
+        Ok(JsonOut {
+            path: dir.join(file),
+        })
+    }
+
+    /// Writes `doc` pretty-printed and reports the path on stdout.
+    ///
+    /// # Panics
+    ///
+    /// If the file cannot be written.
+    pub fn write(&self, doc: &Json) {
+        let path = self.path.display();
+        std::fs::write(&self.path, doc.to_json_pretty(2))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("wrote {path}");
+    }
+}
+
 /// Arithmetic mean.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -397,6 +445,19 @@ mod tests {
         let path = write_table_csv(&dir, "fig99", &rows).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn json_out_creates_a_missing_nested_directory() {
+        let root = std::env::temp_dir().join(format!("fbd-bench-json-{}", std::process::id()));
+        let dir = root.join("a").join("b");
+        assert!(!dir.exists());
+        let out = JsonOut::create(&dir, "BENCH_test.json").unwrap();
+        assert!(dir.is_dir(), "created before anything is written");
+        out.write(&Json::Obj(vec![("rows".into(), Json::from(3u64))]));
+        let text = std::fs::read_to_string(dir.join("BENCH_test.json")).unwrap();
+        assert!(text.contains("\"rows\": 3"), "{text}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! fbdsim run     --workload 4C-1 --substrate fbd-ap [--scheduler fcfs] [--budget N] [--seed N]
 //!                [--csv] [--json] [--stats-json stats.json] [--trace-out trace.json]
 //! fbdsim profile --workload 1C-swim [--system fbd-ap] [--folded-out folded.txt]
-//! fbdsim compare --workload 1C-swim [--substrate a,b,c] [--budget N] [--csv] [--fidelity auto]
+//! fbdsim compare --workload 1C-swim [--substrate a,b,c] [--budget N] [--csv]
 //! fbdsim sweep   --workload 1C-mgrid --knob {k|entries|assoc|channels|rate|grid} [--csv]
 //! ```
 //!
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fbd_core::{calibrate, parallel_map, pareto_frontier, Calibration, Fidelity, Warmup};
+use fbd_core::{parallel_map, Warmup};
 use fbd_core::{RunResult, RunSpec};
 use fbd_ctrl::schedulers;
 use fbd_telemetry::host::{Counter, HostProfiler, PHASES};
@@ -94,12 +94,6 @@ fn usage_text() -> String {
      requires --fault-ber)\n  \
      --reissue <budget>         dropped prefetch returns remembered per channel and\n                             \
      re-issued in idle slots (0 = off; requires --fault-ber)\n\n\
-     fidelity options (run/compare/sweep):\n  \
-     --fidelity <mode>          accurate: cycle-stepped simulator (default)\n                             \
-     fast: calibrated analytic queue model; output embeds the\n                             \
-     calibration's held-out error bounds\n                             \
-     auto (compare/sweep): fast for the whole grid, then accurate\n                             \
-     re-runs of the IPC/energy Pareto frontier, points tagged\n\n\
      profile options:\n  \
      --folded-out <file>        write folded stacks (flamegraph.pl / speedscope input)"
         .to_string()
@@ -118,9 +112,9 @@ const FAULT_KEYS: &[&str] = &[
     "failback",
     "reissue",
 ];
-/// Substrate, scheduler, statistics and fidelity options shared by
-/// `run`, `compare` and `sweep`.
-const GRID_KEYS: &[&str] = &["substrate", "scheduler", "stats-json", "fidelity"];
+/// Substrate, scheduler and statistics options shared by `run`,
+/// `compare` and `sweep`.
+const GRID_KEYS: &[&str] = &["substrate", "scheduler", "stats-json"];
 const GRID_FLAGS: &[&str] = &["csv", "json", "live"];
 
 /// The value-taking options and boolean flags `cmd` accepts, or `None`
@@ -289,7 +283,6 @@ fn all_workloads() -> Vec<Workload> {
 struct Resolved {
     base: RunSpec,
     faults: Option<FaultConfig>,
-    fidelity: Fidelity,
     /// Epoch-sampler cadence in memory-clock cycles: `--sample-interval`,
     /// or the `--live` dashboard's default.
     sample_cycles: Option<u64>,
@@ -300,9 +293,9 @@ struct Resolved {
     live: bool,
 }
 
-/// Resolves `cmd`'s run options; a bad value is a usage error already
+/// Resolves the run options; a bad value is a usage error already
 /// reported on stderr.
-fn resolve(cmd: &str, args: &Args) -> Result<Resolved, Fail> {
+fn resolve(args: &Args) -> Result<Resolved, Fail> {
     let wname = args.get("workload").ok_or_else(usage)?;
     let mut base = RunSpec::paper_default(1)
         .try_workload(wname)
@@ -320,26 +313,7 @@ fn resolve(cmd: &str, args: &Args) -> Result<Resolved, Fail> {
     let seed = args.parsed("seed", "an unsigned integer", exp.seed, number)?;
     let base = base.budget(budget).seed(seed);
     let faults = fault_options(args)?;
-    let mut fidelity = args.parsed(
-        "fidelity",
-        "accurate, fast or auto",
-        Fidelity::Accurate,
-        Fidelity::by_name,
-    )?;
-    // `auto` degenerates to accurate for a single point: the point is
-    // its own Pareto frontier, so it would be re-run accurately anyway.
-    if cmd == "run" && fidelity == Fidelity::Auto {
-        fidelity = Fidelity::Accurate;
-    }
     let trace = args.get("trace-out").is_some();
-    if fidelity != Fidelity::Accurate && faults.is_some() {
-        return Err(bad(
-            "--fault-* and reliability options require --fidelity accurate",
-        ));
-    }
-    if fidelity != Fidelity::Accurate && trace {
-        return Err(bad("--trace-out requires --fidelity accurate"));
-    }
     // The dashboard's throughput meter rides on the epoch sampler, so a
     // live run without an explicit cadence gets the default one.
     let live = args.has_flag("live") && std::io::stderr().is_terminal();
@@ -351,7 +325,6 @@ fn resolve(cmd: &str, args: &Args) -> Result<Resolved, Fail> {
     Ok(Resolved {
         base,
         faults,
-        fidelity,
         sample_cycles,
         trace,
         live,
@@ -794,64 +767,19 @@ impl Drop for LiveDashboard {
     }
 }
 
-/// The `calibration` object embedded in every fast-fidelity stats
-/// document: the fitted parameters plus the held-out error bounds.
-fn calibration_json(cal: &Calibration) -> Json {
-    let rep = &cal.report;
-    let err = |e: &fbd_model::MetricError| {
-        Json::Obj(vec![
-            ("mean_rel".into(), Json::from(e.mean_rel)),
-            ("max_rel".into(), Json::from(e.max_rel)),
-        ])
-    };
-    Json::Obj(vec![
-        ("substrate".into(), Json::from(rep.substrate)),
-        (
-            "params".into(),
-            Json::Obj(vec![
-                (
-                    "service_inflation".into(),
-                    Json::from(rep.params.service_inflation),
-                ),
-                ("hit_scaling".into(), Json::from(rep.params.hit_scaling)),
-                ("contention".into(), Json::from(rep.params.contention)),
-                ("demand_scale".into(), Json::from(rep.params.demand_scale)),
-                ("swpf_scale".into(), Json::from(rep.params.swpf_scale)),
-                ("write_scale".into(), Json::from(rep.params.write_scale)),
-            ]),
-        ),
-        ("fit_points".into(), Json::from(rep.fit_points)),
-        ("holdout_points".into(), Json::from(rep.holdout_points)),
-        ("ipc".into(), err(&rep.ipc)),
-        ("latency".into(), err(&rep.latency)),
-        ("bandwidth".into(), err(&rep.bandwidth)),
-        ("energy".into(), err(&rep.energy)),
-    ])
-}
-
-/// What a grid run produced: the per-point results in grid order, the
-/// fidelity each point actually ran at, and the calibration when the
-/// fast model was involved.
-#[derive(Default)]
-struct GridRun {
-    results: Vec<RunResult>,
-    tags: Vec<Fidelity>,
-    calibration: Option<Arc<Calibration>>,
-}
-
-/// Runs a labeled grid at the requested fidelity — the one execution
-/// path of every subcommand that simulates (`run`, `profile` and
-/// `record` run a one-point grid). A point that fails to run is a
-/// diagnostic and exit 1.
+/// Runs a labeled grid through the simulator — the one execution path
+/// of every subcommand that simulates (`run`, `profile` and `record`
+/// run a one-point grid). Results come back in grid order; a point
+/// that fails to run is a diagnostic and exit 1.
 ///
 /// Every point runs with its own enabled [`HostProfiler`] (created at
 /// run time, so a point's wall clock starts when *it* starts), which is
 /// where the `host` object in every stats document comes from. With
 /// `--live`, the dashboard draws while the grid runs and every point's
 /// sampler observer feeds its shared throughput meter.
-fn run_grid(grid: &[(String, RunSpec)], opts: &Resolved) -> Result<GridRun, Fail> {
+fn run_grid(grid: &[(String, RunSpec)], opts: &Resolved) -> Result<Vec<RunResult>, Fail> {
     let Some((_, first)) = grid.first() else {
-        return Ok(GridRun::default());
+        return Ok(Vec::new());
     };
     let telemetry = grid
         .iter()
@@ -861,76 +789,29 @@ fn run_grid(grid: &[(String, RunSpec)], opts: &Resolved) -> Result<GridRun, Fail
         .live
         .then(|| LiveState::new(workload_name(first), grid.len(), clock(first)));
     let _dashboard = live.as_ref().map(|s| LiveDashboard::start(Arc::clone(s)));
-    let point_spec = |i: usize| -> RunSpec {
-        let (label, spec) = &grid[i];
+    let progress = Progress::new(grid.len(), live.is_some());
+    let points: Vec<_> = grid.iter().zip(telemetry).collect();
+    let results = parallel_map(&points, |((label, spec), telemetry)| {
         let profiler = Arc::new(HostProfiler::enabled());
         let mut point = spec.clone().host_profiler(Arc::clone(&profiler));
-        if let Some(tc) = telemetry[i] {
+        if let Some(tc) = *telemetry {
             point = point.telemetry(tc);
         }
         if let Some(state) = &live {
             state.register(label, profiler);
             point = point.sample_observer(state.observer());
         }
-        point
-    };
-    // Re-runs (the auto frontier) get fresh profilers via `point_spec`,
-    // so a frontier point's host report covers its accurate run only;
-    // they do not tick the dashboard's done counter again.
-    let run_accurate = |indices: &[usize], rerun: bool| -> Result<Vec<RunResult>, Fail> {
-        let progress = Progress::new(indices.len(), live.is_some());
-        let results = parallel_map(indices, |&i| {
-            let r = point_spec(i).try_run();
-            progress.tick();
-            if let Some(state) = live.as_ref().filter(|_| !rerun) {
-                state.point_done();
-            }
-            r.map_err(|e| format!("{}: {e}", grid[i].0))
-        });
-        results
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(failed)
-    };
-    if opts.fidelity == Fidelity::Accurate {
-        let all: Vec<usize> = (0..grid.len()).collect();
-        return Ok(GridRun {
-            results: run_accurate(&all, false)?,
-            tags: vec![Fidelity::Accurate; grid.len()],
-            calibration: None,
-        });
-    }
-    if live.is_none() && std::io::stderr().is_terminal() {
-        eprintln!("calibrating the fast model (accurate fit + holdout runs)...");
-    }
-    let cal = calibrate(first).map_err(failed)?;
-    let mut results = Vec::with_capacity(grid.len());
-    for (i, (label, _)) in grid.iter().enumerate() {
-        let r = point_spec(i).try_run_fast(&cal);
-        results.push(r.map_err(|e| failed(format!("{label}: {e}")))?);
+        let r = point.try_run();
+        progress.tick();
         if let Some(state) = &live {
             state.point_done();
         }
-    }
-    let mut tags = vec![Fidelity::Fast; grid.len()];
-    if opts.fidelity == Fidelity::Auto {
-        // Re-run only the model's IPC/energy Pareto frontier through
-        // the cycle simulator; dominated points keep their fast result.
-        let points: Vec<(f64, f64)> = results
-            .iter()
-            .map(|r| (r.ipcs().iter().sum::<f64>(), r.energy.total_nj()))
-            .collect();
-        let frontier = pareto_frontier(&points);
-        for (&i, r) in frontier.iter().zip(run_accurate(&frontier, true)?) {
-            results[i] = r;
-            tags[i] = Fidelity::Accurate;
-        }
-    }
-    Ok(GridRun {
-        results,
-        tags,
-        calibration: Some(cal),
-    })
+        r.map_err(|e| format!("{label}: {e}"))
+    });
+    results
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(failed)
 }
 
 fn workload_name(spec: &RunSpec) -> &str {
@@ -1349,37 +1230,19 @@ fn cmd_list_schedulers(out: &mut impl Write) -> Outcome {
 }
 
 fn cmd_run(args: &Args, out: &mut impl Write) -> Outcome {
-    let opts = resolve("run", args)?;
+    let opts = resolve(args)?;
     let (flag, name) = substrate_option(args, None)?;
     let grid = [(name.to_string(), opts.on(flag, name)?)];
-    let run = run_grid(&grid, &opts)?;
+    let results = run_grid(&grid, &opts)?;
     let (label, spec) = &grid[0];
-    let r = &run.results[0];
-    // The fast document carries its provenance: the fidelity tag and
-    // the calibration's held-out error bounds.
-    let doc = || {
-        let mut fields = stats_document(label, spec, r);
-        if let Some(cal) = &run.calibration {
-            fields.push(("fidelity".into(), Json::from(Fidelity::Fast.label())));
-            fields.push(("calibration".into(), calibration_json(cal)));
-        }
-        Json::Obj(fields)
-    };
+    let r = &results[0];
+    let doc = || Json::Obj(stats_document(label, spec, r));
     let csv = args.has_flag("csv");
     if args.has_flag("json") {
         writeln!(out, "{}", doc().to_json())?;
     } else {
         if csv {
             writeln!(out, "{CSV_HEADER}")?;
-        }
-        if let Some(cal) = &run.calibration {
-            writeln!(
-                out,
-                "fast fidelity: calibrated analytic model, held-out mean IPC error {:.1}% \
-                 (max {:.1}%)",
-                cal.report.ipc.mean_rel * 100.0,
-                cal.report.ipc.max_rel * 100.0
-            )?;
         }
         report(out, label, spec, r, csv)?;
     }
@@ -1426,12 +1289,12 @@ fn stage_row(label: &str, h: &LogHistogram, e2e_total_ns: f64) -> String {
 /// per request class, where every nanosecond of read and write latency
 /// went.
 fn cmd_profile(args: &Args, out: &mut impl Write) -> Outcome {
-    let opts = resolve("profile", args)?;
+    let opts = resolve(args)?;
     let (flag, name) = substrate_option(args, Some("fbd-ap"))?;
     let grid = [(name.to_string(), opts.on(flag, name)?)];
-    let run = run_grid(&grid, &opts)?;
+    let results = run_grid(&grid, &opts)?;
     let (label, spec) = &grid[0];
-    let r = &run.results[0];
+    let r = &results[0];
     let doc = || Json::Obj(stats_document(label, spec, r));
     let p = &r.profile;
     if args.has_flag("json") {
@@ -1513,11 +1376,7 @@ fn cmd_profile(args: &Args, out: &mut impl Write) -> Outcome {
 /// The tail `compare` and `sweep` share: runs the grid, reports every
 /// point in grid order (unless `--json`), and emits one statistics
 /// document whose `points` array holds the full per-run document of
-/// every point. Points are tagged with the fidelity they ran at
-/// whenever the fast model was involved (an accurate-only grid carries
-/// no tags), and the top-level
-/// `calibration` object records the fitted parameters and held-out
-/// error bounds.
+/// every point.
 fn emit_grid(
     cmd: &str,
     args: &Args,
@@ -1526,36 +1385,28 @@ fn emit_grid(
     out: &mut impl Write,
 ) -> Outcome {
     let session_start = Instant::now();
-    let run = run_grid(grid, opts)?;
-    let host = session_host_json(session_start, &run.results);
+    let results = run_grid(grid, opts)?;
+    let host = session_host_json(session_start, &results);
     let (json, csv) = (args.has_flag("json"), args.has_flag("csv"));
     if csv && !json {
         writeln!(out, "{CSV_HEADER}")?;
     }
     let mut points = Vec::new();
-    for (((label, spec), r), tag) in grid.iter().zip(&run.results).zip(&run.tags) {
+    for ((label, spec), r) in grid.iter().zip(&results) {
         if !json {
             report(out, label, spec, r, csv)?;
         }
-        let mut fields = stats_document(label, spec, r);
-        if opts.fidelity != Fidelity::Accurate {
-            fields.push(("fidelity".into(), Json::from(tag.label())));
-        }
-        points.push(Json::Obj(fields));
+        points.push(Json::Obj(stats_document(label, spec, r)));
     }
-    let mut fields = vec![
+    let doc = Json::Obj(vec![
         ("command".to_string(), Json::from(cmd)),
         (
             "workload".to_string(),
             Json::from(workload_name(&opts.base)),
         ),
-    ];
-    if let Some(cal) = &run.calibration {
-        fields.push(("calibration".to_string(), calibration_json(cal)));
-    }
-    fields.push(("host".to_string(), host));
-    fields.push(("points".to_string(), Json::Arr(points)));
-    let doc = Json::Obj(fields);
+        ("host".to_string(), host),
+        ("points".to_string(), Json::Arr(points)),
+    ]);
     if json {
         writeln!(out, "{}", doc.to_json())?;
     }
@@ -1598,7 +1449,7 @@ fn session_host_json(start: Instant, results: &[RunResult]) -> Json {
 }
 
 fn cmd_compare(args: &Args, out: &mut impl Write) -> Outcome {
-    let opts = resolve("compare", args)?;
+    let opts = resolve(args)?;
     // Every grid point is an independent simulation: `run_grid` runs
     // them across all cores, then they are reported strictly in grid
     // order so the output stays byte-for-byte deterministic.
@@ -1613,7 +1464,7 @@ fn cmd_compare(args: &Args, out: &mut impl Write) -> Outcome {
 }
 
 fn cmd_sweep(args: &Args, out: &mut impl Write) -> Outcome {
-    let opts = resolve("sweep", args)?;
+    let opts = resolve(args)?;
     let knob = args.get("knob").ok_or_else(usage)?;
     // `--substrate` re-bases the sweep on any registered preset; the
     // default is the paper's fbd-ap system.
@@ -1638,7 +1489,7 @@ fn cmd_sweep(args: &Args, out: &mut impl Write) -> Outcome {
 /// The labeled configuration grid a `sweep` knob expands to, or `None`
 /// for an unknown knob. Labels carry the base substrate's name. The
 /// `grid` knob is the 64-point cross product (entries × channels × k ×
-/// rate) the auto-fidelity Pareto search is built for.
+/// rate), which crosses the four design knobs in one command.
 fn sweep_points(knob: &str, name: &str, base: SystemConfig) -> Option<Vec<(String, SystemConfig)>> {
     let points: Vec<(String, SystemConfig)> = match knob {
         "k" => [2u32, 4, 8]
@@ -1718,15 +1569,15 @@ fn sweep_points(knob: &str, name: &str, base: SystemConfig) -> Option<Vec<(Strin
 }
 
 fn cmd_record(args: &Args, out: &mut impl Write) -> Outcome {
-    let opts = resolve("record", args)?;
+    let opts = resolve(args)?;
     let (flag, name) = substrate_option(args, None)?;
     let path = args.get("out").ok_or_else(usage)?;
     // Record the raw access stream: no L2 warm-up, so the trace starts
     // at the first transaction (matching the historical behavior of
     // `System::new`).
     let spec = opts.on(flag, name)?.warmup(Warmup::Ops(0)).capture_trace();
-    let mut run = run_grid(&[(name.to_string(), spec)], &opts)?;
-    let Some(trace) = run.results.remove(0).trace else {
+    let mut results = run_grid(&[(name.to_string(), spec)], &opts)?;
+    let Some(trace) = results.remove(0).trace else {
         return Err(failed("internal error: record ran without trace capture"));
     };
     let mut file = std::fs::File::create(path)
@@ -1866,7 +1717,7 @@ mod tests {
     fn run_opts(extra: &[&str]) -> Result<Resolved, Fail> {
         let mut raw = vec!["--workload", "1C-swim"];
         raw.extend_from_slice(extra);
-        resolve("run", &parse("run", &raw)?)
+        resolve(&parse("run", &raw)?)
     }
 
     fn faults(raw: &[&str]) -> Result<Option<FaultConfig>, Fail> {
@@ -1912,7 +1763,7 @@ mod tests {
             opts.on("substrate", s).expect(s).validate().unwrap();
         }
         assert!(opts.on("substrate", "ddr5").is_err());
-        let spec = resolve("run", &parse("run", &["--workload", "4C-1"]).unwrap())
+        let spec = resolve(&parse("run", &["--workload", "4C-1"]).unwrap())
             .unwrap()
             .on("system", "fbd")
             .unwrap();
@@ -1921,8 +1772,8 @@ mod tests {
             4,
             "the workload sets the core count"
         );
-        assert!(resolve("run", &parse("run", &["--workload", "9C-1"]).unwrap()).is_err());
-        assert!(resolve("run", &parse("run", &[]).unwrap()).is_err());
+        assert!(resolve(&parse("run", &["--workload", "9C-1"]).unwrap()).is_err());
+        assert!(resolve(&parse("run", &[]).unwrap()).is_err());
     }
 
     #[test]
@@ -2106,13 +1957,11 @@ mod tests {
         // a value, are both rejected.
         assert!(parse("compare", &["--workload"]).is_err());
         assert!(parse("compare", &["--csv", "yes"]).is_err());
-        for key in FAULT_KEYS.iter().chain(&[
-            "scheduler",
-            "stats-json",
-            "trace-out",
-            "sample-interval",
-            "fidelity",
-        ]) {
+        for key in
+            FAULT_KEYS
+                .iter()
+                .chain(&["scheduler", "stats-json", "trace-out", "sample-interval"])
+        {
             let flag = format!("--{key}");
             assert!(parse("run", &[&flag, "--csv"]).is_err(), "bare {flag}");
             assert!(parse("run", &[&flag]).is_err(), "trailing bare {flag}");
@@ -2253,37 +2102,6 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_flags_resolve() {
-        let fidelity = |cmd: &str, extra: &[&str]| {
-            let mut raw = vec!["--workload", "1C-swim"];
-            raw.extend_from_slice(extra);
-            Ok::<_, Fail>(resolve(cmd, &parse(cmd, &raw)?)?.fidelity)
-        };
-        // Absent means the cycle-accurate default.
-        assert_eq!(fidelity("compare", &[]).unwrap(), Fidelity::Accurate);
-        for (v, f) in [
-            ("accurate", Fidelity::Accurate),
-            ("fast", Fidelity::Fast),
-            ("auto", Fidelity::Auto),
-        ] {
-            assert_eq!(fidelity("compare", &["--fidelity", v]).unwrap(), f, "{v}");
-        }
-        assert!(fidelity("compare", &["--fidelity", "quick"]).is_err());
-        // On `run`, auto is accurate: one point is its own frontier.
-        assert_eq!(
-            fidelity("run", &["--fidelity", "auto"]).unwrap(),
-            Fidelity::Accurate
-        );
-        // Fault options need the cycle simulator, checked after that
-        // mapping; so does an event trace.
-        let ber = ["--fault-ber", "1e-6"];
-        assert!(fidelity("run", &[&ber[..], &["--fidelity", "fast"]].concat()).is_err());
-        assert!(fidelity("run", &[&ber[..], &["--fidelity", "auto"]].concat()).is_ok());
-        assert!(fidelity("sweep", &[&ber[..], &["--fidelity", "auto"]].concat()).is_err());
-        assert!(fidelity("run", &["--fidelity", "fast", "--trace-out", "t.json"]).is_err());
-    }
-
-    #[test]
     fn a_failing_grid_point_is_an_exit_1_diagnostic() {
         let opts = run_opts(&["--budget", "1000"]).unwrap();
         let good = opts.on("substrate", "fbd").unwrap();
@@ -2292,7 +2110,7 @@ mod tests {
         let grid = [("ok".to_string(), good), ("broken".to_string(), broken)];
         match run_grid(&grid, &opts) {
             Err(Fail::Exit(code)) => assert_eq!(code, ExitCode::FAILURE),
-            other => panic!("expected exit 1, got {:?}", other.map(|r| r.results.len())),
+            other => panic!("expected exit 1, got {:?}", other.map(|r| r.len())),
         }
     }
 

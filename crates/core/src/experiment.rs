@@ -370,8 +370,7 @@ impl RunSpec {
     /// [`RunResult::host`](crate::RunResult) carries the report.
     /// The profiler is shared so a live dashboard can read it mid-run.
     /// Like telemetry, this observes the run without changing its
-    /// simulated result (it is excluded from
-    /// [`canonical_key`](Self::canonical_key)).
+    /// simulated result.
     pub fn host_profiler(mut self, profiler: Arc<HostProfiler>) -> RunSpec {
         self.host = Some(profiler);
         self
@@ -379,8 +378,7 @@ impl RunSpec {
 
     /// Attaches a [`SampleObserver`] notified with every epoch-sampler
     /// row; only meaningful when [`telemetry`](Self::telemetry) enables
-    /// sampling. Excluded from the canonical key like all
-    /// instrumentation.
+    /// sampling.
     pub fn sample_observer(mut self, observer: SampleObserver) -> RunSpec {
         self.observer = observer;
         self
@@ -405,64 +403,6 @@ impl RunSpec {
     /// The selected workload, if one has been set.
     pub fn workload_ref(&self) -> Option<&Workload> {
         self.workload.as_ref()
-    }
-
-    /// The instrumentation this spec would run with (crate-internal;
-    /// the fast fidelity mirrors it onto synthesized results).
-    pub(crate) fn telemetry_config(&self) -> Option<&TelemetryConfig> {
-        self.telemetry.as_ref()
-    }
-
-    /// The attached host profiler, if any (crate-internal; the fast
-    /// fidelity charges its model time into it).
-    pub(crate) fn host_profiler_ref(&self) -> Option<&Arc<HostProfiler>> {
-        self.host.as_ref()
-    }
-
-    /// Canonical text serialization of the spec's *semantic* fields —
-    /// the system configuration, workload and run control that
-    /// determine the simulation result. Instrumentation (telemetry,
-    /// trace capture) is excluded: it observes a run without changing
-    /// it. Field order is fixed by the type definitions, so two specs
-    /// describing the same run serialize identically no matter in
-    /// which order their builders were called.
-    pub fn canonical_key(&self) -> String {
-        use std::fmt::Write as _;
-        let mut key = String::with_capacity(1024);
-        let _ = write!(key, "system={:?};", self.system);
-        match &self.workload {
-            Some(w) => {
-                let names: Vec<&str> = w.benchmarks().iter().map(|b| b.name).collect();
-                let _ = write!(key, "workload={}[{}];", w.name(), names.join(","));
-            }
-            None => key.push_str("workload=none;"),
-        }
-        let _ = write!(
-            key,
-            "seed={};budget={};warmup={:?}",
-            self.exp.seed, self.exp.budget, self.exp.warmup
-        );
-        // The scheduler name is semantic: a different scheduler is a
-        // different run. The substrate label is not — the system
-        // configuration above already pins everything a substrate
-        // selects, and with it the mapper and the refresh switch.
-        let _ = write!(key, ";scheduler={}", self.composition().scheduler);
-        key
-    }
-
-    /// FNV-1a hash of [`canonical_key`](Self::canonical_key) — keys
-    /// the calibration cache (and the future result cache): any
-    /// semantic field change produces a different hash, while
-    /// builder-call order and instrumentation do not.
-    pub fn canonical_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in self.canonical_key().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
     }
 
     /// Validates the spec's system configuration (timings, geometry,

@@ -38,7 +38,6 @@ pub mod compose;
 mod engine;
 pub mod events;
 pub mod experiment;
-pub mod fidelity;
 pub mod memsys;
 pub mod parallel;
 pub mod system;
@@ -47,10 +46,6 @@ pub mod trace_io;
 pub use compose::Composition;
 pub use experiment::{reference_ipcs, smt_speedup, ExperimentConfig, RunSpec, Warmup};
 use fbd_telemetry::host::BuildInfo;
-pub use fidelity::{
-    calibrate, pareto_frontier, Calibration, Fidelity, CALIBRATION_FIT_POINTS,
-    CALIBRATION_HOLDOUT_POINTS,
-};
 pub use memsys::{ChannelCounters, DecideResult, Issued, MemorySystem};
 pub use parallel::parallel_map;
 pub use system::{RunResult, System, MAX_SIM_TIME};

@@ -186,34 +186,6 @@ impl BankArray {
         }
     }
 
-    /// Issues a bare activate to `(bank, row)` at the earliest legal
-    /// instant at or after `not_before` — *command-ahead* activation, so
-    /// a future read's tRCD elapses while the data bus is busy with
-    /// other traffic (e.g. a write drain). Returns the ACT time, or
-    /// `None` if the bank already has a row open (hit or conflict — the
-    /// normal plan path handles both).
-    pub fn pre_activate(&mut self, bank: usize, row: u32, not_before: Time) -> Option<Time> {
-        if self.banks[bank].row.is_some() {
-            return None;
-        }
-        let a = not_before
-            .max(self.banks[bank].act_ready)
-            .max(self.t_rrd_after(self.last_act_any))
-            .max(self.t_faw_ready())
-            .align_up(self.clock);
-        let t = self.timings;
-        let b = &mut self.banks[bank];
-        b.last_act = a;
-        b.act_ready = a + t.t_rc;
-        b.col_ready = a + t.t_rcd;
-        b.pre_ready = a + t.t_ras;
-        b.row = Some(row);
-        Self::bump(&mut self.last_act_any, a);
-        self.note_act(a);
-        self.ops.act_pre += 1;
-        Some(a)
-    }
-
     /// Plans a column access to `(bank, row)` that may not begin before
     /// `not_before`, against the current bank state and `bus` occupancy.
     ///
@@ -575,32 +547,6 @@ mod tests {
         assert_eq!(a.ops().col_reads, 1);
         assert_eq!(a.ops().col_writes, 1);
         assert_eq!(a.ops().col_total(), 2);
-    }
-
-    #[test]
-    fn pre_activate_opens_a_row_command_ahead() {
-        let mut a = array();
-        let mut b = bus();
-        // Open the row ahead of time; the later read skips its ACT.
-        let act = a.pre_activate(0, 7, Time::ZERO).expect("bank was closed");
-        assert_eq!(act, Time::ZERO);
-        let open_read = ColumnOp {
-            auto_precharge: true,
-            ..read_ap()
-        };
-        let p = a.plan(0, 7, open_read, Time::from_ns(15), &b);
-        assert_eq!(p.act_at, None, "pre-activated row serves without a new ACT");
-        assert_eq!(p.cmd_at, Time::from_ns(15)); // tRCD already elapsed
-        a.commit(&p, &mut b);
-        assert_eq!(
-            a.ops().act_pre,
-            1,
-            "one ACT total, counted at pre-activation"
-        );
-        // Pre-activating an already-open bank is a no-op.
-        let mut a2 = array();
-        a2.pre_activate(1, 3, Time::ZERO).unwrap();
-        assert_eq!(a2.pre_activate(1, 4, Time::ZERO), None);
     }
 
     #[test]

@@ -86,19 +86,6 @@ impl LogHistogram {
         self.max_ps = self.max_ps.max(ps);
     }
 
-    /// Records `n` identical samples at once — used by the analytic
-    /// fast fidelity to synthesize a profile from predicted means.
-    pub fn record_n(&mut self, sample: Dur, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let ps = sample.as_ps();
-        self.counts[bucket_of(ps)] += n;
-        self.count += n;
-        self.sum_ps += u128::from(ps) * u128::from(n);
-        self.max_ps = self.max_ps.max(ps);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -238,31 +225,6 @@ impl StageProfile {
         }
         self.e2e[class.index()].record(end_to_end);
         self.dram[class.index()].record(stages.dram_total());
-    }
-
-    /// Records `n` requests that all saw the same per-stage breakdown —
-    /// how the analytic fast fidelity synthesizes a profile from
-    /// predicted stage means without materializing every request.
-    pub fn record_n(&mut self, class: ReqClass, stages: &StageBreakdown, end_to_end: Dur, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.stages.is_empty() {
-            *self = StageProfile::new();
-        }
-        if stages.total() != end_to_end {
-            if class.is_write() {
-                self.write_mismatches += n;
-            } else {
-                self.mismatches += n;
-            }
-        }
-        for (stage, dur) in stages.iter() {
-            let i = self.slot(class, stage);
-            self.stages[i].record_n(dur, n);
-        }
-        self.e2e[class.index()].record_n(end_to_end, n);
-        self.dram[class.index()].record_n(stages.dram_total(), n);
     }
 
     /// The histogram for one stage of one class (empty histogram when

@@ -72,25 +72,21 @@ pub enum Phase {
     Datapath = 4,
     /// Telemetry epoch snapshots.
     Telemetry = 5,
-    /// The analytic fast-fidelity model (prediction + result
-    /// synthesis); accurate runs never charge this phase.
-    Model = 6,
     /// End-of-run collection: stats, energy report, final telemetry.
-    Finish = 7,
+    Finish = 6,
     /// Everything outside the simulator itself: report formatting,
     /// JSON serialization, file I/O (charged by [`HostProfiler::report`]).
-    Harness = 8,
+    Harness = 7,
 }
 
 /// All phases, in accumulator order; labels are the JSON keys.
-pub const PHASES: [(Phase, &str); 9] = [
+pub const PHASES: [(Phase, &str); 8] = [
     (Phase::Setup, "setup"),
     (Phase::Warmup, "warmup"),
     (Phase::Cpu, "cpu"),
     (Phase::Controller, "controller"),
     (Phase::Datapath, "datapath"),
     (Phase::Telemetry, "telemetry"),
-    (Phase::Model, "model"),
     (Phase::Finish, "finish"),
     (Phase::Harness, "harness"),
 ];

@@ -50,17 +50,6 @@ impl LatencyStat {
         self.max_ps = self.max_ps.max(sample.as_ps());
     }
 
-    /// Records `n` identical samples at once — used by the analytic
-    /// fast fidelity to populate stats from predicted means.
-    pub fn record_n(&mut self, sample: Dur, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.sum_ps += u128::from(sample.as_ps()) * u128::from(n);
-        self.count += n;
-        self.max_ps = self.max_ps.max(sample.as_ps());
-    }
-
     /// Number of samples.
     #[inline]
     pub fn count(&self) -> u64 {
@@ -167,16 +156,6 @@ impl LatencyHistogram {
     pub fn record(&mut self, sample: Dur) {
         self.buckets[Self::bucket_of(sample)] += 1;
         self.count += 1;
-    }
-
-    /// Records `n` identical samples at once — used by the analytic
-    /// fast fidelity to populate stats from predicted means.
-    pub fn record_n(&mut self, sample: Dur, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(sample)] += n;
-        self.count += n;
     }
 
     /// Number of samples.

@@ -211,6 +211,26 @@ fn unknown_options_exit_2_on_run_compare_and_sweep() {
             "5",
         ],
         vec!["compare", "--workload", "1C-swim", "--csv", "--csv"],
+        // The simulator has one model, so no option selects one.
+        vec![
+            "run",
+            "--workload",
+            "1C-swim",
+            "--system",
+            "fbd",
+            "--fidelity",
+            "fast",
+        ],
+        vec!["compare", "--workload", "1C-swim", "--fidelity", "fast"],
+        vec![
+            "sweep",
+            "--workload",
+            "1C-swim",
+            "--knob",
+            "k",
+            "--fidelity",
+            "fast",
+        ],
     ] {
         let out = fbdsim(&cmd);
         assert_eq!(
@@ -751,40 +771,5 @@ fn sweep_json_stdout_covers_every_grid_point() {
         let label = p.get("system").and_then(Json::as_str).unwrap();
         assert!(label.starts_with("fbd-ap/k="), "unexpected label {label}");
         assert_energy_consistent(p);
-    }
-}
-
-#[test]
-fn fast_sweep_calibration_names_the_base_substrate() {
-    // The knob edits move every point's config off the preset, but the
-    // sweep is still composed on it: the calibration must say so, not
-    // `custom`.
-    let out = fbdsim(&[
-        "sweep",
-        "--workload",
-        "1C-mgrid",
-        "--knob",
-        "k",
-        "--fidelity",
-        "fast",
-        "--budget",
-        "2000",
-        "--json",
-    ]);
-    assert_eq!(
-        exit_code(&out),
-        0,
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = json::parse(String::from_utf8(out.stdout).unwrap().trim()).expect("stats JSON");
-    let cal = doc
-        .get("calibration")
-        .expect("fast sweeps embed the calibration");
-    assert_eq!(cal.get("substrate").and_then(Json::as_str), Some("fbd-ap"));
-    let points = doc.get("points").and_then(Json::as_array).expect("points");
-    for p in points {
-        let comp = p.get("composition").expect("composition metadata");
-        assert_eq!(comp.get("substrate").and_then(Json::as_str), Some("fbd-ap"));
     }
 }

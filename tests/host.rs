@@ -1,13 +1,13 @@
 //! Integration tests for host-side observability: the profiler's
-//! phase-partition invariant on a real run, build provenance, the
-//! `LogHistogram` merge algebra and fast-fidelity sampler monotonicity
-//! that the live dashboard and throughput bench depend on.
+//! phase-partition invariant on a real run, build provenance and the
+//! `LogHistogram` merge algebra that the live dashboard and throughput
+//! bench depend on.
 
 use std::sync::Arc;
 
-use fbd_core::{calibrate, RunSpec};
+use fbd_core::RunSpec;
 use fbd_telemetry::host::{Counter, HostProfiler, Phase};
-use fbd_telemetry::{Json, LogHistogram, TelemetryConfig};
+use fbd_telemetry::{Json, LogHistogram};
 use fbd_types::time::Dur;
 
 fn spec() -> RunSpec {
@@ -142,50 +142,4 @@ fn log_histogram_merge_is_associative() {
     let mut from_empty = LogHistogram::new();
     from_empty.merge(&a);
     assert_eq!(from_empty, a);
-}
-
-/// Fast-fidelity runs synthesize epoch sampler rows so downstream
-/// consumers (CSV export, the live dashboard's observer) see the same
-/// shape as an accurate run: rows strictly increasing in time, ending
-/// at the predicted end of the run.
-#[test]
-fn fast_fidelity_sampler_rows_are_monotonic() {
-    let interval = Dur::from_ns(500);
-    let spec = spec().telemetry(TelemetryConfig {
-        sample_interval: Some(interval),
-        trace: false,
-    });
-    let cal = calibrate(&spec).unwrap();
-    let r = spec.try_run_fast(&cal).unwrap();
-    let tel = r.telemetry.as_ref().expect("telemetry attached");
-    let sampler = tel.sampler.as_ref().expect("sampler attached");
-    let rows = sampler.rows();
-    assert!(
-        rows.len() >= 2,
-        "expected synthesized rows, got {}",
-        rows.len()
-    );
-    for pair in rows.windows(2) {
-        assert!(
-            pair[0].at < pair[1].at,
-            "sampler rows must be strictly increasing: {:?} then {:?}",
-            pair[0].at,
-            pair[1].at
-        );
-    }
-    let last = rows.last().unwrap();
-    assert!(
-        last.at.as_ps() <= r.elapsed.as_ps(),
-        "rows must not pass the end of the run"
-    );
-    // The fast path charges its wall time to the model phase.
-    let profiled = Arc::new(HostProfiler::enabled());
-    let r2 = spec
-        .clone()
-        .host_profiler(Arc::clone(&profiled))
-        .try_run_fast(&cal)
-        .unwrap();
-    assert!(r2.host.enabled);
-    assert!(!profiled.phase(Phase::Model).is_zero());
-    assert!(r2.host.phase_fraction_sum() >= 0.95);
 }

@@ -14,7 +14,7 @@
 //! queue: every run under the default calendar queue must produce
 //! stats JSON byte-identical to the same run forced onto the seed
 //! binary heap with `FBD_EVENT_QUEUE=heap` — across the four paper
-//! systems, under fault injection, and through the fast-fidelity path.
+//! systems and under fault injection.
 //! Open-loop trace replay drives the same queue, so `fbdsim replay` of
 //! a recorded trace must print byte-identical reports under both.
 //!
@@ -24,6 +24,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::{json, Json};
@@ -42,8 +43,13 @@ fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
 }
 
+/// A scratch path no other call shares: tests run on parallel threads,
+/// and two runs that differ only in their extra flags must not write
+/// (and delete) each other's output file.
 fn tmp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fbdsim-parity-{}-{name}", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("fbdsim-parity-{}-{n}-{name}", std::process::id()))
 }
 
 /// Removes every `host` object (top-level and per-point) and
@@ -368,20 +374,6 @@ fn event_wheel_heap_parity_holds_with_recovery_traffic() {
     let wheel = stats_via_env("--system", "fbd-ap", &flags, WHEEL);
     let heap = stats_via_env("--system", "fbd-ap", &flags, HEAP);
     assert_eq!(wheel, heap, "recovery traffic diverged between queues");
-}
-
-#[test]
-fn event_wheel_heap_parity_holds_through_fast_fidelity() {
-    // The fast path calibrates itself by running the accurate
-    // simulator on anchor points; those anchor runs must land on the
-    // same numbers under either queue.
-    let fast = ["--fidelity", "fast"];
-    let wheel = stats_via_env("--system", "fbd", &fast, WHEEL);
-    let heap = stats_via_env("--system", "fbd", &fast, HEAP);
-    assert_eq!(
-        wheel, heap,
-        "fast-fidelity run diverged between queue kinds"
-    );
 }
 
 #[test]
@@ -741,25 +733,6 @@ fn golden_run_json_with_metrics_and_series() {
 }
 
 #[test]
-fn golden_run_at_fast_fidelity() {
-    assert_stdout_golden(
-        "run_1c_swim_fast.txt",
-        &[
-            "run",
-            "--workload",
-            "1C-swim",
-            "--substrate",
-            "fbd-ap",
-            "--budget",
-            "20000",
-            "--fidelity",
-            "fast",
-        ],
-        true,
-    );
-}
-
-#[test]
 fn golden_profile_table_and_folded_stacks() {
     let folded = tmp_path("golden-profile.folded");
     let folded_s = folded.to_str().unwrap();
@@ -785,24 +758,20 @@ fn golden_profile_table_and_folded_stacks() {
 }
 
 #[test]
-fn golden_sweep_json_at_both_fidelities() {
-    let args = [
-        "sweep",
-        "--workload",
-        "1C-mgrid",
-        "--knob",
-        "k",
-        "--budget",
-        "20000",
-        "--json",
-    ];
-    assert_json_golden("sweep_1c_mgrid_k.json", &args);
-    let fast: Vec<&str> = args
-        .iter()
-        .chain(&["--fidelity", "fast"])
-        .copied()
-        .collect();
-    assert_json_golden("sweep_1c_mgrid_k_fast.json", &fast);
+fn golden_sweep_json() {
+    assert_json_golden(
+        "sweep_1c_mgrid_k.json",
+        &[
+            "sweep",
+            "--workload",
+            "1C-mgrid",
+            "--knob",
+            "k",
+            "--budget",
+            "20000",
+            "--json",
+        ],
+    );
 }
 
 #[test]
