@@ -22,7 +22,9 @@
 //! FBD-AP, and asserts each count is exactly zero.
 //!
 //! Output: `BENCH_throughput.json` in `$FBD_OUT_DIR` (or the working
-//! directory), which is created before the first row runs. CI runs this
+//! directory), which is created before the first row runs. The file is
+//! rewritten after each section (rows, overhead, steady), so a gate
+//! that fails keeps the sections measured before it. CI runs this
 //! on a small budget, checks every row has a finite positive
 //! cycles/sec and a phase-fraction sum ≥ 0.95, and compares the
 //! geomean cycles/sec against a committed baseline.
@@ -291,16 +293,17 @@ fn main() {
         rows.len()
     );
 
-    let overhead = overhead_section();
-    let steady = steady_alloc_section();
-
-    let doc = Json::Obj(vec![
+    // The document is rewritten after each section, so a later gate's
+    // panic leaves the sections before it on disk.
+    let mut doc = vec![
         ("budget".into(), Json::from(exp.budget)),
         ("geomean_cycles_per_sec".into(), Json::from(geomean)),
         ("build".into(), fbd_core::build_info().to_json()),
         ("rows".into(), Json::Arr(rows)),
-        ("overhead".into(), overhead),
-        ("steady".into(), steady),
-    ]);
-    out.write(&doc);
+    ];
+    out.write(&Json::Obj(doc.clone()));
+    doc.push(("overhead".into(), overhead_section()));
+    out.write(&Json::Obj(doc.clone()));
+    doc.push(("steady".into(), steady_alloc_section()));
+    out.write(&Json::Obj(doc));
 }

@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks for the simulator's hot paths: address
 //! mapping, AMB-cache operations and tag lookups, the hit-first
-//! scheduler pick, DRAM plan/commit, AMB region fetches, link
-//! reservations and a short end-to-end run. These track the
+//! scheduler pick, DRAM plan/commit, the data-bus gap search over a
+//! full history window, AMB region fetches, link reservations, an
+//! eight-core CPU pump with seven cores parked, and a short end-to-end
+//! run. These track the
 //! *simulator's* performance (simulation throughput), complementing the
 //! figure benches that track the *simulated system's* performance.
 
@@ -137,6 +139,31 @@ fn bench_dram_plan_commit(c: &mut Criterion) {
     });
 }
 
+/// Gap searches on a data bus holding a full prune window of
+/// back-to-back reads, each wanting to start a few bursts before the
+/// newest one ends, as the controller's requests do.
+fn bench_dram_earliest_fit(c: &mut Criterion) {
+    let clock = Dur::from_ns(3);
+    let burst = Dur::from_ns(6);
+    let mut bus = fbd_dram::DataBus::new(clock);
+    // 5 µs of 6 ns bursts with a clock between them, then a little more
+    // so the oldest are pruned.
+    let mut at = Time::ZERO;
+    for _ in 0..600 {
+        bus.commit(fbd_dram::ColKind::Read, at, at + burst);
+        at = at + burst + clock;
+    }
+    let newest = bus.free_at();
+    let mut i = 0u64;
+    c.bench_function("dram/earliest_fit_full_window", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let desired = newest - Dur::from_ns(9 * (i % 4));
+            black_box(bus.earliest_fit(fbd_dram::ColKind::Read, black_box(desired), burst))
+        })
+    });
+}
+
 fn bench_amb_fetch_group(c: &mut Criterion) {
     let timings = fbd_types::config::DramTimings::ddr2_table2();
     c.bench_function("amb/fetch_group", |b| {
@@ -162,6 +189,78 @@ fn bench_timeline(c: &mut Criterion) {
         b.iter(|| {
             t += Dur::from_ns(9);
             black_box(tl.reserve(t, Dur::from_ns(6)))
+        })
+    });
+}
+
+/// A trace of loads to `line`, `line + stride`, ... spaced `gap`
+/// instructions apart, without end.
+#[derive(Clone)]
+struct Stream {
+    line: u64,
+    stride: u64,
+    gap: u64,
+}
+
+impl fbd_cpu::TraceSource for Stream {
+    fn next_op(&mut self) -> Option<fbd_cpu::TraceOp> {
+        let line = LineAddr::new(self.line);
+        self.line += self.stride;
+        Some(fbd_cpu::TraceOp {
+            gap: self.gap,
+            kind: fbd_cpu::OpKind::Load,
+            line,
+        })
+    }
+    fn time_per_instr(&self) -> Dur {
+        Dur::from_ps(125)
+    }
+    fn name(&self) -> &str {
+        "stream"
+    }
+}
+
+/// One pump of an eight-core complex with no fills returning: seven
+/// cores sit ROB-stalled behind a miss (parked), and core 0 re-tries a
+/// load that waits for one of its 32 MSHRs (never parked).
+fn bench_cpu_pump(c: &mut Criterion) {
+    let cfg = SystemConfig::paper_default(8).cpu;
+    let traces = (0..8u64)
+        .map(|i| -> Box<dyn fbd_cpu::TraceSource> {
+            Box::new(match i {
+                // Every load merges onto the first line's miss.
+                0 => Stream {
+                    line: 0,
+                    stride: 0,
+                    gap: 0,
+                },
+                // Five misses fill the 196-entry ROB; the first blocks
+                // commit short of where the sixth would fit.
+                _ => Stream {
+                    line: i << 20,
+                    stride: 1,
+                    gap: 40,
+                },
+            })
+        })
+        .collect();
+    let mut cpx = fbd_cpu::CpuComplex::new(&cfg, traces, u64::MAX);
+    let mut requests = Vec::new();
+    // At 10 ns every core has fetched all it can before a fill.
+    let mut now = Time::from_ns(10);
+    cpx.advance_into(Time::ZERO, &mut requests);
+    cpx.advance_into(now, &mut requests);
+    assert_eq!(
+        requests.len(),
+        1 + 7 * 5,
+        "one miss for core 0, five per other core"
+    );
+    c.bench_function("cpu/pump_8c", |b| {
+        b.iter(|| {
+            now += Dur::from_ns(1);
+            let wake = cpx.advance_into(now, &mut requests);
+            debug_assert_eq!(requests.len(), 1 + 7 * 5, "no core gets further");
+            black_box(wake)
         })
     });
 }
@@ -210,8 +309,10 @@ criterion_group!(
     bench_amb_would_hit,
     bench_sched_pick,
     bench_dram_plan_commit,
+    bench_dram_earliest_fit,
     bench_amb_fetch_group,
     bench_timeline,
+    bench_cpu_pump,
     bench_full_system
 );
 criterion_main!(benches);

@@ -37,7 +37,28 @@ struct CoreRunner {
     fetched_idx: u64,
     outstanding: u32,
     trace_done: bool,
+    /// A ROB-stalled core is parked until the first instant its pending
+    /// operation fits; advancing it earlier would change nothing. A
+    /// completion naming the core unparks it ([`Time::ZERO`]).
+    parked_until: Time,
+    /// [`wake_inputs`](Self::wake_inputs) as of the core's last
+    /// advance. A parked core's state cannot change until a completion
+    /// unparks it, so these stay current for every core.
+    wake_inputs: (Option<Time>, Option<Time>),
     stats: CoreStats,
+}
+
+impl CoreRunner {
+    /// What [`CpuComplex::next_wake`] reads of this core: when the
+    /// pending operation fits the ROB (`fetch_ready_time`) and the
+    /// projected finish before it is clamped to the present.
+    fn wake_inputs(&self) -> (Option<Time>, Option<Time>) {
+        (
+            self.pending
+                .and_then(|(idx, _)| self.core.fetch_ready_time(idx)),
+            self.core.projected_done_time(Time::ZERO),
+        )
+    }
 }
 
 /// Post-warm-up snapshot of the state [`CpuComplex::warm_l2`] mutates:
@@ -129,6 +150,8 @@ impl CpuComplex {
                 fetched_idx: 0,
                 outstanding: 0,
                 trace_done: false,
+                parked_until: Time::ZERO,
+                wake_inputs: (None, None),
                 stats: CoreStats::default(),
             })
             .collect();
@@ -257,7 +280,29 @@ impl CpuComplex {
     /// (not cleared first), so the event loop can reuse one scratch
     /// `Vec` instead of allocating an [`Advance`] per event. Returns
     /// the earliest self-wake time.
+    ///
+    /// Parked cores are skipped: until its park expires or a completion
+    /// names it, a ROB-stalled core's pending operation cannot fit.
     pub fn advance_into(&mut self, now: Time, requests: &mut Vec<MemRequest>) -> Option<Time> {
+        for i in 0..self.cores.len() {
+            if now < self.cores[i].parked_until {
+                debug_assert!(
+                    self.cores[i]
+                        .pending
+                        .is_some_and(|(idx, _)| !self.cores[i].core.can_fetch(idx, now)),
+                    "core {i} parked while it could fetch"
+                );
+                continue;
+            }
+            self.advance_core(i, now, requests);
+        }
+        self.next_wake(now)
+    }
+
+    /// [`advance_into`](Self::advance_into) without parking: every core
+    /// is advanced. The reference the parked pump is checked against.
+    #[cfg(test)]
+    fn advance_all_into(&mut self, now: Time, requests: &mut Vec<MemRequest>) -> Option<Time> {
         for i in 0..self.cores.len() {
             self.advance_core(i, now, requests);
         }
@@ -265,6 +310,13 @@ impl CpuComplex {
     }
 
     fn advance_core(&mut self, i: usize, now: Time, requests: &mut Vec<MemRequest>) {
+        self.fetch_ops(i, now, requests);
+        let runner = &mut self.cores[i];
+        runner.wake_inputs = runner.wake_inputs();
+    }
+
+    /// Admits core `i`'s operations to the ROB until one must wait.
+    fn fetch_ops(&mut self, i: usize, now: Time, requests: &mut Vec<MemRequest>) {
         self.cores[i].core.settle(now);
         loop {
             if self.cores[i].pending.is_none() {
@@ -282,10 +334,16 @@ impl CpuComplex {
                 }
             }
             let (idx, op) = self.cores[i].pending.expect("just filled");
-            if !self.cores[i].core.can_fetch(idx, now) {
+            let runner = &mut self.cores[i];
+            let fits_at = runner.core.fetch_at(idx);
+            debug_assert_eq!(now >= fits_at, runner.core.can_fetch(idx, now));
+            if now < fits_at {
                 // ROB full; a timed or response-driven wake follows. The
-                // unfetched op also bars commit from passing it.
-                self.cores[i].core.set_fetch_barrier(Some(idx));
+                // unfetched op also bars commit from passing it (it lies
+                // past the commit point the op waits for, so `fits_at`
+                // holds), and the core parks until the op fits.
+                runner.core.set_fetch_barrier(Some(idx));
+                runner.parked_until = fits_at;
                 return;
             }
             if !self.execute_op(i, idx, op, now, requests) {
@@ -440,8 +498,11 @@ impl CpuComplex {
     /// `completion + fill_latency()`).
     pub fn complete(&mut self, line: LineAddr, now: Time) {
         if let Some(mut entry) = self.in_flight.remove(&line) {
+            // Every waiter holds a slot too, so this unparks every core
+            // whose commit or MSHR count the fill changes.
             for &i in &entry.slots {
                 self.cores[i].outstanding = self.cores[i].outstanding.saturating_sub(1);
+                self.cores[i].parked_until = Time::ZERO;
             }
             for &i in &entry.waiters {
                 self.cores[i].core.complete_line(line, now);
@@ -470,14 +531,12 @@ impl CpuComplex {
             wake = Some(wake.map_or(t, |w| w.min(t)));
         };
         for runner in &self.cores {
-            if let Some((idx, _)) = runner.pending {
-                if let Some(t) = runner.core.fetch_ready_time(idx) {
-                    if t > now {
-                        push(t);
-                    }
-                }
+            debug_assert_eq!(runner.wake_inputs, runner.wake_inputs());
+            let (fits, finish) = runner.wake_inputs;
+            if let Some(t) = fits.filter(|&t| t > now) {
+                push(t);
             }
-            if let Some(t) = runner.core.projected_done_time(now) {
+            if let Some(t) = finish {
                 push(t.max(now + self.clock));
             }
         }
@@ -768,6 +827,134 @@ mod tests {
         assert_eq!(cpx.occupancy(), (4, 4));
         cpx.complete(adv.requests[0].line, Time::from_ns(60));
         assert_eq!(cpx.occupancy(), (3, 3));
+    }
+
+    /// SplitMix64, the seeded sequence of the differential test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Loads, stores and software prefetches at seeded gaps (often past
+    /// the ROB), over a line pool small enough that cores re-hit and
+    /// merge on each other's lines.
+    struct SeededTrace {
+        rng: Mix,
+        tpi: Dur,
+    }
+
+    impl TraceSource for SeededTrace {
+        fn next_op(&mut self) -> Option<TraceOp> {
+            let rng = &mut self.rng;
+            let kind = match rng.below(10) {
+                0..=6 => OpKind::Load,
+                7 | 8 => OpKind::Store,
+                _ => OpKind::Prefetch,
+            };
+            let gap = match rng.below(4) {
+                0 => rng.below(4),
+                1 => 150 + rng.below(400),
+                _ => rng.below(120),
+            };
+            Some(TraceOp {
+                gap,
+                kind,
+                line: LineAddr::new(rng.below(1 << 14)),
+            })
+        }
+        fn time_per_instr(&self) -> Dur {
+            self.tpi
+        }
+        fn name(&self) -> &str {
+            "seeded"
+        }
+    }
+
+    /// Runs a seeded eight-core complex against fills that return after
+    /// seeded latencies, pumping it as the event loop does (at its wakes
+    /// and after each fill), once with parking and once with every core
+    /// advanced on every pump. The requests, their order, every wake and
+    /// the stop instant must be identical.
+    #[test]
+    fn parked_pumping_matches_advancing_every_core() {
+        let run = |parked: bool| {
+            let mut c = cfg(8);
+            c.l2_bytes = 64 * 1024; // small, so lines miss and write back
+            let traces: Vec<Box<dyn TraceSource>> = (0..8)
+                .map(|i| {
+                    Box::new(SeededTrace {
+                        rng: Mix(100 + i),
+                        // Base IPC 2 down to 0.5 at 4 GHz.
+                        tpi: Dur::from_ps(125 * (1 + i % 4)),
+                    }) as Box<dyn TraceSource>
+                })
+                .collect();
+            let mut cpx = CpuComplex::new(&c, traces, 40_000);
+            let mut latency = Mix(9);
+            // Pending wakes (`None`) and fills (`Some(line)`).
+            let mut events: Vec<(Time, Option<LineAddr>)> = vec![(Time::ZERO, None)];
+            let mut log = Vec::new();
+            let mut now = Time::ZERO;
+            let mut buf = Vec::new();
+            let mut parked_pumps = 0;
+            while !cpx.any_done(now) {
+                events.sort_by(|a, b| b.cmp(a));
+                let (at, fill) = events.pop().expect("deadlock: no event left");
+                now = at;
+                match fill {
+                    Some(line) if latency.below(16) == 0 => cpx.complete_dropped(line, now),
+                    Some(line) => cpx.complete(line, now),
+                    None => {}
+                }
+                parked_pumps += cpx.cores.iter().filter(|r| now < r.parked_until).count();
+                let wake = if parked {
+                    cpx.advance_into(now, &mut buf)
+                } else {
+                    cpx.advance_all_into(now, &mut buf)
+                };
+                for r in buf.drain(..) {
+                    if r.kind != AccessKind::Write {
+                        let lat = Dur::from_ps(1_000 * (40 + latency.below(400)));
+                        events.push((now + lat, Some(r.line)));
+                    }
+                    log.push((r.id, r.core, r.kind, r.line, r.arrival));
+                }
+                if let Some(w) = wake {
+                    if !events.contains(&(w, None)) {
+                        events.push((w, None));
+                    }
+                }
+                let wake = wake.unwrap_or(Time::NEVER);
+                log.push((
+                    RequestId(u64::MAX),
+                    CoreId(0),
+                    AccessKind::Write,
+                    LineAddr::new(0),
+                    wake,
+                ));
+            }
+            (log, now, cpx.finish(now), parked_pumps)
+        };
+        let (log, end, stats, parked_pumps) = run(true);
+        let (ref_log, ref_end, ref_stats, _) = run(false);
+        assert!(log.len() > 5_000, "too short a run: {}", log.len());
+        assert!(
+            parked_pumps > 10_000,
+            "cores were rarely parked: {parked_pumps}"
+        );
+        assert_eq!(log.len(), ref_log.len());
+        for (n, (a, b)) in log.iter().zip(&ref_log).enumerate() {
+            assert_eq!(a, b, "entry {n} differs");
+        }
+        assert_eq!(end, ref_end);
+        assert_eq!(stats, ref_stats);
     }
 
     #[test]

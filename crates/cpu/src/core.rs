@@ -14,7 +14,9 @@
 //!
 //! Commit progress is computed analytically (piecewise-linear in time),
 //! so the core costs O(1) per memory event regardless of instruction
-//! count.
+//! count. The same closed form gives the first instant commit reaches a
+//! given index, so the complex can ask when a ROB-stalled operation
+//! fits, and the core caches when it commits its budget.
 
 use std::collections::VecDeque;
 
@@ -49,6 +51,9 @@ pub struct OooCore {
     /// fetched yet (fetch is stalled on MSHR capacity). Maintained by
     /// the complex.
     fetch_barrier: Option<u64>,
+    /// `reach_time(budget)`: the first instant the budget is committed
+    /// under the current state. Every mutator recomputes it.
+    done_at: Time,
 }
 
 impl OooCore {
@@ -63,7 +68,7 @@ impl OooCore {
         assert!(!tpi.is_zero(), "time per instruction must be non-zero");
         assert!(rob > 0, "ROB must be non-empty");
         assert!(budget > 0, "instruction budget must be non-zero");
-        OooCore {
+        let mut core = OooCore {
             id,
             tpi,
             rob,
@@ -74,7 +79,10 @@ impl OooCore {
             // entries keep the miss path off the allocator.
             blocking: VecDeque::with_capacity(rob as usize),
             fetch_barrier: None,
-        }
+            done_at: Time::NEVER,
+        };
+        core.done_at = core.reach_time(budget);
+        core
     }
 
     /// This core's id.
@@ -106,16 +114,49 @@ impl OooCore {
         idx.min(self.budget)
     }
 
+    /// The first instant at which [`commit_idx`](Self::commit_idx)
+    /// reaches `target` if the state does not change, or [`Time::NEVER`]
+    /// while a pending load, the fetch barrier or the budget caps commit
+    /// below it.
+    fn reach_time(&self, target: u64) -> Time {
+        if self.blocking.front().is_some_and(|l| l.idx < target)
+            || self.fetch_barrier.is_some_and(|b| b < target)
+            || self.budget < target
+        {
+            return Time::NEVER;
+        }
+        if target < self.free_idx {
+            // Already reached: before `free_time` commit sits at
+            // `free_idx - 1`, after it at `free_idx` or beyond.
+            return Time::ZERO;
+        }
+        // Commit passes `free_idx` at `free_time` and gains one
+        // instruction per `tpi` from there.
+        self.tpi
+            .checked_mul(target - self.free_idx)
+            .and_then(|d| self.free_time.as_ps().checked_add(d.as_ps()))
+            .map_or(Time::NEVER, Time::from_ps)
+    }
+
     /// Declares that the instruction at `idx` has not been fetched, so
     /// commit cannot reach it (`None` clears the barrier). Set by the
     /// complex while an operation waits for MSHR capacity.
     pub fn set_fetch_barrier(&mut self, idx: Option<u64>) {
-        self.fetch_barrier = idx;
+        if self.fetch_barrier != idx {
+            self.fetch_barrier = idx;
+            self.done_at = self.reach_time(self.budget);
+        }
     }
 
     /// True once the budget has been committed.
     pub fn done(&self, now: Time) -> bool {
-        self.commit_idx(now) >= self.budget
+        debug_assert_eq!(
+            now >= self.done_at,
+            self.commit_idx(now) >= self.budget,
+            "cached done instant {} is stale at {now}",
+            self.done_at
+        );
+        now >= self.done_at
     }
 
     /// When the core will commit its budget, assuming no *new* blocking
@@ -139,6 +180,14 @@ impl OooCore {
     /// ROB at `now`?
     pub fn can_fetch(&self, idx: u64, now: Time) -> bool {
         idx < self.commit_idx(now).saturating_add(self.rob)
+    }
+
+    /// The first instant [`can_fetch`](Self::can_fetch) holds for `idx`
+    /// if the state does not change: when commit reaches
+    /// `idx + 1 - rob`. [`Time::NEVER`] while a pending load, the fetch
+    /// barrier or the budget caps commit below that point.
+    pub fn fetch_at(&self, idx: u64) -> Time {
+        self.reach_time((idx + 1).saturating_sub(self.rob))
     }
 
     /// Earliest instant an op at `idx` will fit in the ROB, assuming no
@@ -170,6 +219,7 @@ impl OooCore {
             line,
             done: None,
         });
+        self.done_at = self.reach_time(self.budget);
     }
 
     /// Marks every pending load on `line` as filled at `at` (misses to
@@ -203,6 +253,7 @@ impl OooCore {
             self.free_time = unblock + self.tpi;
             self.blocking.pop_front();
         }
+        self.done_at = self.reach_time(self.budget);
     }
 
     /// Number of in-flight demand loads.
@@ -310,6 +361,105 @@ mod tests {
         );
         c.push_blocking_load(50, LineAddr::new(1));
         assert_eq!(c.projected_done_time(Time::ZERO), None);
+    }
+
+    /// SplitMix64, the seeded sequence of the differential test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The first instant `holds` is true, by bisection over all of
+    /// time ([`Time::NEVER`] if it never is); `holds` must be monotone.
+    fn first_instant(holds: impl Fn(Time) -> bool) -> Time {
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        if !holds(Time::from_ps(hi)) {
+            return Time::NEVER;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if holds(Time::from_ps(mid)) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Time::from_ps(lo)
+    }
+
+    /// Checks the cached done instant and `fetch_at` against the first
+    /// instants found by bisecting `commit_idx`.
+    fn check_instants(c: &OooCore, probe_idx: &[u64]) {
+        let done = first_instant(|t| c.commit_idx(t) >= c.budget);
+        assert_eq!(c.done_at, done, "done instant of {c:?}");
+        // `Time::NEVER` stands for "not within time"; no run gets there.
+        for at in [done, Time::from_ps(done.as_ps().saturating_sub(1))]
+            .into_iter()
+            .filter(|&at| at < Time::NEVER)
+        {
+            assert_eq!(c.done(at), c.commit_idx(at) >= c.budget);
+        }
+        for &idx in probe_idx {
+            let fits = first_instant(|t| c.can_fetch(idx, t));
+            assert_eq!(c.fetch_at(idx), fits, "fetch instant of op {idx} in {c:?}");
+        }
+    }
+
+    /// Seeded sequences of loads, fills (merged ones too), fetch
+    /// barriers and settles, on budgets small enough that loads and
+    /// barriers land on both sides of the budget; after every mutation
+    /// the cached instants must equal the bisected ones.
+    #[test]
+    fn cached_instants_match_bisected_commit() {
+        let mut rng = Mix(3);
+        for round in 0..60 {
+            let budget = 1 + rng.below(if round % 2 == 0 { 400 } else { 4_000 });
+            let mut c = OooCore::new(CoreId(0), TPI, 196, budget);
+            let mut cursor = 0u64;
+            let mut now = Time::ZERO;
+            let mut lines: Vec<LineAddr> = Vec::new();
+            for _ in 0..80 {
+                match rng.below(5) {
+                    0 | 1 => {
+                        cursor = cursor.max(c.free_idx) + rng.below(150);
+                        let line = match lines.last() {
+                            Some(&l) if rng.below(4) == 0 => l,
+                            _ => LineAddr::new(rng.below(1 << 20)),
+                        };
+                        c.push_blocking_load(cursor, line);
+                        lines.push(line);
+                        cursor += 1;
+                    }
+                    2 if !lines.is_empty() => {
+                        now += Dur::from_ps(125 * rng.below(400));
+                        let line = lines.swap_remove(rng.below(lines.len() as u64) as usize);
+                        c.complete_line(line, now);
+                    }
+                    3 => {
+                        let barrier = (rng.below(3) != 0).then(|| cursor + rng.below(300));
+                        c.set_fetch_barrier(barrier);
+                    }
+                    _ => {
+                        now += Dur::from_ps(125 * rng.below(100));
+                        c.settle(now);
+                    }
+                }
+                let probes = [
+                    cursor,
+                    cursor + rng.below(400),
+                    c.free_idx + rng.below(200),
+                    rng.below(budget + 400),
+                ];
+                check_instants(&c, &probes);
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use std::collections::VecDeque;
 
+use fbd_types::search::partition_point_from_back;
 use fbd_types::time::{Dur, Time};
 
 use crate::command::ColKind;
@@ -82,10 +83,9 @@ impl DataBus {
         // The bursts are sorted and disjoint, so their ends never
         // decrease. A burst ending at least a clock (the largest bubble)
         // before `start` can neither hold the new burst nor push it
-        // later, so the scan starts after all of them.
-        let first = self
-            .bursts
-            .partition_point(|&(_, e, _)| e + self.clock <= start);
+        // later, so the scan starts after all of them. Queries land
+        // near the newest burst, so the search starts there.
+        let first = partition_point_from_back(&self.bursts, |&(_, e, _)| e + self.clock <= start);
         for &(b_start, b_end, b_dir) in self.bursts.range(first..) {
             // Room before this burst (respecting its turnaround bubble)?
             if start + len + self.bubble(dir, b_dir) <= b_start {
@@ -127,7 +127,7 @@ impl DataBus {
             self.earliest_fit(dir, start, end - start) == start,
             "data burst overlaps another or violates turnaround"
         );
-        let idx = self.bursts.partition_point(|&(s, _, _)| s <= start);
+        let idx = partition_point_from_back(&self.bursts, |&(s, _, _)| s <= start);
         self.bursts.insert(idx, (start, end, dir));
         self.busy += end - start;
         // Prune bursts too old to matter.
@@ -296,6 +296,38 @@ mod tests {
             }
         }
         assert!(b.horizon > Time::ZERO, "the history was never pruned");
+    }
+
+    /// A bus holding a full prune window of history, wrapped in its
+    /// ring, queried from the horizon up to past the newest burst.
+    #[test]
+    fn gap_search_matches_the_linear_reference_over_a_full_window() {
+        let clk = Dur::from_ns(3);
+        let mut b = bus();
+        let mut rng = Mix(5);
+        let mut at = Time::ZERO;
+        // Bursts with gaps of zero to three clocks: each fits only
+        // where it is put. Stop once the history spans the whole window
+        // and wraps around the end of the ring.
+        while b.horizon == Time::ZERO || b.bursts.as_slices().1.len() < 100 {
+            let dir = rng.dir();
+            let len = clk * (1 + rng.below(2));
+            at = b.earliest_fit(dir, at + clk * rng.below(4), len);
+            b.commit(dir, at, at + len);
+        }
+        let span = b.free_at() - b.horizon;
+        assert!(span >= PRUNE_WINDOW, "history spans only {span}");
+        for _ in 0..4_000 {
+            let (dir, len) = (rng.dir(), clk * (1 + rng.below(3)));
+            let back = Dur::from_ps(rng.below(span.as_ps() + 20_000));
+            let desired =
+                Time::from_ps((b.free_at().as_ps() + 10_000).saturating_sub(back.as_ps()));
+            assert_eq!(
+                b.earliest_fit(dir, desired, len),
+                b.earliest_fit_linear(dir, desired, len),
+                "{dir:?} burst of {len} wanting {desired}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 
+use fbd_types::search::partition_point_from_back;
 use fbd_types::time::{Dur, Time};
 
 /// How far behind the newest reservation the timeline keeps history.
@@ -80,7 +81,8 @@ impl Timeline {
         // The intervals are sorted and disjoint, so their ends never
         // decrease. One ending at or before `start` can neither hold the
         // window nor push it later, so the scan starts after all of them.
-        let first = self.busy.partition_point(|&(_, e)| e <= start);
+        // Probes land near the newest interval, so the search starts there.
+        let first = partition_point_from_back(&self.busy, |&(_, e)| e <= start);
         for &(b_start, b_end) in self.busy.range(first..) {
             if start + duration <= b_start {
                 break; // fits in the gap before this interval
@@ -141,7 +143,7 @@ impl Timeline {
 
     fn insert(&mut self, start: Time, end: Time) {
         // Find insertion point keeping the deque sorted by start.
-        let idx = self.busy.partition_point(|&(s, _)| s <= start);
+        let idx = partition_point_from_back(&self.busy, |&(s, _)| s <= start);
         self.busy.insert(idx, (start, end));
         // Merge adjacent/contiguous neighbours to bound the deque length.
         let mut i = idx.saturating_sub(1);

@@ -2,7 +2,8 @@
 //!
 //! This crate defines the time base, addresses, memory transactions,
 //! configuration structures (the paper's Tables 1 and 2) and statistics
-//! primitives used by every other crate in the workspace. It has no
+//! primitives used by every other crate in the workspace, plus the
+//! search shared by the sorted reservation histories. It has no
 //! dependencies and no simulation logic of its own.
 //!
 //! # Examples
@@ -28,6 +29,7 @@ pub mod ddr3_1066;
 pub mod error;
 pub mod registry;
 pub mod request;
+pub mod search;
 pub mod stats;
 pub mod substrate;
 pub mod time;
