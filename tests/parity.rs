@@ -21,13 +21,17 @@
 //! Last, cross-commit goldens: four runs must reproduce the outputs
 //! committed under `tests/golden/` byte for byte (host timings
 //! stripped), so a refactor is checked against the code it replaced.
+//! A library-level golden does the same for the memory layouts the CLI
+//! cannot select (two ranks per DIMM, refresh on, open page).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fbd_core::{RunResult, RunSpec};
-use fbd_telemetry::{json, Json};
+use fbd_telemetry::{json, Json, TelemetryConfig};
+use fbd_types::config::{Interleaving, MemoryConfig, PagePolicy, RefreshConfig};
+use fbd_types::stats::DramOpCounts;
 use fbd_types::substrate::substrates;
 
 const BUDGET: &str = "5000";
@@ -788,4 +792,112 @@ fn golden_compare_csv() {
         ],
         false,
     );
+}
+
+// Layout golden: the memory layouts no CLI golden reaches (two ranks
+// per DIMM, refresh on, open page) on the DDR2 and FB-DIMM datapaths.
+// They are exactly where the per-rank device indexing, refresh and the
+// per-rank energy fold live, so each is pinned through the library.
+
+/// The three layouts of [`golden_layouts_4c1`] applied to `base`.
+fn layouts(base: MemoryConfig) -> [(&'static str, MemoryConfig); 3] {
+    let mut ranks2 = base;
+    ranks2.ranks_per_dimm = 2;
+    let mut refresh = base;
+    refresh.refresh = RefreshConfig::ddr2_1gb();
+    let mut all = ranks2;
+    all.refresh = RefreshConfig::ddr2_1gb();
+    all.page_policy = PagePolicy::OpenPage;
+    all.interleaving = Interleaving::Page;
+    [
+        ("ranks2", ranks2),
+        ("refresh", refresh),
+        ("ranks2_refresh_open_page", all),
+    ]
+}
+
+/// The device-level results of one run: elapsed time, DRAM operation
+/// counts and active time, per-rank energy, the stage profile and the
+/// telemetry registry.
+fn layout_fingerprint(r: &RunResult) -> Json {
+    let ops = |o: &DramOpCounts| {
+        Json::Obj(vec![
+            ("act_pre".into(), Json::from(o.act_pre)),
+            ("col_reads".into(), Json::from(o.col_reads)),
+            ("col_writes".into(), Json::from(o.col_writes)),
+            ("refreshes".into(), Json::from(o.refreshes)),
+        ])
+    };
+    let ranks = r
+        .energy
+        .ranks
+        .iter()
+        .map(|e| {
+            Json::Obj(vec![
+                ("channel".into(), Json::from(e.channel)),
+                ("dimm".into(), Json::from(e.dimm)),
+                ("rank".into(), Json::from(e.rank)),
+                ("ops".into(), ops(&e.ops)),
+                ("active_ps".into(), Json::from(e.residency.active.as_ps())),
+                ("standby_ps".into(), Json::from(e.residency.standby.as_ps())),
+                (
+                    "powerdown_ps".into(),
+                    Json::from(e.residency.powerdown.as_ps()),
+                ),
+                ("dynamic_nj".into(), Json::from(e.dynamic_nj)),
+                ("background_nj".into(), Json::from(e.background_nj)),
+            ])
+        })
+        .collect();
+    let registry = r
+        .telemetry
+        .as_ref()
+        .expect("telemetry was enabled")
+        .registry
+        .to_json();
+    Json::Obj(vec![
+        ("elapsed_ps".into(), Json::from(r.elapsed.as_ps())),
+        ("dram_ops".into(), ops(&r.mem.dram_ops)),
+        (
+            "dram_active_time_ps".into(),
+            Json::from(r.mem.dram_active_time.as_ps()),
+        ),
+        ("rank_energy".into(), Json::Arr(ranks)),
+        ("profile".into(), r.profile.to_json()),
+        ("registry".into(), registry),
+    ])
+}
+
+#[test]
+fn golden_layouts_4c1() {
+    const FILE: &str = "layouts_4c1.json";
+    let mut doc = Vec::new();
+    for system in ["ddr2", "fbd", "fbd-ap"] {
+        let base = substrates().get(system).expect("registered").config();
+        for (layout, mem) in layouts(base) {
+            let r = RunSpec::paper_default(4)
+                .workload("4C-1")
+                .memory(mem)
+                .budget(20_000)
+                .telemetry(TelemetryConfig::default())
+                .run();
+            doc.push((format!("{system}/{layout}"), layout_fingerprint(&r)));
+        }
+    }
+    let fresh = Json::Obj(doc).to_json_pretty(2);
+    let golden = golden_path(FILE);
+    let want = std::fs::read_to_string(&golden).unwrap_or_default();
+    if fresh != want {
+        let out = tmp_path(FILE);
+        std::fs::write(&out, &fresh).expect("fresh layouts written");
+        let at = match (json::parse(&want), json::parse(&fresh)) {
+            (Ok(a), Ok(b)) => first_difference(&a, &b, "$").unwrap_or_else(|| "$".into()),
+            _ => "$ (golden missing or unreadable)".into(),
+        };
+        panic!(
+            "layout results no longer match tests/golden/{FILE}: first difference at {at}\n\
+             the fresh document is {}; copy it over the golden only for an intended change of results",
+            out.display()
+        );
+    }
 }
