@@ -1,36 +1,35 @@
-//! The Advanced Memory Buffer: prefetch buffer and per-DIMM engine.
+//! The Advanced Memory Buffer's prefetch buffer.
 //!
-//! This crate implements the DIMM-side half of the paper's proposal: the
-//! AMB cache ([`PrefetchBuffer`]) holding prefetched cachelines with FIFO
-//! replacement, and the AMB engine ([`AmbDimm`]) that executes
-//! single-line reads, K-line group fetches and writes against the DRAM
-//! devices of one DIMM.
+//! This crate implements the data side of the paper's AMB cache: the
+//! [`PrefetchBuffer`] holding prefetched cachelines with FIFO
+//! replacement. The DRAM devices an AMB drives, and the group fetch that
+//! fills the buffer, are `fbd_dram::RankGroup`; the controller's
+//! prefetch information table (`fbd-ctrl`) keeps one buffer per AMB and
+//! consults it.
 //!
 //! # Examples
 //!
-//! A group fetch costs one activation and K column accesses, and the
-//! demanded line is not delayed by the prefetched ones:
+//! The buffer keeps prefetched lines until FIFO replacement evicts them
+//! or a store invalidates them:
 //!
 //! ```
-//! use fbd_amb::AmbDimm;
-//! use fbd_types::config::DramTimings;
-//! use fbd_types::time::{Dur, Time};
+//! use fbd_amb::PrefetchBuffer;
+//! use fbd_types::config::AmbPrefetchConfig;
+//! use fbd_types::LineAddr;
 //!
-//! let mut dimm = AmbDimm::new(4, DramTimings::ddr2_table2(), Dur::from_ns(3), Dur::from_ns(6), true);
-//! let group = dimm.fetch_group(0, 42, 4, Time::ZERO);
-//! assert_eq!(dimm.ops().act_pre, 1);
-//! assert_eq!(dimm.ops().col_reads, 4);
-//! assert_eq!(group.demanded_ready, Time::from_ns(30)); // tRCD + tCL
+//! let mut buf = PrefetchBuffer::new(&AmbPrefetchConfig::paper_default());
+//! assert_eq!(buf.insert(LineAddr::new(7)), None);
+//! assert!(buf.on_hit(LineAddr::new(7)));
+//! assert!(buf.invalidate(LineAddr::new(7)));
+//! assert!(!buf.contains(LineAddr::new(7)));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod buffer;
-pub mod engine;
 
 pub use buffer::PrefetchBuffer;
-pub use engine::{AmbDimm, GroupFetchOutcome, ReadOutcome, WriteOutcome};
 
 #[cfg(all(test, feature = "proptest"))]
 mod proptests {

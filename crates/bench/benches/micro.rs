@@ -167,7 +167,8 @@ fn bench_dram_earliest_fit(c: &mut Criterion) {
 fn bench_amb_fetch_group(c: &mut Criterion) {
     let timings = fbd_types::config::DramTimings::ddr2_table2();
     c.bench_function("amb/fetch_group", |b| {
-        let mut dimm = fbd_amb::AmbDimm::new(4, timings, Dur::from_ns(3), Dur::from_ns(6), true);
+        let mut dimm =
+            fbd_dram::RankGroup::new(1, 4, timings, Dur::from_ns(3), Dur::from_ns(6), true);
         let mut now = Time::ZERO;
         let mut bank = 0usize;
         b.iter(|| {
@@ -175,9 +176,9 @@ fn bench_amb_fetch_group(c: &mut Criterion) {
             // A K = 4 region fetch per demand miss, each arriving as the
             // previous one's demanded line is ready, so the private bus
             // keeps a full prune window of history behind the fills.
-            let out = dimm.fetch_group_at(0, bank, 7, 4, now);
-            now = out.demanded_ready;
-            black_box(out.fill_done)
+            let (demanded, fill_done) = dimm.fetch_group(0, bank, 7, 4, now);
+            now = demanded.data_start;
+            black_box(fill_done)
         })
     });
 }

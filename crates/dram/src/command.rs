@@ -70,6 +70,14 @@ impl AccessPlan {
         self.act_at.is_some()
     }
 
+    /// Instant the bank started serving this access: the activate when
+    /// the row had to be opened, otherwise the column command. Time
+    /// before this is bank-availability wait (or, on FB-DIMM, the AMB
+    /// buffering a posted write until its bank can take the drain).
+    pub fn service_start(&self) -> Time {
+        self.act_at.unwrap_or(self.cmd_at)
+    }
+
     /// Instant the first DRAM command of this plan issues: the
     /// precharge when a conflicting row must close, else the activate,
     /// else the column command. Time before this is queueing/bank wait,
