@@ -141,11 +141,41 @@ impl Timeline {
         self.prune(start);
     }
 
+    /// Adds the free window `[start, end)`, merged with the neighbours
+    /// it touches. The kept intervals never touch one another, so the
+    /// new window can join only the interval just before it and the one
+    /// just after it; back-to-back reservations, the common case, extend
+    /// a neighbour in place instead of shifting the deque.
     fn insert(&mut self, start: Time, end: Time) {
-        // Find insertion point keeping the deque sorted by start.
+        // The first interval starting after `start`, and the one before.
+        let idx = partition_point_from_back(&self.busy, |&(s, _)| s <= start);
+        let left = idx.checked_sub(1).filter(|&i| self.busy[i].1 >= start);
+        let right = (idx < self.busy.len() && end >= self.busy[idx].0).then_some(idx);
+        debug_assert!(
+            idx == 0 || self.busy[idx - 1].1 <= start,
+            "overlapping reservations"
+        );
+        debug_assert!(
+            idx == self.busy.len() || end <= self.busy[idx].0,
+            "overlapping reservations"
+        );
+        match (left, right) {
+            (Some(l), Some(r)) => {
+                self.busy[l].1 = self.busy[r].1;
+                self.busy.remove(r);
+            }
+            (Some(l), None) => self.busy[l].1 = end,
+            (None, Some(r)) => self.busy[r].0 = start,
+            (None, None) => self.busy.insert(idx, (start, end)),
+        }
+    }
+
+    /// Reference for [`insert`](Self::insert): insert, then merge every
+    /// touching pair from the new window's left neighbour to the end.
+    #[cfg(test)]
+    fn insert_linear(&mut self, start: Time, end: Time) {
         let idx = partition_point_from_back(&self.busy, |&(s, _)| s <= start);
         self.busy.insert(idx, (start, end));
-        // Merge adjacent/contiguous neighbours to bound the deque length.
         let mut i = idx.saturating_sub(1);
         while i + 1 < self.busy.len() {
             let (s1, e1) = self.busy[i];
@@ -309,6 +339,50 @@ mod tests {
             }
         }
         assert!(t.horizon > Time::ZERO, "the history was never pruned");
+    }
+
+    #[test]
+    fn in_place_merge_matches_the_linear_reference() {
+        let clk = Dur::from_ns(3);
+        let (mut fast, mut slow) = (tl(), tl());
+        let mut rng = Mix(7);
+        let mut now = Time::ZERO;
+        // Windows joining no neighbour, the left one, the right one, both.
+        let mut cases = [0u32; 4];
+        for _ in 0..20_000 {
+            let len = clk * (1 + rng.below(3));
+            let n = fast.busy.len() as u64;
+            let not_before = match rng.below(4) {
+                // Back-to-back behind the newest window.
+                0 => fast.free_after(),
+                // Ending where one of the newest windows starts, which
+                // fills the gap before it when the gap is `len` long.
+                1 if n > 0 => {
+                    let (s, _) = fast.busy[(n - 1 - rng.below(n.min(16))) as usize];
+                    Time::from_ps(s.as_ps().saturating_sub(len.as_ps()))
+                }
+                // Ahead of the newest window, leaving a gap.
+                2 => fast.free_after() + clk * (1 + rng.below(8)),
+                _ => now + Dur::from_ps(500 * rng.below(60)),
+            };
+            let at = fast.probe(not_before, len);
+            assert_eq!(at, slow.probe(not_before, len));
+            let left = fast.busy.iter().any(|&(_, e)| e == at);
+            let right = fast.busy.iter().any(|&(s, _)| s == at + len);
+            cases[2 * usize::from(left) + usize::from(right)] += 1;
+            fast.insert(at, at + len);
+            fast.prune(at);
+            slow.insert_linear(at, at + len);
+            slow.prune(at);
+            assert_eq!(fast.busy, slow.busy, "after reserving {len} at {at}");
+            assert_eq!(fast.horizon, slow.horizon);
+            now += Dur::from_ps(500 * rng.below(24));
+        }
+        assert!(
+            cases.iter().all(|&n| n >= 100),
+            "every merge case is exercised: {cases:?}"
+        );
+        assert!(fast.horizon > Time::ZERO, "the history was never pruned");
     }
 
     #[test]
