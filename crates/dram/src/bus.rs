@@ -15,9 +15,9 @@
 //!
 //! In FB-DIMM every DIMM has a private bus (one `DataBus` per DIMM); in
 //! the conventional DDR2 baseline all DIMMs on a channel share one bus
-//! (one `DataBus` per channel). The scope is chosen by the caller, which
-//! is exactly the bandwidth asymmetry the paper's AMB prefetching
-//! exploits.
+//! (one `DataBus` per channel). The scope is chosen by how many ranks
+//! the caller puts in one [`RankGroup`](crate::RankGroup), which is
+//! exactly the bandwidth asymmetry the paper's AMB prefetching exploits.
 
 use std::collections::VecDeque;
 

@@ -2,7 +2,7 @@
 //!
 //! Unlike FB-DIMM, a DDR2 channel is a stub bus shared by all DIMMs: one
 //! command bus carrying a single command per clock, and one bidirectional
-//! data bus (modelled by `fbd_dram::DataBus` at channel scope). This
+//! data bus (the bus of the channel's one `fbd_dram::RankGroup`). This
 //! module provides the command-bus arbitration; the data bus itself lives
 //! in the DRAM crate because its timing rules (tWTR, turnaround) are DRAM
 //! rules.
