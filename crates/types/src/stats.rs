@@ -327,10 +327,6 @@ pub struct MemStats {
     pub hw_prefetch_reads: u64,
     /// Writes retired to DRAM.
     pub writes: u64,
-    /// Writes that reached the read execution path (a dispatch bug or a
-    /// malformed replay trace); they are re-routed onto the write path
-    /// and counted here instead of panicking in release runs.
-    pub misrouted_writes: u64,
     /// Reads (demand or software prefetch) served from the AMB prefetch
     /// buffer.
     pub amb_hits: u64,
@@ -390,7 +386,6 @@ impl MemStats {
         self.sw_prefetch_reads += other.sw_prefetch_reads;
         self.hw_prefetch_reads += other.hw_prefetch_reads;
         self.writes += other.writes;
-        self.misrouted_writes += other.misrouted_writes;
         self.amb_hits += other.amb_hits;
         self.lines_prefetched += other.lines_prefetched;
         self.row_hits += other.row_hits;
