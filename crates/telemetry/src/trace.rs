@@ -27,15 +27,18 @@ pub const TID_NORTH: u32 = 1;
 pub fn tid_dimm(dimm: usize) -> u32 {
     10 + dimm as u32
 }
-/// `tid` of the power-mode track for DIMM `d` within a channel.
-pub fn tid_power(dimm: usize) -> u32 {
-    100 + dimm as u32
+/// `tid` of the power-mode track for the rank in device slot `slot`
+/// (`dimm * ranks_per_dimm + rank`) within a channel.
+pub fn tid_power(slot: usize) -> u32 {
+    100 + slot as u32
 }
-/// `tid` of the DRAM command track for `bank` of DIMM `dimm` within a
-/// channel. Bank tracks start at 10 000 so they sort below the
-/// per-DIMM and power tracks; 100 tids are reserved per DIMM.
-pub fn tid_bank(dimm: usize, bank: usize) -> u32 {
-    10_000 + dimm as u32 * 100 + bank as u32
+/// `tid` of the DRAM command track for `bank` of the rank in device
+/// slot `slot` (`dimm * ranks_per_dimm + rank`) within a channel, so
+/// each rank's banks draw on tracks of their own. Bank tracks start at
+/// 10 000 so they sort below the per-DIMM and power tracks; 100 tids
+/// are reserved per slot.
+pub fn tid_bank(slot: usize, bank: usize) -> u32 {
+    10_000 + slot as u32 * 100 + bank as u32
 }
 
 /// One trace event argument: a key plus a JSON-able value.

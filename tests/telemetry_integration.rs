@@ -2,9 +2,11 @@
 //! sampler, and event tracer enabled, cross-checked against the
 //! simulator's own statistics.
 
+use std::collections::HashMap;
+
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::{drive, MemorySystem, System};
-use fbd_telemetry::{json, MetricValue, TelemetryConfig};
+use fbd_telemetry::{json, Json, MetricValue, TelemetryConfig};
 use fbd_types::config::{MemoryConfig, SystemConfig};
 use fbd_types::request::{AccessKind, CoreId, MemRequest};
 use fbd_types::time::{Dur, Time};
@@ -272,4 +274,79 @@ fn sampled_open_loop_ends_with_an_epoch_series_and_unchanged_results() {
     });
     let (_, rows) = drive_plain_and_sampled(&cfg, reads.into_iter(), Dur::from_ns(10));
     assert!(!rows.is_empty());
+}
+
+#[test]
+fn two_rank_bank_tracks_never_overlap() {
+    use fbd_core::RunSpec;
+    use fbd_types::substrate::substrates;
+    for system in ["ddr2", "fbd"] {
+        let mut mem = substrates().get(system).expect("registered").config();
+        mem.ranks_per_dimm = 2;
+        let r = RunSpec::paper_default(4)
+            .workload("4C-1")
+            .memory(mem)
+            .budget(20_000)
+            .telemetry(TelemetryConfig {
+                sample_interval: None,
+                trace: true,
+            })
+            .run();
+        let doc = r
+            .telemetry
+            .and_then(|t| t.tracer)
+            .expect("tracing enabled")
+            .to_chrome_trace();
+        let events = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("traceEvents array");
+        let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).expect(key);
+        // Each bank track's spans, in whole picoseconds (the trace
+        // carries microseconds).
+        let ps = |us: f64| (us * 1e6).round() as u64;
+        let mut tracks: HashMap<(u64, u64), Vec<(u64, u64)>> = HashMap::new();
+        let mut names = Vec::new();
+        for e in events {
+            let tid = e.get("tid").and_then(Json::as_f64).unwrap_or(0.0);
+            if tid < 10_000.0 {
+                continue;
+            }
+            match e.get("ph").and_then(Json::as_str) {
+                Some("M") => names.push(
+                    e.get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(Json::as_str)
+                        .expect("track name")
+                        .to_string(),
+                ),
+                Some("X") => {
+                    let start = ps(num(e, "ts"));
+                    tracks
+                        .entry((num(e, "pid") as u64, tid as u64))
+                        .or_default()
+                        .push((start, start + ps(num(e, "dur"))));
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            names.iter().any(|n| n == "dimm0 rank1 bank0"),
+            "{system}: two-rank bank tracks are named by rank"
+        );
+        let mut spans = 0;
+        for list in tracks.values_mut() {
+            list.sort_unstable();
+            spans += list.len();
+            for pair in list.windows(2) {
+                assert!(
+                    pair[1].0 >= pair[0].1,
+                    "{system}: bank spans {:?} and {:?} overlap on one track",
+                    pair[0],
+                    pair[1]
+                );
+            }
+        }
+        assert!(spans > 0, "{system}: no bank spans traced");
+    }
 }
