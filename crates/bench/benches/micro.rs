@@ -2,8 +2,9 @@
 //! mapping, AMB-cache operations and tag lookups, the hit-first
 //! scheduler pick, DRAM plan/commit, the data-bus gap search over a
 //! full history window, AMB region fetches, link reservations, an
-//! eight-core CPU pump with seven cores parked, and a short end-to-end
-//! run. These track the
+//! eight-core CPU pump with seven cores parked, one read/write
+//! transaction through the memory system on FBD-AP and on DDR2, and a
+//! short end-to-end run. These track the
 //! *simulator's* performance (simulation throughput), complementing the
 //! figure benches that track the *simulated system's* performance.
 
@@ -266,6 +267,45 @@ fn bench_cpu_pump(c: &mut Criterion) {
     });
 }
 
+/// One transaction per iteration through the memory system's public
+/// path (`submit`, `decide_into` at its ready instant, `complete`), on
+/// an otherwise idle channel: a sequential read stream with every
+/// fourth transaction a write to a separate region. On FBD-AP the reads
+/// alternate group fetches and AMB hits; on DDR2 every transaction takes
+/// the shared-bus access.
+fn bench_memsys_decide(c: &mut Criterion) {
+    for (name, cfg) in [
+        ("memsys/decide_fbd_ap", MemoryConfig::fbdimm_with_prefetch()),
+        ("memsys/decide_ddr2", MemoryConfig::ddr2_default()),
+    ] {
+        c.bench_function(name, |b| {
+            let mut mem = fbd_core::MemorySystem::new(&cfg);
+            let mut issued = Vec::new();
+            let (mut now, mut i) = (Time::ZERO, 0u64);
+            b.iter(|| {
+                i += 1;
+                let (kind, line) = if i % 4 == 0 {
+                    (AccessKind::Write, (1 << 20) + i)
+                } else {
+                    (AccessKind::DemandRead, i)
+                };
+                let req = MemRequest::new(RequestId(i), CoreId(0), kind, LineAddr::new(line), now);
+                let (ch, ready) = mem.submit(req);
+                issued.clear();
+                mem.decide_into(ch, ready, &mut issued);
+                assert_eq!(issued.len(), 1, "an idle channel issues at once");
+                mem.complete(ch);
+                // The next transaction arrives as this one completes.
+                now = match issued[0] {
+                    fbd_core::Issued::Read { resp } => resp.completion,
+                    fbd_core::Issued::Write { done } => done,
+                };
+                black_box(now)
+            })
+        });
+    }
+}
+
 fn bench_full_system(c: &mut Criterion) {
     let mut group = c.benchmark_group("system");
     group.sample_size(10);
@@ -314,6 +354,7 @@ criterion_group!(
     bench_amb_fetch_group,
     bench_timeline,
     bench_cpu_pump,
+    bench_memsys_decide,
     bench_full_system
 );
 criterion_main!(benches);
