@@ -276,77 +276,128 @@ fn sampled_open_loop_ends_with_an_epoch_series_and_unchanged_results() {
     assert!(!rows.is_empty());
 }
 
+/// A traced 4C-1 run at budget 20k on `mem`.
+fn traced_4c1(mem: MemoryConfig) -> fbd_core::RunResult {
+    fbd_core::RunSpec::paper_default(4)
+        .workload("4C-1")
+        .memory(mem)
+        .budget(20_000)
+        .telemetry(TelemetryConfig {
+            sample_interval: None,
+            trace: true,
+        })
+        .run()
+}
+
+/// A span on one bank track: start and end in whole picoseconds (the
+/// trace carries microseconds), and the command name.
+type BankSpan = (u64, u64, String);
+
+/// Each bank track's spans, keyed by `(pid, tid)`.
+type BankTracks = HashMap<(u64, u64), Vec<BankSpan>>;
+
+/// The bank tracks (`tid >= 10000`) of `r`'s trace: their metadata
+/// names, and each track's `X` spans keyed by `(pid, tid)`, sorted.
+fn bank_tracks(r: fbd_core::RunResult) -> (Vec<String>, BankTracks) {
+    let doc = r
+        .telemetry
+        .and_then(|t| t.tracer)
+        .expect("tracing enabled")
+        .to_chrome_trace();
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents array");
+    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).expect(key);
+    let text = |e: Option<&Json>| e.and_then(Json::as_str).expect("a string").to_string();
+    let ps = |us: f64| (us * 1e6).round() as u64;
+    let mut tracks = BankTracks::new();
+    let mut names = Vec::new();
+    for e in events {
+        let tid = e.get("tid").and_then(Json::as_f64).unwrap_or(0.0);
+        if tid < 10_000.0 {
+            continue;
+        }
+        match e.get("ph").and_then(Json::as_str) {
+            Some("M") => names.push(text(e.get("args").and_then(|a| a.get("name")))),
+            Some("X") => {
+                let start = ps(num(e, "ts"));
+                tracks
+                    .entry((num(e, "pid") as u64, tid as u64))
+                    .or_default()
+                    .push((start, start + ps(num(e, "dur")), text(e.get("name"))));
+            }
+            _ => {}
+        }
+    }
+    for list in tracks.values_mut() {
+        list.sort_unstable();
+    }
+    (names, tracks)
+}
+
+/// Asserts that no two spans named by `keep` overlap on one bank track
+/// and returns how many such spans the tracks hold.
+fn assert_disjoint(system: &str, tracks: &BankTracks, keep: impl Fn(&str) -> bool) -> usize {
+    let mut spans = 0;
+    for list in tracks.values() {
+        let kept: Vec<&BankSpan> = list.iter().filter(|s| keep(&s.2)).collect();
+        spans += kept.len();
+        for pair in kept.windows(2) {
+            assert!(
+                pair[1].0 >= pair[0].1,
+                "{system}: bank spans {:?} and {:?} overlap on one track",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+    spans
+}
+
 #[test]
 fn two_rank_bank_tracks_never_overlap() {
-    use fbd_core::RunSpec;
     use fbd_types::substrate::substrates;
     for system in ["ddr2", "fbd"] {
         let mut mem = substrates().get(system).expect("registered").config();
         mem.ranks_per_dimm = 2;
-        let r = RunSpec::paper_default(4)
-            .workload("4C-1")
-            .memory(mem)
-            .budget(20_000)
-            .telemetry(TelemetryConfig {
-                sample_interval: None,
-                trace: true,
-            })
-            .run();
-        let doc = r
-            .telemetry
-            .and_then(|t| t.tracer)
-            .expect("tracing enabled")
-            .to_chrome_trace();
-        let events = doc
-            .get("traceEvents")
-            .and_then(|e| e.as_array())
-            .expect("traceEvents array");
-        let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).expect(key);
-        // Each bank track's spans, in whole picoseconds (the trace
-        // carries microseconds).
-        let ps = |us: f64| (us * 1e6).round() as u64;
-        let mut tracks: HashMap<(u64, u64), Vec<(u64, u64)>> = HashMap::new();
-        let mut names = Vec::new();
-        for e in events {
-            let tid = e.get("tid").and_then(Json::as_f64).unwrap_or(0.0);
-            if tid < 10_000.0 {
-                continue;
-            }
-            match e.get("ph").and_then(Json::as_str) {
-                Some("M") => names.push(
-                    e.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Json::as_str)
-                        .expect("track name")
-                        .to_string(),
-                ),
-                Some("X") => {
-                    let start = ps(num(e, "ts"));
-                    tracks
-                        .entry((num(e, "pid") as u64, tid as u64))
-                        .or_default()
-                        .push((start, start + ps(num(e, "dur"))));
-                }
-                _ => {}
-            }
-        }
+        let (names, tracks) = bank_tracks(traced_4c1(mem));
         assert!(
             names.iter().any(|n| n == "dimm0 rank1 bank0"),
             "{system}: two-rank bank tracks are named by rank"
         );
-        let mut spans = 0;
-        for list in tracks.values_mut() {
-            list.sort_unstable();
-            spans += list.len();
-            for pair in list.windows(2) {
+        let spans = assert_disjoint(system, &tracks, |_| true);
+        assert!(spans > 0, "{system}: no bank spans traced");
+    }
+}
+
+/// An open-page FB-DIMM row conflict's precharge is drawn on its bank
+/// track, as on DDR2, since the power model charges it active on both.
+/// Each `PRE` runs up to its own `ACT`, and a bank's row commands never
+/// overlap. (Open-page column spans may: a row hit's column command
+/// issues while the previous burst is still in flight, and the bank
+/// can precharge before the last burst ends.)
+#[test]
+fn open_page_row_conflicts_draw_their_precharge() {
+    use fbd_types::config::{Interleaving, PagePolicy};
+    use fbd_types::substrate::substrates;
+    let mut mem = substrates().get("fbd").expect("registered").config();
+    mem.page_policy = PagePolicy::OpenPage;
+    mem.interleaving = Interleaving::Page;
+    let (_, tracks) = bank_tracks(traced_4c1(mem));
+    let row_cmd = |name: &str| name == "PRE" || name == "ACT";
+    assert!(assert_disjoint("fbd", &tracks, row_cmd) > 0);
+    let mut pres = 0;
+    for list in tracks.values() {
+        for (i, (_, end, name)) in list.iter().enumerate() {
+            if name == "PRE" {
+                pres += 1;
                 assert!(
-                    pair[1].0 >= pair[0].1,
-                    "{system}: bank spans {:?} and {:?} overlap on one track",
-                    pair[0],
-                    pair[1]
+                    list[i + 1..].iter().any(|(s, _, n)| n == "ACT" && s == end),
+                    "fbd: a PRE ending at {end} ps is not followed by its ACT"
                 );
             }
         }
-        assert!(spans > 0, "{system}: no bank spans traced");
     }
+    assert!(pres > 0, "fbd: no PRE spans traced");
 }
