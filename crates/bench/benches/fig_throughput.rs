@@ -18,8 +18,9 @@
 //! When built with `--features alloc-count`, a final section counts
 //! heap allocations across the steady-state window of the hot loop
 //! (after the first 1000 retired requests, until the budget is
-//! exhausted) for `1C-swim` on DDR2 and on FBD-AP and for `8C-1` on
-//! FBD-AP, and asserts each count is exactly zero.
+//! exhausted) for `1C-swim` on DDR2 and on FBD-AP, for `8C-1` on
+//! FBD-AP and for a long `1C-parser` on DDR2, and asserts each count is
+//! exactly zero.
 //!
 //! Output: `BENCH_throughput.json` in `$FBD_OUT_DIR` (or the working
 //! directory), which is created before the first row runs. The file is
@@ -209,14 +210,19 @@ fn overhead_section() -> Json {
 }
 
 /// Runs the steady-state allocation gate covers, as (system, workload,
-/// cores, label): one core streaming `1C-swim` on the DDR2 baseline
-/// (shared command and data bus) and on FBD-AP (link, AMB prefetch),
-/// and eight cores of `8C-1` on FBD-AP, which keep the transaction
-/// queue full and churn the AMB tags and the L2 MSHR table hardest.
-const STEADY_RUNS: [(Variant, &str, u32, &str); 3] = [
-    (Variant::Ddr2, "1C-swim", 1, "DDR2"),
-    (Variant::FbdAp, "1C-swim", 1, "FBD-AP"),
-    (Variant::FbdAp, "8C-1", 8, "FBD-AP 8C-1"),
+/// cores, label, least budget per core): one core streaming `1C-swim`
+/// on the DDR2 baseline (shared command and data bus) and on FBD-AP
+/// (link, AMB prefetch); eight cores of `8C-1` on FBD-AP, which keep
+/// the transaction queue full and churn the AMB tags and the L2 MSHR
+/// table hardest; and one core of `1C-parser` on DDR2 for 2M
+/// instructions, long enough for a rank's power-mode tracker to see
+/// thousands of distinct busy spans (close page rarely merges them), so
+/// a tracker that kept its history would grow in the window.
+const STEADY_RUNS: [(Variant, &str, u32, &str, u64); 4] = [
+    (Variant::Ddr2, "1C-swim", 1, "DDR2", 100_000),
+    (Variant::FbdAp, "1C-swim", 1, "FBD-AP", 100_000),
+    (Variant::FbdAp, "8C-1", 8, "FBD-AP 8C-1", 100_000),
+    (Variant::Ddr2, "1C-parser", 1, "DDR2 1C-parser", 2_000_000),
 ];
 
 /// Runs each of `STEADY_RUNS` under the counting allocator and returns
@@ -225,16 +231,17 @@ const STEADY_RUNS: [(Variant, &str, u32, &str); 3] = [
 /// is exactly zero. Requires `--features alloc-count`; without it the
 /// section reports `null` and gates nothing.
 fn steady_alloc_section() -> Json {
-    // Big enough to retire well over the 1000 requests that open the
-    // steady-state window (1C-swim ≈ 30 memory ops / 1000 instr); the
-    // budget is per core.
-    let exp = fbd_core::experiment::ExperimentConfig {
-        budget: default_budget().max(100_000),
+    // Each budget is big enough to retire well over the 1000 requests
+    // that open the steady-state window (1C-swim ≈ 30 memory ops / 1000
+    // instr); it is per core. `budget` reports the short rows' budget.
+    let exp_for = |least: u64| fbd_core::experiment::ExperimentConfig {
+        budget: default_budget().max(least),
         ..experiment()
     };
     let mut total = Some(0);
     let mut systems = Vec::new();
-    for (variant, workload, cores, label) in STEADY_RUNS {
+    for (variant, workload, cores, label, least) in STEADY_RUNS {
+        let exp = exp_for(least);
         let spec = RunSpec::new(system(variant, cores))
             .workload(workload)
             .experiment(exp)
@@ -259,7 +266,7 @@ fn steady_alloc_section() -> Json {
         systems.push((label.to_string(), steady.map_or(Json::Null, Json::from)));
     }
     Json::Obj(vec![
-        ("budget".into(), Json::from(exp.budget)),
+        ("budget".into(), Json::from(exp_for(100_000).budget)),
         // Summed over `systems`, so one key gates them all.
         (
             "steady_allocations".into(),

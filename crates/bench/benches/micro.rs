@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the simulator's hot paths: address
 //! mapping, AMB-cache operations and tag lookups, the hit-first
 //! scheduler pick, DRAM plan/commit, the data-bus gap search over a
-//! full history window, AMB region fetches, link reservations, an
+//! full history window, AMB region fetches, a rank's power-mode
+//! tracker over a close-page stream, link reservations, an
 //! eight-core CPU pump with seven cores parked, one read/write
 //! transaction through the memory system on FBD-AP and on DDR2, and a
 //! short end-to-end run. These track the
@@ -184,6 +185,39 @@ fn bench_amb_fetch_group(c: &mut Criterion) {
     });
 }
 
+/// One rank's power-mode tracker fed a close-page DDR2-like stream:
+/// each decision plans one 42 ns ACT-to-burst window a few ns ahead
+/// (every eighth waits for its bank and lands past the next few), at a
+/// pitch that leaves standby gaps and power-down gaps, runs a 127.5 ns
+/// refresh window every tREFI (7.8 µs) first when one is due, and
+/// settles the tracker at the decision instant.
+fn bench_power_note_busy(c: &mut Criterion) {
+    let (t_refi, t_rfc) = (Dur::from_ns(7_800), Dur::from_ps(127_500));
+    c.bench_function("power/note_busy", |b| {
+        let mut tracker = fbd_power::PowerModeTracker::new(Dur::from_ns(30));
+        let mut now = Time::ZERO;
+        let mut refresh_at = Time::ZERO + t_refi;
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            now += Dur::from_ns(if i.is_multiple_of(3) { 120 } else { 50 });
+            if refresh_at <= now {
+                tracker.note_busy(refresh_at, refresh_at + t_rfc);
+                tracker.settle(now, |span| {
+                    black_box(span);
+                });
+                refresh_at += t_refi;
+            }
+            let start = now + Dur::from_ns(if i.is_multiple_of(8) { 200 } else { 3 });
+            tracker.note_busy(start, start + Dur::from_ns(42));
+            tracker.settle(now, |span| {
+                black_box(span);
+            });
+            black_box(tracker.unsettled())
+        })
+    });
+}
+
 fn bench_timeline(c: &mut Criterion) {
     c.bench_function("link/timeline_reserve", |b| {
         let mut tl = fbd_link::Timeline::new(Dur::from_ns(3));
@@ -352,6 +386,7 @@ criterion_group!(
     bench_dram_plan_commit,
     bench_dram_earliest_fit,
     bench_amb_fetch_group,
+    bench_power_note_busy,
     bench_timeline,
     bench_cpu_pump,
     bench_memsys_decide,
