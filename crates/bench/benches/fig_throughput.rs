@@ -11,9 +11,11 @@
 //!
 //! The overhead section then certifies the profiler cost claims: a run
 //! with an attached-but-disabled profiler must be within 2% of a run
-//! with no profiler at all, and an *enabled* profiler within 10% (min
-//! of 5 trials each) — stride-sampled marks keep the enabled hot path
-//! off the monotonic clock on most iterations.
+//! with no profiler at all, and an *enabled* profiler within 10%, since
+//! stride-sampled marks keep the enabled hot path off the monotonic
+//! clock on most iterations. Each bound applies to the median over 15
+//! rounds of an arm's wall over the no-profiler wall of the same round;
+//! a round alternates four runs of each arm.
 //!
 //! When built with `--features alloc-count`, a final section counts
 //! heap allocations across the steady-state window of the hot loop
@@ -60,9 +62,13 @@ const VARIANTS: [Variant; 4] = [
     Variant::FbdApfl,
 ];
 
-/// Overhead trials per configuration; the minimum is reported (least
-/// scheduler noise).
-const OVERHEAD_TRIALS: usize = 5;
+/// Overhead rounds. Each round times every arm [`RUNS_PER_ROUND`]
+/// times and yields one paired ratio per profiler arm.
+const OVERHEAD_ROUNDS: usize = 15;
+
+/// Runs of each arm per round, alternating between the arms, so that
+/// the host's short slowdowns fall on every arm of a round alike.
+const RUNS_PER_ROUND: usize = 4;
 
 fn throughput_row(variant: Variant, workload: &str, intensity: &str) -> (Json, f64) {
     let spec = RunSpec::new(system(variant, 1))
@@ -136,25 +142,49 @@ fn wall_s(spec: &RunSpec) -> f64 {
     elapsed
 }
 
-/// Per-arm minimum wall time over [`OVERHEAD_TRIALS`] rounds, with the
-/// arms interleaved round-robin inside each round: host-machine speed
-/// drifts on the scale of seconds, so back-to-back blocks of one arm
-/// would attribute that drift to the profiler. Interleaving exposes
-/// every arm to the same drift.
-fn min_walls(specs: &[&RunSpec]) -> Vec<f64> {
-    let mut mins = vec![f64::INFINITY; specs.len()];
-    for _ in 0..OVERHEAD_TRIALS {
-        for (min, spec) in mins.iter_mut().zip(specs) {
-            *min = min.min(wall_s(spec));
+/// Wall times over [`OVERHEAD_ROUNDS`] rounds, one list per arm: a
+/// round's entry is the sum of its [`RUNS_PER_ROUND`] runs of the arm.
+/// Within a round the arms alternate run by run, each pass starting one
+/// arm later than the pass before, so no arm always runs first; host
+/// speed drifts on the scale of seconds, so the arms of one round see
+/// about the same host.
+fn round_walls(specs: &[&RunSpec]) -> Vec<Vec<f64>> {
+    let arms = specs.len();
+    let mut walls = vec![Vec::with_capacity(OVERHEAD_ROUNDS); arms];
+    for round in 0..OVERHEAD_ROUNDS {
+        let mut sums = vec![0.0; arms];
+        for pass in 0..RUNS_PER_ROUND {
+            for k in 0..arms {
+                let arm = (round * RUNS_PER_ROUND + pass + k) % arms;
+                sums[arm] += wall_s(specs[arm]);
+            }
+        }
+        for (arm, sum) in walls.iter_mut().zip(sums) {
+            arm.push(sum);
         }
     }
-    mins
+    walls
+}
+
+/// The first quartile, median and third quartile of `v` (linear
+/// interpolation between order statistics).
+fn quartiles(v: &[f64]) -> [f64; 3] {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let x = q * (s.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        s[lo] + (s[hi] - s[lo]) * (x - lo as f64)
+    })
+}
+
+fn quartiles_json(q: [f64; 3]) -> Json {
+    Json::Arr(q.map(Json::from).to_vec())
 }
 
 fn overhead_section() -> Json {
-    // Big enough that the `none` arm's min-of-5 wall is at least about
-    // 100 ms (0.15 s for 1C-swim on FBD-AP on a 2-vCPU VM), so the 2 ms
-    // floor below cannot hide a 2% cost.
+    // Big enough that a round's `none` wall is about 0.3 s (1C-swim on
+    // FBD-AP on a 2-vCPU VM), so the floor below is about 0.6%.
     let exp = fbd_core::experiment::ExperimentConfig {
         budget: default_budget().max(2_000_000),
         ..experiment()
@@ -171,41 +201,69 @@ fn overhead_section() -> Json {
     let enabled = base
         .clone()
         .host_profiler(Arc::new(HostProfiler::enabled()));
-    let mins = min_walls(&[&base, &disabled, &enabled]);
-    let (none_s, disabled_s, enabled_s) = (mins[0], mins[1], mins[2]);
-    let disabled_ratio = disabled_s / none_s;
-    let enabled_ratio = enabled_s / none_s;
+    let walls = round_walls(&[&base, &disabled, &enabled]);
+    // Paired per round: a round's arms share the host's speed of the
+    // moment, which the ratio divides out.
+    let ratios =
+        |arm: &[f64]| -> Vec<f64> { arm.iter().zip(&walls[0]).map(|(a, n)| a / n).collect() };
+    let [none_q, disabled_q, enabled_q] = [0, 1, 2].map(|arm| quartiles(&walls[arm]));
+    let disabled_rq = quartiles(&ratios(&walls[1]));
+    let enabled_rq = quartiles(&ratios(&walls[2]));
+    let (disabled_ratio, enabled_ratio) = (disabled_rq[1], enabled_rq[1]);
+    // A 2 ms absolute floor, as a fraction of the `none` arm's median
+    // round wall, keeps timer and scheduler granularity from deciding.
+    let floor = 0.002 / none_q[1];
     println!(
-        "overhead (min of {OVERHEAD_TRIALS}, {} instr): none {none_s:.3}s, \
-         disabled profiler {disabled_s:.3}s ({:+.2}%), enabled {enabled_s:.3}s ({:+.2}%)",
+        "overhead (median of {OVERHEAD_ROUNDS} rounds of {RUNS_PER_ROUND} runs, {} instr): \
+         none {:.3}s, \
+         disabled profiler {:.3}s ({:+.2}% [{:+.2}..{:+.2}]), \
+         enabled {:.3}s ({:+.2}% [{:+.2}..{:+.2}])",
         exp.budget,
+        none_q[1],
+        disabled_q[1],
         (disabled_ratio - 1.0) * 100.0,
-        (enabled_ratio - 1.0) * 100.0
+        (disabled_rq[0] - 1.0) * 100.0,
+        (disabled_rq[2] - 1.0) * 100.0,
+        enabled_q[1],
+        (enabled_ratio - 1.0) * 100.0,
+        (enabled_rq[0] - 1.0) * 100.0,
+        (enabled_rq[2] - 1.0) * 100.0,
     );
     // The zero-cost gate: an attached-but-disabled profiler must be
-    // free. A 2ms absolute floor keeps sub-millisecond smoke budgets
-    // from tripping on scheduler jitter alone.
+    // free.
     assert!(
-        disabled_s <= none_s * 1.02 + 0.002,
+        disabled_ratio <= 1.02 + floor,
         "disabled host profiler costs {:.2}% (> 2% budget)",
         (disabled_ratio - 1.0) * 100.0
     );
     // The enabled profiler is allowed real cost, but stride-sampled
     // marks must keep it under 10% (the pre-sampling hot path cost
-    // ≈40%). Same absolute floor as above for tiny budgets.
+    // ≈40%). Same floor as above.
     assert!(
-        enabled_s <= none_s * 1.10 + 0.002,
+        enabled_ratio <= 1.10 + floor,
         "enabled host profiler costs {:.2}% (> 10% budget)",
         (enabled_ratio - 1.0) * 100.0
     );
     Json::Obj(vec![
-        ("trials".into(), Json::from(OVERHEAD_TRIALS)),
+        ("rounds".into(), Json::from(OVERHEAD_ROUNDS)),
+        ("runs_per_round".into(), Json::from(RUNS_PER_ROUND)),
         ("budget".into(), Json::from(exp.budget)),
-        ("none_s".into(), Json::from(none_s)),
-        ("disabled_s".into(), Json::from(disabled_s)),
-        ("enabled_s".into(), Json::from(enabled_s)),
+        // Medians over the rounds (walls are round sums), then
+        // [p25, median, p75] of each arm's round wall and ratio.
+        ("none_s".into(), Json::from(none_q[1])),
+        ("disabled_s".into(), Json::from(disabled_q[1])),
+        ("enabled_s".into(), Json::from(enabled_q[1])),
         ("disabled_ratio".into(), Json::from(disabled_ratio)),
         ("enabled_ratio".into(), Json::from(enabled_ratio)),
+        ("floor".into(), Json::from(floor)),
+        ("none_s_quartiles".into(), quartiles_json(none_q)),
+        ("disabled_s_quartiles".into(), quartiles_json(disabled_q)),
+        ("enabled_s_quartiles".into(), quartiles_json(enabled_q)),
+        (
+            "disabled_ratio_quartiles".into(),
+            quartiles_json(disabled_rq),
+        ),
+        ("enabled_ratio_quartiles".into(), quartiles_json(enabled_rq)),
     ])
 }
 

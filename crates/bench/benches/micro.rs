@@ -2,7 +2,8 @@
 //! mapping, AMB-cache operations and tag lookups, the hit-first
 //! scheduler pick, DRAM plan/commit, the data-bus gap search over a
 //! full history window, AMB region fetches, a rank's power-mode
-//! tracker over a close-page stream, link reservations, an
+//! tracker over a close-page stream, the event wheel under a
+//! closed-loop push/pop stream, link reservations, an
 //! eight-core CPU pump with seven cores parked, one read/write
 //! transaction through the memory system on FBD-AP and on DDR2, and a
 //! short end-to-end run. These track the
@@ -218,6 +219,85 @@ fn bench_power_note_busy(c: &mut Criterion) {
     });
 }
 
+/// A 16-byte stand-in for the closed simulation loop's crate-private
+/// event, with its variants in the same order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum WheelEvent {
+    Decide(u32),
+    ReadDone(u32, u64, bool),
+    WriteDone(u32),
+    Wake,
+}
+
+/// The event wheel under a seeded stream shaped like `mc8-fbdap`'s, on
+/// a 3 ns clock: eight channels keep up to 16 transfers in flight each.
+/// A completion pushes a deduped decision for its channel at its own
+/// instant. A decision with room issues one transfer (a read, every
+/// fourth a write) completing 60–600 ns ahead, pushes its channel's
+/// next decision 1–3 clocks on through `push_n`, a deduped decision for
+/// another channel at once and, one time in four, a front-end wake a
+/// few clocks on; a full channel's decision is idle. One
+/// iteration pops until a decision issues: one simulated request, with
+/// about three deduped decision pushes, one completion push and a few
+/// pops, over buckets 1–12 entries deep.
+fn bench_event_wheel(c: &mut Criterion) {
+    use fbd_core::events::EventWheel;
+    const CLK: u64 = 3_000;
+    const CHANNELS: u32 = 8;
+    const IN_FLIGHT: u32 = 16;
+    assert_eq!(std::mem::size_of::<WheelEvent>(), 16);
+    c.bench_function("events/wheel_push_pop", |b| {
+        let mut q = EventWheel::new();
+        let mut in_flight = [0u32; CHANNELS as usize];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for ch in 0..CHANNELS {
+            q.push(Time::ZERO, WheelEvent::Decide(ch), true);
+        }
+        let mut line = 0u64;
+        b.iter(|| loop {
+            let (now, ev, _) = q.pop().expect("completions keep the stream going");
+            match ev {
+                WheelEvent::Decide(ch) if in_flight[ch as usize] < IN_FLIGHT => {
+                    in_flight[ch as usize] += 1;
+                    line += 1;
+                    let done = now + Dur::from_ps(CLK * (20 + rand(181)));
+                    let ev = if line.is_multiple_of(4) {
+                        WheelEvent::WriteDone(ch)
+                    } else {
+                        WheelEvent::ReadDone(ch, line, false)
+                    };
+                    q.push(done, ev, false);
+                    let next = now + Dur::from_ps(CLK * (1 + rand(3)));
+                    q.push_n(next, WheelEvent::Decide(ch), 1 + rand(2) as u32);
+                    let other = rand(u64::from(CHANNELS)) as u32;
+                    q.push(now, WheelEvent::Decide(other), true);
+                    if rand(4) == 0 {
+                        let wake = now + Dur::from_ps(CLK * (1 + rand(8)));
+                        q.push(wake, WheelEvent::Wake, false);
+                    }
+                    break black_box(now);
+                }
+                WheelEvent::ReadDone(ch, line, dropped) => {
+                    black_box((line, dropped));
+                    in_flight[ch as usize] -= 1;
+                    q.push(now, WheelEvent::Decide(ch), true);
+                }
+                WheelEvent::WriteDone(ch) => {
+                    in_flight[ch as usize] -= 1;
+                    q.push(now, WheelEvent::Decide(ch), true);
+                }
+                WheelEvent::Decide(_) | WheelEvent::Wake => {}
+            }
+        })
+    });
+}
+
 fn bench_timeline(c: &mut Criterion) {
     c.bench_function("link/timeline_reserve", |b| {
         let mut tl = fbd_link::Timeline::new(Dur::from_ns(3));
@@ -387,6 +467,7 @@ criterion_group!(
     bench_dram_earliest_fit,
     bench_amb_fetch_group,
     bench_power_note_busy,
+    bench_event_wheel,
     bench_timeline,
     bench_cpu_pump,
     bench_memsys_decide,

@@ -233,7 +233,7 @@ impl Engine {
             };
             // A completion never lands between the runs of a deduped
             // decision, which the loop's count replay relies on.
-            debug_assert!(at > self.now, "a transfer completes after its decision");
+            assert!(at > self.now, "a transfer completes after its decision");
             self.finished = self.finished.max(at);
             self.events.push(at.max(self.now), ev, false);
         }

@@ -19,12 +19,28 @@
 //!   golden-parity suite byte-compares the two.
 //!
 //! Both pop events in strictly nondecreasing `(Time, T)` order, with
-//! same-timestamp events ordered by `T`'s `Ord` — the wheel reproduces
-//! the heap's ordering exactly (bucket slots are min-scanned by the
-//! full `(Time, T)` key), which is what makes the byte-identity gate
-//! possible.
+//! same-timestamp events ordered by `T`'s `Ord`, which is what makes the
+//! byte-identity gate possible. The wheel keeps each bucket ordered by
+//! the full `(Time, T)` key as entries arrive: an insert scans back from
+//! the bucket's latest entry to its place (new events are nearly always
+//! the latest, so the scan usually stops at once) and merges a deduped
+//! push into an identical entry on the way; a pop takes the bucket's
+//! head and advances a per-bucket head index, never scanning.
+//!
+//! *Ties.* Two entries with the same `(Time, T)` key can sit in one
+//! bucket only if at least one was pushed without `dedup`, and then the
+//! wheel may pop them in either order, while the heap pops the copies
+//! one by one. That cannot change a result: a caller that runs the
+//! handler `count` times per pop, with nothing between runs that depends
+//! on how the runs are split into pops, sees the same sequence of
+//! handler runs whichever identical entry pops first. The simulation
+//! loop is such a caller: it dedups every decision push, so a bucket
+//! holds at most one entry per decision key, and the identical entries
+//! of its non-deduped pushes (completions, the front end's wake) differ
+//! only in their counts and are handled `count` times with no
+//! forwarding break between runs.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use fbd_types::time::Time;
@@ -40,10 +56,12 @@ const SLOTS: usize = 1024;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Occupancy bitmap: one bit per slot, 64 slots per word.
 const OCC_WORDS: usize = SLOTS / 64;
-/// Initial capacity of each bucket (256 KiB total at 16 B/entry for a
-/// `u32`-sized event). A 4096 ps bucket holds at most a couple of
-/// clock edges' worth of events per channel, so growth past this is
-/// rare — pre-sizing keeps the steady-state hot loop allocation-free
+/// Initial capacity of each bucket (512 KiB total for the simulation
+/// loop's 32 B entries: a 16 B `Event`, its 8 B time and 4 B count,
+/// padded). A 4096 ps bucket holds at most a couple of clock edges'
+/// worth of events per channel, so growth past this is rare, and a full
+/// bucket with popped entries at its front is compacted instead of
+/// grown — pre-sizing keeps the steady-state hot loop allocation-free
 /// (the ring reuses bucket capacity as the window wraps).
 const SLOT_CAP: usize = 16;
 
@@ -52,11 +70,19 @@ const SLOT_CAP: usize = 16;
 /// [`EventWheel::push_n`]).
 type Entry<T> = (Time, T, u32);
 
+/// One time bucket: its live entries are `entries[head..]`, ascending
+/// by `(Time, T)`; `entries[..head]` were popped and are dead.
+#[derive(Debug)]
+struct Bucket<T> {
+    entries: Vec<Entry<T>>,
+    head: usize,
+}
+
 /// Windowed calendar queue keyed on clock-aligned time buckets.
 #[derive(Debug)]
 pub struct EventWheel<T> {
     /// Ring of buckets; index = absolute slot & [`SLOT_MASK`].
-    slots: Vec<Vec<Entry<T>>>,
+    slots: Vec<Bucket<T>>,
     /// Two-level occupancy: bit per slot (ring index order).
     occ: [u64; OCC_WORDS],
     /// First absolute slot of the current window.
@@ -82,9 +108,12 @@ impl<T: Ord + Copy> EventWheel<T> {
     /// An empty wheel with its window based at time zero.
     pub fn new() -> EventWheel<T> {
         EventWheel {
-            slots: std::iter::repeat_with(|| Vec::with_capacity(SLOT_CAP))
-                .take(SLOTS)
-                .collect(),
+            slots: std::iter::repeat_with(|| Bucket {
+                entries: Vec::with_capacity(SLOT_CAP),
+                head: 0,
+            })
+            .take(SLOTS)
+            .collect(),
             occ: [0; OCC_WORDS],
             wbase: 0,
             cursor: 0,
@@ -115,20 +144,42 @@ impl<T: Ord + Copy> EventWheel<T> {
 
     fn insert(&mut self, at: Time, ev: T, n: u32, dedup: bool) {
         let abs = Self::abs_slot(at);
-        debug_assert!(abs >= self.cursor, "event scheduled before the cursor");
+        // An ordered bucket would silently misorder an event in the past.
+        assert!(abs >= self.cursor, "event scheduled before the cursor");
         if abs >= self.wbase + SLOTS as u64 {
             self.overflow.push(Reverse((at, ev, n)));
             return;
         }
         let idx = (abs & SLOT_MASK) as usize;
-        let slot = &mut self.slots[idx];
-        if dedup {
-            if let Some(e) = slot.iter_mut().find(|e| e.0 == at && e.1 == ev) {
-                e.2 += n;
-                return;
+        let b = &mut self.slots[idx];
+        // Scan back from the latest live entry to the first one not
+        // after (at, ev); an identical one absorbs a deduped push, and a
+        // non-deduped copy goes after it.
+        let mut pos = b.entries.len();
+        while pos > b.head {
+            let e = &mut b.entries[pos - 1];
+            match e.0.cmp(&at).then_with(|| e.1.cmp(&ev)) {
+                Ordering::Greater => pos -= 1,
+                Ordering::Equal if dedup => {
+                    e.2 += n;
+                    return;
+                }
+                _ => break,
             }
         }
-        slot.push((at, ev, n));
+        if pos == b.head && b.head > 0 {
+            // Before every live entry: reuse the dead slot in front.
+            b.head -= 1;
+            b.entries[b.head] = (at, ev, n);
+        } else {
+            if b.entries.len() == b.entries.capacity() && b.head > 0 {
+                // Full with dead entries in front: compact, don't grow.
+                b.entries.drain(..b.head);
+                pos -= b.head;
+                b.head = 0;
+            }
+            b.entries.insert(pos, (at, ev, n));
+        }
         self.len += 1;
         self.occ[idx >> 6] |= 1u64 << (idx & 63);
     }
@@ -146,20 +197,16 @@ impl<T: Ord + Copy> EventWheel<T> {
             }
             let abs = self.next_occupied().expect("len > 0 implies a set bit");
             let idx = (abs & SLOT_MASK) as usize;
-            let slot = &mut self.slots[idx];
-            // Min-scan by the full (Time, T) key: several distinct times
-            // (and same-time events of different kinds) share a bucket,
-            // and the pop order must match the reference heap's.
-            let (min_i, _) = slot
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.0, e.1))
-                .expect("occupied slot");
-            let entry = slot.swap_remove(min_i);
-            self.len -= 1;
-            if slot.is_empty() {
+            let b = &mut self.slots[idx];
+            // The bucket is ordered, so its head is its minimum.
+            let entry = b.entries[b.head];
+            b.head += 1;
+            if b.head == b.entries.len() {
+                b.entries.clear();
+                b.head = 0;
                 self.occ[idx >> 6] &= !(1u64 << (idx & 63));
             }
+            self.len -= 1;
             self.cursor = abs;
             return Some(entry);
         }
@@ -303,6 +350,122 @@ mod tests {
             heap.push(t(ps), ev, false);
         }
         assert_eq!(drain(&mut wheel), drain(&mut heap));
+    }
+
+    /// A wheel and the reference heap fed the same pushes; each pop
+    /// takes one wheel entry and as many heap entries as its count, and
+    /// records both count-expanded.
+    struct Twins {
+        wheel: EventWheel<u32>,
+        heap: EventQueue<u32>,
+        got: Vec<(u64, u32)>,
+        want: Vec<(u64, u32)>,
+    }
+
+    impl Twins {
+        fn push(&mut self, at: u64, ev: u32, n: u32, dedup: bool) {
+            if dedup {
+                self.wheel.push_n(t(at), ev, n);
+                self.heap.push_n(t(at), ev, n);
+            } else {
+                self.wheel.push(t(at), ev, false);
+                self.heap.push(t(at), ev, false);
+            }
+        }
+
+        /// The popped time, or `None` once the wheel is empty.
+        fn pop(&mut self) -> Option<u64> {
+            let Some((at, ev, n)) = self.wheel.pop() else {
+                assert_eq!(self.heap.pop(), None, "the heap outlived the wheel");
+                return None;
+            };
+            for _ in 0..n {
+                self.got.push((at.as_ps(), ev));
+                let (h_at, h_ev, _) = self.heap.pop().expect("the heap ran dry first");
+                self.want.push((h_at.as_ps(), h_ev));
+            }
+            Some(at.as_ps())
+        }
+    }
+
+    #[test]
+    fn wheel_matches_heap_with_deduped_pushes_interleaved_with_pops() {
+        // Events 0..8 stand for deduped decisions; 100.. for completions
+        // and 200.. for far-future events, pushed without dedup (so
+        // identical copies meet) or counted.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut q = Twins {
+            wheel: EventWheel::new(),
+            heap: EventQueue::Heap(BinaryHeap::new()),
+            got: Vec::new(),
+            want: Vec::new(),
+        };
+
+        // One bucket past SLOT_CAP: fill it, pop a few so dead entries
+        // sit in front, then push more. A push before every live entry
+        // reuses the dead slot in front; one after them into the full
+        // bucket compacts it in place; the later ones grow it.
+        let base = 40 << SLOT_SHIFT;
+        for i in 0..SLOT_CAP as u64 {
+            q.push(base + 100 * i, (i % 8) as u32, 1, false);
+        }
+        let mut now = 0;
+        for _ in 0..4 {
+            now = q.pop().unwrap();
+        }
+        let bucket = &q.wheel.slots[40];
+        assert_eq!((bucket.head, bucket.entries.len()), (4, SLOT_CAP));
+        q.push(now + 50, 3, 1, false);
+        assert_eq!(q.wheel.slots[40].head, 3);
+        q.push(base + 100 * SLOT_CAP as u64, 3, 1, false);
+        let bucket = &q.wheel.slots[40];
+        assert_eq!((bucket.head, bucket.entries.capacity()), (0, SLOT_CAP));
+        for i in 0..2 * SLOT_CAP as u64 {
+            let at = now + rand(base + 4096 - now);
+            q.push(at, rand(8) as u32, 1 + (i % 3) as u32, i % 2 == 0);
+        }
+        assert!(q.wheel.slots[40].entries.len() > SLOT_CAP);
+
+        for _ in 0..6_000 {
+            // Deduped decisions at now, into the bucket being popped
+            // (some sorting before the entry just popped), and a counted
+            // one a few clocks on.
+            q.push(now, rand(8) as u32, 1, true);
+            q.push(
+                now + 3_000 * rand(4),
+                rand(8) as u32,
+                1 + rand(3) as u32,
+                true,
+            );
+            // A completion 60–600 ns ahead; now and then a copy of it.
+            let done = now + 60_000 + rand(540_000);
+            let ev = 100 + rand(4) as u32;
+            q.push(done, ev, 1, false);
+            if rand(10) == 0 {
+                q.push(done, ev, 1, false);
+            }
+            // Past the window, re-bucketed when the window advances.
+            if rand(40) == 0 {
+                let far = now + 5_000_000 + rand(50_000_000);
+                q.push(far, 200 + rand(2) as u32, 1, rand(2) == 0);
+            }
+            for _ in 0..rand(6) {
+                match q.pop() {
+                    Some(at) => now = at,
+                    None => break,
+                }
+            }
+        }
+        while q.pop().is_some() {}
+        assert!(q.got.len() > 20_000, "only {} events popped", q.got.len());
+        assert!(q.wheel.wbase > 0, "the window never advanced");
+        assert_eq!(q.got, q.want);
     }
 
     #[test]
