@@ -2,9 +2,9 @@
 //!
 //! A small SRAM attached to each AMB, holding prefetched cachelines
 //! (paper §3.2). The *data* lives on the DIMM; the *tags* live in the
-//! memory controller's prefetch information table — but both sides
-//! describe the same content, so the simulator keeps one structure per
-//! AMB and the controller consults it.
+//! memory controller — but both sides describe the same content, so
+//! the simulator keeps one structure per AMB, owned by the controller's
+//! channel that drives the AMB.
 //!
 //! Replacement is FIFO by default: "LRU is not suitable for AMB cache
 //! because a hit block may be cached in the processor and will not be
@@ -108,6 +108,26 @@ impl PrefetchBuffer {
         }
         self.index.insert(line);
         evicted
+    }
+
+    /// Records the prefetched lines of a group fetch landing in the
+    /// buffer. Returns how many lines went in (a duplicate refreshes its
+    /// position and still counts: it consumed fetch bandwidth) and how
+    /// many resident lines the fill displaced; evictions of never-used
+    /// lines are the waste the paper's prefetch-efficiency metric
+    /// exposes.
+    pub fn fill<I>(&mut self, lines: I) -> (u64, u64)
+    where
+        I: IntoIterator<Item = LineAddr>,
+    {
+        let (mut inserted, mut evicted) = (0, 0);
+        for line in lines {
+            if self.insert(line).is_some() {
+                evicted += 1;
+            }
+            inserted += 1;
+        }
+        (inserted, evicted)
     }
 
     /// Removes `line` (a processor write made the prefetched copy
@@ -231,6 +251,29 @@ mod tests {
         assert!(!buf.contains(LineAddr::new(7)));
         assert!(!buf.invalidate(LineAddr::new(7)));
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn fill_reports_inserted_and_evicted() {
+        let mut buf = full_fifo(4);
+        let lines = [1, 2, 3].map(LineAddr::new);
+        assert_eq!(buf.fill(lines), (3, 0));
+        assert_eq!(buf.len(), 3);
+        // A line already resident still counts as inserted, and the
+        // buffer does not grow.
+        assert_eq!(buf.fill([LineAddr::new(3)]), (1, 0));
+        assert_eq!(buf.len(), 3);
+        assert!(buf.contains(LineAddr::new(1)));
+    }
+
+    #[test]
+    fn overfilling_a_buffer_counts_evictions() {
+        let mut buf = PrefetchBuffer::new(&AmbPrefetchConfig::paper_default());
+        let capacity = buf.capacity() as u64;
+        let (inserted, evicted) = buf.fill((0..2 * capacity).map(LineAddr::new));
+        assert_eq!(inserted, 2 * capacity);
+        assert_eq!(evicted, capacity);
+        assert_eq!(buf.len() as u64, capacity);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! This crate implements the data side of the paper's AMB cache: the
 //! [`PrefetchBuffer`] holding prefetched cachelines with FIFO
 //! replacement. The DRAM devices an AMB drives, and the group fetch that
-//! fills the buffer, are `fbd_dram::RankGroup`; the controller's
-//! prefetch information table (`fbd-ctrl`) keeps one buffer per AMB and
-//! consults it.
+//! fills the buffer, are `fbd_dram::RankGroup`; each channel of the
+//! memory system (`fbd-core`) keeps one buffer per AMB as the
+//! controller-resident tags and consults it before sending a command.
 //!
 //! # Examples
 //!

@@ -12,9 +12,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use fbd_amb::PrefetchBuffer;
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::RunSpec;
-use fbd_ctrl::{MappedAddr, PrefetchTable, QueueEntry, SchedClass};
+use fbd_ctrl::{MappedAddr, QueueEntry, SchedClass};
 use fbd_types::config::{MemoryConfig, SystemConfig};
 use fbd_types::request::{AccessKind, CoreId, MemRequest, RequestId};
 use fbd_types::time::{Dur, Time};
@@ -52,15 +53,15 @@ fn bench_amb_cache(c: &mut Criterion) {
 /// Lookups in a full 64-line fully associative AMB buffer (the
 /// paper's default), alternating a resident and an absent line.
 fn bench_amb_would_hit(c: &mut Criterion) {
-    let mut table = PrefetchTable::new(&MemoryConfig::fbdimm_with_prefetch());
-    table.fill(0, 0, (0..64).map(|i| LineAddr::new(4 * i)));
+    let mut buf = PrefetchBuffer::new(&MemoryConfig::fbdimm_with_prefetch().amb);
+    buf.fill((0..64).map(|i| LineAddr::new(4 * i)));
     let mut i = 0u64;
     c.bench_function("amb_cache/would_hit", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
             // Even `i`: a resident line; odd: the line after it.
             let line = LineAddr::new(4 * (i % 64) + (i & 1));
-            black_box(table.would_hit(0, 0, line))
+            black_box(buf.contains(line))
         })
     });
 }
@@ -94,14 +95,15 @@ fn bench_sched_pick(c: &mut Criterion) {
             }
         })
         .collect();
-    let mut table = PrefetchTable::new(&cfg);
-    for dimm in 0..cfg.dimms_per_channel {
-        table.fill(0, dimm, (0..64).map(|i| LineAddr::new(1_000_000 + i)));
+    let mut amb = vec![PrefetchBuffer::new(&cfg.amb); cfg.dimms_per_channel as usize];
+    for buf in &mut amb {
+        buf.fill((0..64).map(|i| LineAddr::new(1_000_000 + i)));
     }
     let hit = &bucket[20];
-    table.fill(0, hit.mapped.dimm, [hit.req.line]);
+    amb[hit.mapped.dimm as usize].fill([hit.req.line]);
     let mut classify = |e: &QueueEntry| {
-        if e.req.kind.is_read() && table.would_hit(0, e.mapped.dimm, e.req.line) {
+        let buf = amb.get(e.mapped.dimm as usize);
+        if e.req.kind.is_read() && buf.is_some_and(|b| b.contains(e.req.line)) {
             SchedClass::Hit
         } else if e.mapped.bank.is_multiple_of(2) {
             SchedClass::Ready

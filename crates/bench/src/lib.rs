@@ -9,7 +9,8 @@
 //!
 //! Budgets: benches default to 300k instructions per core (the paper
 //! uses 100M-instruction SimPoints, which is hours of wall-clock per
-//! figure). Set `FBD_BUDGET=<n>` or `FBD_PAPER_MODE=1` to lengthen runs.
+//! figure). Set `FBD_BUDGET=<n>` to lengthen runs (`FBD_BUDGET=2000000`
+//! for the longer, more stable runs).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -29,7 +30,7 @@ use fbd_workloads::{paper_workloads, Workload, PROFILES};
 
 /// Run-control parameters for benches: seed 42, automatic L2 warm-up,
 /// and the instruction budget from [`default_budget`] (so `FBD_BUDGET`
-/// and `FBD_PAPER_MODE=1` keep working).
+/// keeps working).
 pub fn experiment() -> ExperimentConfig {
     ExperimentConfig {
         budget: default_budget(),
@@ -378,7 +379,7 @@ pub fn banner(figure: &str, what: &str, exp: &ExperimentConfig) {
     println!();
     println!("=== {figure}: {what} ===");
     println!(
-        "budget: {} instructions/core, seed {} (FBD_BUDGET / FBD_PAPER_MODE=1 to lengthen)",
+        "budget: {} instructions/core, seed {} (FBD_BUDGET=<n> to lengthen)",
         exp.budget, exp.seed
     );
     println!();

@@ -118,17 +118,13 @@ impl Default for ExperimentConfig {
 /// The paper simulates 100 M-instruction SimPoints; that is hours of
 /// wall-clock across 27 workloads × many configurations, so benches
 /// default to 300k instructions (results are stable well before that).
-/// Set `FBD_BUDGET=<n>` to override, or `FBD_PAPER_MODE=1` for 2M.
+/// Set `FBD_BUDGET=<n>` to override (`FBD_BUDGET=2000000` for the
+/// longer, more stable runs).
 pub fn default_budget() -> u64 {
-    if let Ok(v) = std::env::var("FBD_BUDGET") {
-        if let Ok(n) = v.parse::<u64>() {
-            return n.max(1);
-        }
-    }
-    match std::env::var("FBD_PAPER_MODE") {
-        Ok(v) if v == "1" => 2_000_000,
-        _ => 300_000,
-    }
+    std::env::var("FBD_BUDGET")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .map_or(300_000, |n| n.max(1))
 }
 
 /// Complete specification of one simulation run: the system

@@ -1,17 +1,18 @@
 //! The complete memory subsystem: controller policy wired to a datapath.
 //!
-//! One [`MemorySystem`] owns the address mapper, the transaction queue,
-//! the refresh manager (when refresh is on) and the prefetch
-//! information table (when prefetching is on), and orchestrates one
-//! channel per logical channel.
+//! One [`MemorySystem`] owns the address mapper and the transaction
+//! queue, and orchestrates one channel per logical channel.
 //! The queue is Table 1's single 64-entry buffer: it keeps which entry
 //! belongs to which channel (one bucket each, under the shared
 //! capacity) and the FIFO backlog of requests that arrived while it was
-//! full. Each channel owns its scheduler, its ranks' power-mode
-//! trackers, its dropped-prefetch re-issue queue, its link and its DRAM
-//! devices. The devices are the same on both datapaths, a table of
-//! [`RankGroup`]s indexed by the `dimm * ranks + rank` slot; only their
-//! bus scope and the link in front differ:
+//! full. Everything else a channel's decisions touch is the channel's
+//! own: its scheduler, its AMBs' prefetch-buffer tags (paper §3.2: "the
+//! memory controller holds the tag part of the cache"), its refresh
+//! manager and patrol scrub, its ranks' power-mode trackers, its
+//! dropped-prefetch re-issue queue, its traffic counters, its link and
+//! its DRAM devices. The devices are the same on both datapaths, a
+//! table of [`RankGroup`]s indexed by the `dimm * ranks + rank` slot;
+//! only their bus scope and the link in front differ:
 //!
 //! * **FB-DIMM**: southbound/northbound links ([`fbd_link::FbdChannel`])
 //!   in front of one group per DIMM, each on its AMB's private bus;
@@ -38,9 +39,10 @@
 
 use std::collections::VecDeque;
 
+use fbd_amb::PrefetchBuffer;
 use fbd_ctrl::{
-    schedulers, FillOutcome, InterleavedMapper, MappedAddr, PatrolScrub, PrefetchTable, QueueEntry,
-    RefreshOp, SchedClass, SchedulerPolicy, StaggeredRefresh, TransactionQueue,
+    schedulers, InterleavedMapper, MappedAddr, PatrolScrub, QueueEntry, RefreshOp, SchedClass,
+    SchedulerPolicy, StaggeredRefresh, TransactionQueue,
 };
 use fbd_dram::{AccessPlan, ColKind, RankGroup};
 use fbd_faults::{FaultCounters, FaultReport, SilentErrorReport};
@@ -177,6 +179,17 @@ struct Channel {
     /// (bounded by the recovery state's budget; stays empty unless
     /// re-issue is configured).
     reissue: VecDeque<LineAddr>,
+    /// The tags of each AMB's prefetch buffer, indexed by DIMM; empty
+    /// when AMB prefetching is off, so `amb.get(dimm)` is `None`
+    /// exactly then.
+    amb: Vec<PrefetchBuffer>,
+    /// Decides when each DIMM refreshes; `None` when the config turns
+    /// refresh off.
+    refresh: Option<StaggeredRefresh>,
+    /// Patrol scrubbing; `None` unless the config selects it.
+    scrub: Option<PatrolScrub>,
+    /// Read by [`MemorySystem::channel_counters`].
+    counts: ChannelCounters,
 }
 
 /// Always-on per-channel traffic counters. These stay outside the
@@ -306,7 +319,7 @@ impl MemTel {
         first: &AccessPlan,
         lines: u32,
         fill_done: Time,
-        fill: &FillOutcome,
+        (inserted, evicted): (u64, u64),
     ) {
         let ch = m.channel;
         let ids = self.chans[ch as usize].dimms[m.dimm as usize];
@@ -314,8 +327,8 @@ impl MemTel {
             self.tel.registry.add(ids.acts, 1);
         }
         self.tel.registry.add(ids.reads, u64::from(lines));
-        self.tel.registry.add(self.pf_fills, fill.inserted);
-        self.tel.registry.add(self.pf_evictions, fill.evicted);
+        self.tel.registry.add(self.pf_fills, inserted);
+        self.tel.registry.add(self.pf_evictions, evicted);
         if let Some(tr) = self.tel.tracer.as_mut() {
             let tid = tid_bank(slot, first.bank);
             row_commands(tr, ch, tid, first);
@@ -326,7 +339,7 @@ impl MemTel {
                 tid,
                 first.cmd_at,
                 fill_done - first.cmd_at,
-                vec![("prefetched", Json::from(fill.inserted))],
+                vec![("prefetched", Json::from(inserted))],
             );
         }
     }
@@ -388,9 +401,10 @@ fn count_frames(host: &HostHandle, xfer: &LinkXfer) {
     }
 }
 
-/// Closed-loop recovery state: the poison set fed by CRC escapes, the
-/// background scrub policy, and the dropped-prefetch re-issue budget
-/// (the queues themselves are per [`Channel`]).
+/// Closed-loop recovery state shared by every channel: the poison set
+/// fed by CRC escapes, the recovery counters and the dropped-prefetch
+/// re-issue budget (the scrub policies and re-issue queues themselves
+/// are per [`Channel`]).
 ///
 /// Lives behind an `Option` that stays `None` unless fault injection
 /// with a finite CRC, scrubbing, or re-issue is configured, so the
@@ -398,9 +412,6 @@ fn count_frames(host: &HostHandle, xfer: &LinkXfer) {
 /// byte-identical to a build without this subsystem.
 #[derive(Debug)]
 struct Reliability {
-    /// Patrol scrubbing; `None` when only poison tracking or re-issue
-    /// is active.
-    scrub: Option<PatrolScrub>,
     /// Lines whose last transfer escaped the CRC: silently corrupted
     /// in memory until a clean overwrite or a scrub repairs them.
     poisoned: LineSet,
@@ -436,18 +447,13 @@ pub struct MemorySystem {
     mapper: InterleavedMapper,
     /// The shared Table 1 buffer: per-channel buckets plus the backlog.
     queue: TransactionQueue,
-    /// Decides when each DIMM refreshes; `None` when the config turns
-    /// refresh off.
-    refresh: Option<StaggeredRefresh>,
     /// Scratch buffer reused across [`Self::run_refreshes`] calls.
     refresh_buf: Vec<RefreshOp>,
-    table: Option<PrefetchTable>,
     /// Closed-loop recovery state; `None` unless a CRC-escape model,
     /// scrubbing, or prefetch re-issue is configured.
     reliability: Option<Box<Reliability>>,
     channels: Vec<Channel>,
     stats: MemStats,
-    chan_counts: Vec<ChannelCounters>,
     tel: Option<Box<MemTel>>,
     /// Always-on stage × request-class latency attribution over every
     /// completed read. Cheap (fixed-size histograms, no allocation per
@@ -547,12 +553,19 @@ impl MemorySystem {
                         .take(slots)
                         .collect(),
                     reissue: VecDeque::new(),
+                    amb: if cfg.amb.is_enabled() {
+                        vec![PrefetchBuffer::new(&cfg.amb); cfg.dimms_per_channel as usize]
+                    } else {
+                        Vec::new()
+                    },
+                    refresh: cfg.refresh.enabled.then(|| StaggeredRefresh::new(cfg)),
+                    scrub: PatrolScrub::for_config(cfg),
+                    counts: ChannelCounters::default(),
                 }
             })
             .collect();
         let reliability = if cfg.faults.recovery_active() {
             Some(Box::new(Reliability {
-                scrub: PatrolScrub::for_config(cfg),
                 poisoned: LineSet::default(),
                 reissue_budget: cfg.faults.reissue_budget as usize,
                 counters: FaultCounters::default(),
@@ -568,13 +581,10 @@ impl MemorySystem {
                 cfg.logical_channels as usize,
                 cfg.queue_capacity as usize,
             ),
-            refresh: cfg.refresh.enabled.then(|| StaggeredRefresh::new(cfg)),
             refresh_buf: Vec::new(),
-            table: cfg.amb.is_enabled().then(|| PrefetchTable::new(cfg)),
             reliability,
             channels,
             stats: MemStats::default(),
-            chan_counts: vec![ChannelCounters::default(); cfg.logical_channels as usize],
             tel: None,
             profile: StageProfile::new(),
             clock,
@@ -681,8 +691,8 @@ impl MemorySystem {
     }
 
     /// Always-on per-channel traffic counters, indexed by channel.
-    pub fn channel_counters(&self) -> &[ChannelCounters] {
-        &self.chan_counts
+    pub fn channel_counters(&self) -> Vec<ChannelCounters> {
+        self.channels.iter().map(|c| c.counts).collect()
     }
 
     /// The always-on stage × request-class latency-attribution profile
@@ -867,14 +877,14 @@ impl MemorySystem {
     /// every due window is noted, each refreshed rank's tracker settles
     /// at `now`.
     fn run_refreshes(&mut self, ch: u32, now: Time) {
-        let Some(refresh) = self.refresh.as_mut() else {
+        let channel = &mut self.channels[ch as usize];
+        let Some(refresh) = channel.refresh.as_mut() else {
             return;
         };
         let ranks = self.cfg.ranks_per_dimm;
         let mut ops = std::mem::take(&mut self.refresh_buf);
         ops.clear();
-        refresh.due(ch, now, &mut ops);
-        let channel = &mut self.channels[ch as usize];
+        refresh.due(now, &mut ops);
         for op in &ops {
             for r in 0..ranks {
                 let i = channel.devices.slot(op.dimm, r);
@@ -993,16 +1003,17 @@ impl MemorySystem {
     /// requests into the freed slot before anything executes).
     fn pick_for(&mut self, ch: u32, now: Time) -> Option<usize> {
         let overhead = self.cfg.controller_overhead;
-        let table = self.table.as_ref();
-        let Channel { devices, sched, .. } = &mut self.channels[ch as usize];
-        let devices = &*devices;
+        let chan = &mut self.channels[ch as usize];
+        let (devices, amb) = (&chan.devices, &chan.amb);
         // Bank-readiness window: a bank that can accept an ACT soon
         // keeps the data bus busy; one deep in its tRC/precharge window
         // would stall it.
         let slack = self.clock * 2;
         let mut classify = |e: &QueueEntry| -> SchedClass {
             if e.req.kind.is_read()
-                && table.is_some_and(|t| t.would_hit(ch, e.mapped.dimm, e.req.line))
+                && amb
+                    .get(e.mapped.dimm as usize)
+                    .is_some_and(|b| b.contains(e.req.line))
             {
                 return SchedClass::Hit;
             }
@@ -1018,7 +1029,8 @@ impl MemorySystem {
                 SchedClass::NotReady
             }
         };
-        sched.pick(self.queue.bucket(ch), now, overhead, &mut classify)
+        chan.sched
+            .pick(self.queue.bucket(ch), now, overhead, &mut classify)
     }
 
     /// The earliest instant after `now` at which another command can be
@@ -1068,10 +1080,7 @@ impl MemorySystem {
             rel.counters.reissued += 1;
             return Some(self.next_slot(ch, now));
         }
-        let line = self
-            .reliability
-            .as_deref_mut()
-            .and_then(|r| r.scrub.as_mut()?.next_scrub(ch, now))?;
+        let line = self.channels[ch as usize].scrub.as_mut()?.next_scrub(now)?;
         let entry = self.synth_entry(AccessKind::HardwarePrefetch, line, now);
         debug_assert_eq!(
             entry.mapped.channel, ch,
@@ -1121,7 +1130,8 @@ impl MemorySystem {
             AccessKind::Write => self.stats.writes += 1,
         }
         self.stats.data_bytes += CACHE_LINE_BYTES;
-        let counts = &mut self.chan_counts[m.channel as usize];
+        let chan = &mut self.channels[m.channel as usize];
+        let counts = &mut chan.counts;
         if write {
             counts.writes += 1;
         } else {
@@ -1133,8 +1143,8 @@ impl MemorySystem {
         }
         // A store makes any prefetched copy stale.
         if write {
-            if let Some(table) = self.table.as_mut() {
-                table.invalidate(m.channel, m.dimm, req.line);
+            if let Some(buf) = chan.amb.get_mut(m.dimm as usize) {
+                buf.invalidate(req.line);
             }
         }
 
@@ -1146,7 +1156,6 @@ impl MemorySystem {
         // and corrupted slots under fault injection) is charged to its
         // own stage at each link crossing.
         let mut st = StageBreakdown::stamper(req.arrival);
-        let chan = &mut self.channels[m.channel as usize];
         let slot = chan.devices.slot(m.dimm, m.rank);
         let (group, rank) = chan.devices.at_mut(slot);
         let (bank, row) = (m.bank as usize, m.row);
@@ -1165,10 +1174,8 @@ impl MemorySystem {
                 if let Some(t) = self.tel.as_deref_mut() {
                     t.link_frames("cmd", m.channel, TID_SOUTH, &cmd);
                 }
-                let hit = self
-                    .table
-                    .as_mut()
-                    .is_some_and(|t| t.lookup_hit(m.channel, m.dimm, req.line));
+                let mut buf = chan.amb.get_mut(m.dimm as usize);
+                let hit = buf.as_mut().is_some_and(|b| b.on_hit(req.line));
                 // Each service leaves the demanded line at the AMB at
                 // `ready`; all three then share the northbound return.
                 let (ready, service, dram) = if hit {
@@ -1182,12 +1189,12 @@ impl MemorySystem {
                     };
                     st.to(Stage::AmbProc, data_ready);
                     self.stats.amb_hits += 1;
-                    self.chan_counts[m.channel as usize].amb_hits += 1;
+                    chan.counts.amb_hits += 1;
                     if let Some(t) = self.tel.as_deref_mut() {
                         t.amb_hit(m.channel, m.dimm, cmd_at_amb);
                     }
                     (data_ready, ServiceKind::AmbCacheHit, None)
-                } else if let Some(table) = self.table.as_mut() {
+                } else if let Some(buf) = buf {
                     // Group fetch: demanded line first, K−1 fills.
                     let k = self.cfg.amb.region_lines;
                     let (first, fill_done) = group.fetch_group(rank, bank, row, k, cmd_at_amb);
@@ -1196,10 +1203,10 @@ impl MemorySystem {
                     st.to(Stage::DramCas, first.data_start);
                     let region = req.line.region(u64::from(k));
                     let fills = region.lines(u64::from(k)).filter(|l| *l != req.line);
-                    let filled = table.fill(m.channel, m.dimm, fills);
-                    self.stats.lines_prefetched += filled.inserted;
+                    let (inserted, evicted) = buf.fill(fills);
+                    self.stats.lines_prefetched += inserted;
                     if let Some(t) = self.tel.as_deref_mut() {
-                        t.group_fetch(&m, slot, &first, k, fill_done, &filled);
+                        t.group_fetch(&m, slot, &first, k, fill_done, (inserted, evicted));
                     }
                     let service = ServiceKind::DramAccessWithPrefetch;
                     (first.data_start, service, Some((first, fill_done)))
@@ -1315,10 +1322,10 @@ impl MemorySystem {
         // re-issue, and every serviced line feeds the scrub policy's
         // candidate pool.
         let demand = req.kind == AccessKind::DemandRead;
+        if let Some(scrub) = chan.scrub.as_mut() {
+            scrub.observe(req.line);
+        }
         if let Some(rel) = self.reliability.as_deref_mut() {
-            if let Some(scrub) = rel.scrub.as_mut() {
-                scrub.observe(m.channel, req.line);
-            }
             if escaped {
                 rel.poisoned.insert(req.line);
             } else if write {
@@ -1327,11 +1334,8 @@ impl MemorySystem {
             if demand && (escaped || rel.poisoned.contains(&req.line)) {
                 rel.silent.demand_consumed += 1;
             }
-            if dropped && rel.reissue_budget > 0 {
-                let q = &mut self.channels[m.channel as usize].reissue;
-                if q.len() < rel.reissue_budget {
-                    q.push_back(req.line);
-                }
+            if dropped && chan.reissue.len() < rel.reissue_budget {
+                chan.reissue.push_back(req.line);
             }
         }
         let latency = done - req.arrival;

@@ -286,7 +286,7 @@ impl System {
             elapsed,
             cores,
             mem,
-            channels: self.mem.channel_counters().to_vec(),
+            channels: self.mem.channel_counters(),
             energy: self.mem.energy_report(now),
             profile: self.mem.latency_profile().clone(),
             faults: self.mem.fault_report(now),

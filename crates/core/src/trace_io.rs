@@ -261,7 +261,7 @@ fn replay_on(
         energy: mem.energy_report(finished),
         finished,
         profile: mem.latency_profile().clone(),
-        channels: mem.channel_counters().to_vec(),
+        channels: mem.channel_counters(),
         faults: mem.fault_report(finished),
         mem: mem.finish_stats(),
     };

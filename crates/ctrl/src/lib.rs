@@ -1,19 +1,20 @@
 //! The memory controller: address mapping, the transaction queue, the
 //! scheduling policies, refresh management, patrol scrubbing and the
-//! prefetch information table.
+//! frame-recovery policy.
 //!
 //! The controller is technology-agnostic policy: it decodes addresses
 //! ([`InterleavedMapper`]), buffers transactions per channel under one
 //! shared capacity ([`TransactionQueue`]), reorders each channel's
-//! ([`SchedulerPolicy`], default [`HitFirstScheduler`]), times
-//! refreshes ([`StaggeredRefresh`]), picks lines for background
-//! scrubbing ([`PatrolScrub`]) and — when AMB prefetching is enabled —
-//! tracks every AMB cache's content ([`PrefetchTable`]) so hits are
-//! known before any channel command is sent. Only the scheduler has
-//! alternatives to select by name, through the [`schedulers`]
-//! registry; the mapper, refresh manager and scrub policy follow the
-//! memory config. The datapath (links, AMBs, DRAM devices) lives in
-//! the sibling crates and is wired together by `fbd-core`.
+//! ([`SchedulerPolicy`], default [`HitFirstScheduler`]), times one
+//! channel's refreshes ([`StaggeredRefresh`]), picks one channel's
+//! lines for background scrubbing ([`PatrolScrub`]) and decides which
+//! corrupted frames are replayed ([`northbound_action`]). Only the
+//! scheduler has alternatives to select by name, through the
+//! [`schedulers`] registry; the mapper, refresh manager and scrub
+//! policy follow the memory config. The datapath (links, AMBs and
+//! their prefetch buffers, DRAM devices) lives in the sibling crates;
+//! `fbd-core` wires it together and gives each channel its own
+//! scheduler, refresh manager, scrub policy and AMB tags.
 //!
 //! # Examples
 //!
@@ -50,7 +51,6 @@
 
 pub mod compose;
 pub mod fcfs;
-pub mod info_table;
 pub mod mapping;
 pub mod queue;
 pub mod recovery;
@@ -60,7 +60,6 @@ pub mod scrub;
 
 pub use compose::schedulers;
 pub use fcfs::{FcfsScheduler, FcfsSpec};
-pub use info_table::{FillOutcome, PrefetchTable};
 pub use mapping::{InterleavedMapper, MappedAddr};
 pub use queue::{QueueEntry, TransactionQueue};
 pub use recovery::{droppable, northbound_action, CrcAction};

@@ -5,9 +5,9 @@
 //! (occupying the banks for tRFC and charging the power model). The
 //! manager emits [`RefreshOp`]s for every deadline at or before `now`,
 //! in a deterministic order, so the timing outcome is identical to an
-//! inlined deadline loop. The memory system builds one only when the
-//! config's `refresh.enabled` switch is on; the paper's runs leave it
-//! off.
+//! inlined deadline loop. Each channel of the memory system owns one,
+//! built only when the config's `refresh.enabled` switch is on; the
+//! paper's runs leave it off.
 
 use fbd_types::config::MemoryConfig;
 use fbd_types::time::{Dur, Time};
@@ -24,7 +24,7 @@ pub struct RefreshOp {
     pub t_rfc: Dur,
 }
 
-/// Per-DIMM deadlines staggered across the channel: DIMM `i` first
+/// One channel's per-DIMM deadlines, staggered: DIMM `i` first
 /// refreshes at `(tREFI / n) * (i + 1)` and every `tREFI` after, as real
 /// controllers stagger refresh so the whole subsystem never stalls at
 /// once.
@@ -32,33 +32,33 @@ pub struct RefreshOp {
 pub struct StaggeredRefresh {
     t_refi: Dur,
     t_rfc: Dur,
-    /// `deadlines[channel][dimm]` = next refresh instant.
-    deadlines: Vec<Vec<Time>>,
+    /// `deadlines[dimm]` = next refresh instant.
+    deadlines: Vec<Time>,
 }
 
 impl StaggeredRefresh {
-    /// Creates the manager for `cfg`'s geometry and refresh timings.
+    /// Creates one channel's manager for `cfg`'s geometry and refresh
+    /// timings.
     pub fn new(cfg: &MemoryConfig) -> StaggeredRefresh {
         let n = u64::from(cfg.dimms_per_channel);
-        let per_channel: Vec<Time> = (0..n)
-            .map(|i| Time::ZERO + (cfg.refresh.t_refi / n) * (i + 1))
-            .collect();
         StaggeredRefresh {
             t_refi: cfg.refresh.t_refi,
             t_rfc: cfg.refresh.t_rfc,
-            deadlines: vec![per_channel; cfg.logical_channels as usize],
+            deadlines: (0..n)
+                .map(|i| Time::ZERO + (cfg.refresh.t_refi / n) * (i + 1))
+                .collect(),
         }
     }
 
-    /// Appends to `out` every refresh on channel `ch` whose deadline is
-    /// at or before `now`, advancing the internal deadlines. Ops are
-    /// emitted DIMM by DIMM, oldest deadline first within a DIMM.
+    /// Appends to `out` every refresh whose deadline is at or before
+    /// `now`, advancing the internal deadlines. Ops are emitted DIMM by
+    /// DIMM, oldest deadline first within a DIMM.
     ///
     /// Deadlines move strictly past `now`, so a second call at the
     /// same `now` appends nothing and changes nothing (the event loop
     /// skips repeated idle decisions on this basis).
-    pub fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>) {
-        for (dimm, due) in self.deadlines[ch as usize].iter_mut().enumerate() {
+    pub fn due(&mut self, now: Time, out: &mut Vec<RefreshOp>) {
+        for (dimm, due) in self.deadlines.iter_mut().enumerate() {
             while *due <= now {
                 out.push(RefreshOp {
                     dimm: dimm as u32,
@@ -92,10 +92,10 @@ mod tests {
         let step = c.refresh.t_refi / n;
         // Just before the first deadline: nothing due.
         let mut ops = Vec::new();
-        m.due(0, Time::ZERO + step - Dur::from_ps(1), &mut ops);
+        m.due(Time::ZERO + step - Dur::from_ps(1), &mut ops);
         assert!(ops.is_empty());
         // At the last first-round deadline: one op per DIMM, staggered.
-        m.due(0, Time::ZERO + step * n, &mut ops);
+        m.due(Time::ZERO + step * n, &mut ops);
         assert_eq!(ops.len(), c.dimms_per_channel as usize);
         for (i, op) in ops.iter().enumerate() {
             assert_eq!(op.dimm, i as u32);
@@ -107,19 +107,20 @@ mod tests {
     #[test]
     fn deadlines_advance_by_t_refi_and_are_per_channel() {
         let c = cfg();
-        let mut m = StaggeredRefresh::new(&c);
+        // Each channel owns a manager.
+        let mut chans = [StaggeredRefresh::new(&c), StaggeredRefresh::new(&c)];
         let mut ops = Vec::new();
         let far = Time::ZERO + c.refresh.t_refi * 2;
-        m.due(0, far, &mut ops);
+        chans[0].due(far, &mut ops);
         // Two full rounds per DIMM by 2*tREFI.
         assert_eq!(ops.len(), 2 * c.dimms_per_channel as usize);
         // Channel 1 is untouched by channel 0's drain.
         ops.clear();
-        m.due(1, far, &mut ops);
+        chans[1].due(far, &mut ops);
         assert_eq!(ops.len(), 2 * c.dimms_per_channel as usize);
         // Re-polling channel 0 at the same instant yields nothing new.
         ops.clear();
-        m.due(0, far, &mut ops);
+        chans[0].due(far, &mut ops);
         assert!(ops.is_empty());
     }
 }

@@ -20,13 +20,13 @@ use fbd_types::config::{MemoryConfig, ScrubPolicyKind};
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;
 
-/// Lines each channel's patrol ring remembers. Old entries are
-/// overwritten FIFO; a line evicted before its sweep simply waits for
-/// its next observation (patrol is best-effort by construction).
+/// Lines a patrol ring remembers. Old entries are overwritten FIFO; a
+/// line evicted before its sweep simply waits for its next observation
+/// (patrol is best-effort by construction).
 const PATROL_RING: usize = 1024;
 
-/// Round-robin patrol over recently touched lines, one sweep per
-/// channel per `scrub_interval_ns` at most.
+/// Round-robin patrol over one channel's recently touched lines, one
+/// sweep per `scrub_interval_ns` at most.
 ///
 /// The ring deliberately tracks *observed* lines rather than walking
 /// the whole address space: a full-capacity walk at DIMM scale would
@@ -36,11 +36,6 @@ const PATROL_RING: usize = 1024;
 #[derive(Clone, Debug)]
 pub struct PatrolScrub {
     interval: Dur,
-    channels: Vec<PatrolChannel>,
-}
-
-#[derive(Clone, Debug)]
-struct PatrolChannel {
     ring: Vec<LineAddr>,
     /// Next ring slot `observe` overwrites.
     write: usize,
@@ -51,73 +46,64 @@ struct PatrolChannel {
 }
 
 impl PatrolScrub {
-    /// Creates the patrol policy for `channels` channels with at most
-    /// one sweep per channel per `interval`.
+    /// Creates one channel's patrol with at most one sweep per
+    /// `interval`.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero (validated at config level).
-    pub fn new(channels: u32, interval: Dur) -> PatrolScrub {
+    pub fn new(interval: Dur) -> PatrolScrub {
         assert!(!interval.is_zero(), "scrub interval must be non-zero");
         PatrolScrub {
             interval,
-            channels: (0..channels)
-                .map(|_| PatrolChannel {
-                    ring: Vec::with_capacity(PATROL_RING),
-                    write: 0,
-                    sweep: 0,
-                    last: None,
-                })
-                .collect(),
+            ring: Vec::with_capacity(PATROL_RING),
+            write: 0,
+            sweep: 0,
+            last: None,
         }
     }
 
-    /// Builds the scrub policy `cfg.faults.scrub` selects: a patrol over
-    /// every logical channel at `scrub_interval_ns`, or `None` when
-    /// scrubbing is off.
+    /// Builds one channel's scrub policy as `cfg.faults.scrub` selects:
+    /// a patrol at `scrub_interval_ns`, or `None` when scrubbing is off.
     pub fn for_config(cfg: &MemoryConfig) -> Option<PatrolScrub> {
         match cfg.faults.scrub {
             ScrubPolicyKind::None => None,
-            ScrubPolicyKind::Patrol => Some(PatrolScrub::new(
-                cfg.logical_channels,
-                Dur::from_ns(cfg.faults.scrub_interval_ns),
-            )),
+            ScrubPolicyKind::Patrol => {
+                Some(PatrolScrub::new(Dur::from_ns(cfg.faults.scrub_interval_ns)))
+            }
         }
     }
 
-    /// Notes a line the controller just serviced on `channel` — the
-    /// candidate pool the sweeps walk. Called on the hot path: O(1) and
+    /// Notes a line the controller just serviced — the candidate pool
+    /// the sweeps walk. Called on the hot path: O(1) and
     /// allocation-free once the ring is full.
-    pub fn observe(&mut self, channel: u32, line: LineAddr) {
-        let ch = &mut self.channels[channel as usize];
-        if ch.ring.len() < PATROL_RING {
-            ch.ring.push(line);
+    pub fn observe(&mut self, line: LineAddr) {
+        if self.ring.len() < PATROL_RING {
+            self.ring.push(line);
         } else {
-            ch.ring[ch.write] = line;
-            ch.write = (ch.write + 1) % PATROL_RING;
+            self.ring[self.write] = line;
+            self.write = (self.write + 1) % PATROL_RING;
         }
     }
 
-    /// Asks for a line to scrub on `channel` at an idle decision point.
-    /// `None` means no sweep is due (rate limit, or nothing observed
-    /// yet). A returned line counts as dispatched: the cursor and
-    /// rate-limit clock advance. Returning `None` leaves the policy
-    /// unchanged, so a repeated idle decision at the same `now` gets
-    /// `None` again (the event loop skips such repeats).
-    pub fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr> {
-        let interval = self.interval;
-        let ch = &mut self.channels[channel as usize];
-        if ch.ring.is_empty() {
+    /// Asks for a line to scrub at an idle decision point. `None` means
+    /// no sweep is due (rate limit, or nothing observed yet). A returned
+    /// line counts as dispatched: the cursor and rate-limit clock
+    /// advance. Returning `None` leaves the policy unchanged, so a
+    /// repeated idle decision at the same `now` gets `None` again (the
+    /// event loop skips such repeats).
+    pub fn next_scrub(&mut self, now: Time) -> Option<LineAddr> {
+        if self.ring.is_empty() {
             return None;
         }
-        if let Some(last) = ch.last {
-            if now.saturating_since(last) < interval {
+        if let Some(last) = self.last {
+            if now.saturating_since(last) < self.interval {
                 return None;
             }
         }
-        let line = ch.ring[ch.sweep % ch.ring.len()];
-        ch.sweep = (ch.sweep + 1) % PATROL_RING.max(ch.ring.len());
-        ch.last = Some(now);
+        let line = self.ring[self.sweep % self.ring.len()];
+        self.sweep = (self.sweep + 1) % PATROL_RING.max(self.ring.len());
+        self.last = Some(now);
         Some(line)
     }
 }
@@ -134,41 +120,41 @@ mod tests {
         // The same config with patrol selected does sweep.
         cfg.faults.scrub = ScrubPolicyKind::Patrol;
         let mut p = PatrolScrub::for_config(&cfg).expect("patrol builds a policy");
-        assert_eq!(p.channels.len(), cfg.logical_channels as usize);
-        p.observe(0, LineAddr::new(7));
-        assert_eq!(p.next_scrub(0, Time::from_ns(1)), Some(LineAddr::new(7)));
+        assert_eq!(p.interval, Dur::from_ns(cfg.faults.scrub_interval_ns));
+        p.observe(LineAddr::new(7));
+        assert_eq!(p.next_scrub(Time::from_ns(1)), Some(LineAddr::new(7)));
     }
 
     #[test]
     fn patrol_waits_for_an_observation() {
-        let mut p = PatrolScrub::new(2, Dur::from_ns(100));
-        assert_eq!(p.next_scrub(0, Time::from_ns(500)), None);
-        p.observe(0, LineAddr::new(42));
-        assert_eq!(p.next_scrub(0, Time::from_ns(500)), Some(LineAddr::new(42)));
+        let mut p = PatrolScrub::new(Dur::from_ns(100));
+        assert_eq!(p.next_scrub(Time::from_ns(500)), None);
+        p.observe(LineAddr::new(42));
+        assert_eq!(p.next_scrub(Time::from_ns(500)), Some(LineAddr::new(42)));
     }
 
     #[test]
     fn patrol_rate_limits_per_channel() {
-        let mut p = PatrolScrub::new(2, Dur::from_ns(100));
-        p.observe(0, LineAddr::new(1));
-        p.observe(1, LineAddr::new(2));
-        assert!(p.next_scrub(0, Time::from_ns(10)).is_some());
+        let mut chans = [0, 1].map(|_| PatrolScrub::new(Dur::from_ns(100)));
+        chans[0].observe(LineAddr::new(1));
+        chans[1].observe(LineAddr::new(2));
+        assert!(chans[0].next_scrub(Time::from_ns(10)).is_some());
         // Channel 0 just swept: due again only after the interval.
-        assert_eq!(p.next_scrub(0, Time::from_ns(50)), None);
-        assert!(p.next_scrub(0, Time::from_ns(110)).is_some());
+        assert_eq!(chans[0].next_scrub(Time::from_ns(50)), None);
+        assert!(chans[0].next_scrub(Time::from_ns(110)).is_some());
         // Channel 1's clock is independent.
-        assert!(p.next_scrub(1, Time::from_ns(50)).is_some());
+        assert!(chans[1].next_scrub(Time::from_ns(50)).is_some());
     }
 
     #[test]
     fn patrol_round_robins_the_ring() {
-        let mut p = PatrolScrub::new(1, Dur::from_ns(1));
+        let mut p = PatrolScrub::new(Dur::from_ns(1));
         for l in [3u64, 5, 9] {
-            p.observe(0, LineAddr::new(l));
+            p.observe(LineAddr::new(l));
         }
         let mut seen = Vec::new();
         for i in 0..6u64 {
-            seen.push(p.next_scrub(0, Time::from_ns(10 + i * 10)).unwrap());
+            seen.push(p.next_scrub(Time::from_ns(10 + i * 10)).unwrap());
         }
         let want: Vec<LineAddr> = [3u64, 5, 9, 3, 5, 9].map(LineAddr::new).into();
         assert_eq!(seen, want);
@@ -176,13 +162,13 @@ mod tests {
 
     #[test]
     fn patrol_ring_overwrites_oldest_at_capacity() {
-        let mut p = PatrolScrub::new(1, Dur::from_ns(1));
+        let mut p = PatrolScrub::new(Dur::from_ns(1));
         for l in 0..(PATROL_RING as u64 + 3) {
-            p.observe(0, LineAddr::new(l));
+            p.observe(LineAddr::new(l));
         }
         // Ring is full; slots 0..3 now hold the newest three lines.
-        assert_eq!(p.channels[0].ring.len(), PATROL_RING);
-        assert_eq!(p.channels[0].ring[0], LineAddr::new(PATROL_RING as u64));
-        assert_eq!(p.channels[0].ring[3], LineAddr::new(3));
+        assert_eq!(p.ring.len(), PATROL_RING);
+        assert_eq!(p.ring[0], LineAddr::new(PATROL_RING as u64));
+        assert_eq!(p.ring[3], LineAddr::new(3));
     }
 }

@@ -21,12 +21,15 @@
 //!
 //! # Cost model
 //!
-//! A disabled profiler (the default for library users; see
-//! [`HostProfiler::disabled`]) reduces every `mark`/`bump` to one
-//! relaxed atomic load and a predictable branch — no timestamps are
-//! taken. An enabled profiler takes one monotonic-clock read per mark.
-//! Accumulators are relaxed [`AtomicU64`]s so the profiler is `Sync`
-//! and a live dashboard on another thread can read it mid-run.
+//! A run with no profiler attached (the library default: an empty
+//! [`HostHandle`], see [`HostHandle::off`]) reduces every `mark`/`bump`
+//! to a branch on `None` — no timestamps are taken. An attached
+//! profiler always records: it takes one monotonic-clock read per
+//! [`mark`](HostProfiler::mark), and the event loop's per-event
+//! [`mark_sampled`](HostProfiler::mark_sampled) calls take one per
+//! [`MARK_STRIDE`]. Accumulators are relaxed [`AtomicU64`]s so the
+//! profiler is `Sync` and a live dashboard on another thread can read
+//! it mid-run.
 //!
 //! # Examples
 //!
@@ -127,7 +130,6 @@ pub const COUNTERS: [(Counter, &str); 6] = [
 /// See the [module docs](self) for the attribution and cost model.
 #[derive(Debug)]
 pub struct HostProfiler {
-    on: bool,
     origin: Instant,
     /// Nanoseconds since `origin` of the most recent mark.
     last_ns: AtomicU64,
@@ -158,9 +160,9 @@ pub struct HostProfiler {
 pub const MARK_STRIDE: u64 = 64;
 
 impl HostProfiler {
-    fn new(on: bool) -> HostProfiler {
+    /// A profiler that records. Wall time is measured from this call.
+    pub fn enabled() -> HostProfiler {
         HostProfiler {
-            on,
             origin: Instant::now(),
             last_ns: AtomicU64::new(0),
             mark_seq: AtomicU64::new(0),
@@ -175,31 +177,10 @@ impl HostProfiler {
         }
     }
 
-    /// A profiler that records. Wall time is measured from this call.
-    pub fn enabled() -> HostProfiler {
-        HostProfiler::new(true)
-    }
-
-    /// A profiler whose `mark`/`bump` calls are a load-and-branch no-op
-    /// — the "no subscriber attached" state the overhead bench
-    /// certifies as free.
-    pub fn disabled() -> HostProfiler {
-        HostProfiler::new(false)
-    }
-
-    /// True when marks are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// Charges the wall time since the previous mark (or construction)
     /// to `phase`.
     #[inline]
     pub fn mark(&self, phase: Phase) {
-        if !self.on {
-            return;
-        }
         let now_ns = u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let prev = self.last_ns.swap(now_ns, Ordering::Relaxed);
         self.phases[phase as usize].fetch_add(now_ns.saturating_sub(prev), Ordering::Relaxed);
@@ -207,14 +188,11 @@ impl HostProfiler {
 
     /// Stride-sampled [`mark`](Self::mark) for per-event hot paths:
     /// takes a real timestamp only every [`MARK_STRIDE`]th call, so an
-    /// *enabled* profiler stops double-digit-percent-slowing the event
+    /// attached profiler stops double-digit-percent-slowing the event
     /// loop. Marks are written by the single simulation thread, so the
     /// sequence counter is a relaxed load + store, not an RMW.
     #[inline]
     pub fn mark_sampled(&self, phase: Phase) {
-        if !self.on {
-            return;
-        }
         let seq = self.mark_seq.load(Ordering::Relaxed).wrapping_add(1);
         self.mark_seq.store(seq, Ordering::Relaxed);
         if seq & (MARK_STRIDE - 1) == 0 {
@@ -245,9 +223,6 @@ impl HostProfiler {
     /// relaxed load + store rather than an atomic RMW.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        if !self.on {
-            return;
-        }
         let c = &self.counters[counter as usize];
         c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
     }
@@ -255,15 +230,7 @@ impl HostProfiler {
     /// Overwrites `counter` with an externally collected total (used
     /// for counts the devices maintain themselves).
     pub fn set(&self, counter: Counter, value: u64) {
-        if !self.on {
-            return;
-        }
         self.counters[counter as usize].store(value, Ordering::Relaxed);
-    }
-
-    /// Wall time since construction.
-    pub fn wall(&self) -> Duration {
-        self.origin.elapsed()
     }
 
     /// Current value of `counter` (a live dashboard reads this mid-run).
@@ -294,11 +261,7 @@ impl HostProfiler {
         self.mark(Phase::Harness);
         // Wall time is read back from the closing mark itself, so the
         // phase durations sum to the reported wall exactly.
-        let wall = if self.on {
-            Duration::from_nanos(self.last_ns.load(Ordering::Relaxed))
-        } else {
-            self.wall()
-        };
+        let wall = Duration::from_nanos(self.last_ns.load(Ordering::Relaxed));
         let phases = PHASES
             .iter()
             .map(|&(p, label)| (label, self.phase(p)))
@@ -313,7 +276,7 @@ impl HostProfiler {
             sim_elapsed.as_ps() / clock_period.as_ps()
         };
         HostReport {
-            enabled: self.on,
+            enabled: true,
             wall,
             phases,
             counters,
@@ -781,30 +744,6 @@ mod tests {
         let report = prof.report(Dur::from_ns(1000), DataRate::MTS667.clock_period(), 1);
         let sum = report.phase_fraction_sum();
         assert!(sum > 0.99 && sum < 1.01, "fractions sum to {sum}");
-    }
-
-    #[test]
-    fn sampled_marks_on_disabled_profiler_are_inert() {
-        let prof = HostProfiler::disabled();
-        for _ in 0..(MARK_STRIDE * 2) {
-            prof.mark_sampled(Phase::Cpu);
-        }
-        assert_eq!(prof.mark_seq.load(Ordering::Relaxed), 0);
-        assert_eq!(prof.phase(Phase::Cpu), Duration::ZERO);
-    }
-
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let prof = HostProfiler::disabled();
-        prof.mark(Phase::Cpu);
-        prof.bump(Counter::Events);
-        prof.set(Counter::DramCommands, 99);
-        assert_eq!(prof.phase(Phase::Cpu), Duration::ZERO);
-        assert_eq!(prof.counter(Counter::Events), 0);
-        assert_eq!(prof.counter(Counter::DramCommands), 0);
-        let report = prof.report(Dur::from_ns(1000), DataRate::MTS667.clock_period(), 500);
-        assert!(!report.enabled);
-        assert_eq!(report.phase_fraction_sum(), 0.0);
     }
 
     #[test]

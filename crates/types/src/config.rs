@@ -965,16 +965,15 @@ impl Default for HwPrefetchConfig {
 /// Processor configuration (Table 1, pipeline rows).
 ///
 /// The simulator's core model is a first-order out-of-order timing model
-/// (see `fbd-cpu`); the fields here bound its reorder window, miss
-/// concurrency and commit bandwidth.
+/// (see `fbd-cpu`); the fields here bound its reorder window and miss
+/// concurrency. Commit runs at each benchmark's base rate, so the
+/// paper's 8-issue width has no field.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuConfig {
     /// Number of cores (1/2/4/8 in the paper).
     pub cores: u32,
     /// Core clock period (4 GHz → 250 ps).
     pub clock: Dur,
-    /// Maximum commit/issue width in instructions per cycle.
-    pub issue_width: u32,
     /// Reorder buffer capacity in instructions.
     pub rob_entries: u32,
     /// Outstanding data-miss capacity per core (L1D MSHRs).
@@ -995,14 +994,13 @@ pub struct CpuConfig {
 }
 
 impl CpuConfig {
-    /// The paper's Table 1 processor with `cores` cores: 4 GHz, 8-issue,
+    /// The paper's Table 1 processor with `cores` cores: 4 GHz,
     /// 196-entry ROB, 32 data MSHRs, shared 4 MB 4-way L2 with 15-cycle
     /// hit latency and 64 L2 MSHRs, software prefetching on.
     pub fn paper_default(cores: u32) -> CpuConfig {
         CpuConfig {
             cores,
             clock: Dur::from_ps(250),
-            issue_width: 8,
             rob_entries: 196,
             data_mshrs: 32,
             l2_bytes: 4 << 20,
@@ -1028,7 +1026,6 @@ impl CpuConfig {
             return Err(ConfigError::new("clock", "must be non-zero"));
         }
         for (name, v) in [
-            ("issue_width", self.issue_width),
             ("rob_entries", self.rob_entries),
             ("data_mshrs", self.data_mshrs),
             ("l2_ways", self.l2_ways),
