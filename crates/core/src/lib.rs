@@ -64,3 +64,118 @@ pub fn build_info() -> BuildInfo {
         profile: env!("FBD_PROFILE").to_string(),
     }
 }
+
+/// The prefetch information table (paper §3.2): "the memory controller
+/// holds the tag part of the cache and the AMBs hold the data part".
+/// Each channel of the [`MemorySystem`] keeps these tags as one
+/// `PrefetchBuffer` per DIMM; the tests drive them through the memory
+/// system's public API.
+#[cfg(test)]
+mod info_table {
+    mod tests {
+        use crate::MemorySystem;
+        use fbd_amb::PrefetchBuffer;
+        use fbd_ctrl::InterleavedMapper;
+        use fbd_telemetry::{MetricValue, TelemetryConfig};
+        use fbd_types::config::MemoryConfig;
+        use fbd_types::request::{AccessKind, CoreId, MemRequest, RequestId};
+        use fbd_types::{LineAddr, Time};
+
+        /// Serves one request, arriving at `id` µs, on an idle channel.
+        fn serve(mem: &mut MemorySystem, id: u64, kind: AccessKind, line: u64) {
+            let at = Time::from_ns(1_000 * id);
+            let req = MemRequest::new(RequestId(id), CoreId(0), kind, LineAddr::new(line), at);
+            let (ch, ready) = mem.submit(req);
+            assert_eq!(mem.decide(ch, ready).issued.len(), 1, "line {line} issues");
+            mem.complete(ch);
+        }
+
+        /// The first line of `n` distinct prefetch regions on the given
+        /// channel and DIMM.
+        fn regions_on(cfg: &MemoryConfig, channel: u32, dimm: u32, n: usize) -> Vec<u64> {
+            let mapper = InterleavedMapper::new(cfg);
+            let k = u64::from(cfg.amb.region_lines);
+            (0..)
+                .map(|r| r * k)
+                .filter(|&l| {
+                    let m = mapper.map(LineAddr::new(l));
+                    (m.channel, m.dimm) == (channel, dimm)
+                })
+                .take(n)
+                .collect()
+        }
+
+        fn evictions(mem: &MemorySystem) -> u64 {
+            let reg = &mem.telemetry().expect("telemetry enabled").registry;
+            let id = reg.lookup("amb.prefetch.evictions").expect("metric");
+            match reg.value(id) {
+                MetricValue::Counter(n) => n,
+                other => panic!("not a counter: {other:?}"),
+            }
+        }
+
+        #[test]
+        fn fill_reports_inserted_and_evicted() {
+            let cfg = MemoryConfig::fbdimm_with_prefetch();
+            let k = u64::from(cfg.amb.region_lines);
+            let capacity = PrefetchBuffer::new(&cfg.amb).capacity() as u64;
+            let mut mem = MemorySystem::new(&cfg);
+            mem.enable_telemetry(&TelemetryConfig::default());
+            // Enough group fetches on one DIMM to overfill its buffer.
+            let n = capacity / (k - 1) + 2;
+            let starts = regions_on(&cfg, 0, 0, n as usize);
+            serve(&mut mem, 0, AccessKind::DemandRead, starts[0]);
+            assert_eq!(mem.stats().lines_prefetched, k - 1);
+            assert_eq!(evictions(&mem), 0);
+            for (i, &line) in starts.iter().enumerate().skip(1) {
+                serve(&mut mem, i as u64, AccessKind::DemandRead, line);
+            }
+            assert_eq!(mem.stats().lines_prefetched, n * (k - 1));
+            assert_eq!(evictions(&mem), n * (k - 1) - capacity);
+        }
+
+        #[test]
+        fn invalidate_on_write() {
+            let cfg = MemoryConfig::fbdimm_with_prefetch();
+            let line = regions_on(&cfg, 1, 3, 1)[0];
+            let mut mem = MemorySystem::new(&cfg);
+            serve(&mut mem, 0, AccessKind::DemandRead, line);
+            // The store makes the prefetched copy of `line + 1` stale:
+            // reading it goes to the devices, its neighbour still hits.
+            serve(&mut mem, 1, AccessKind::Write, line + 1);
+            serve(&mut mem, 2, AccessKind::DemandRead, line + 1);
+            assert_eq!(mem.stats().amb_hits, 0);
+            serve(&mut mem, 3, AccessKind::DemandRead, line + 2);
+            assert_eq!(mem.stats().amb_hits, 1);
+        }
+
+        #[test]
+        fn resident_lines_counts_across_buffers() {
+            let cfg = MemoryConfig::fbdimm_with_prefetch();
+            let k = u64::from(cfg.amb.region_lines);
+            let mut mem = MemorySystem::new(&cfg);
+            let starts = [
+                regions_on(&cfg, 0, 0, 1)[0],
+                regions_on(&cfg, 0, 2, 1)[0],
+                regions_on(&cfg, 1, 2, 1)[0],
+            ];
+            for (i, &line) in starts.iter().enumerate() {
+                serve(&mut mem, i as u64, AccessKind::DemandRead, line);
+            }
+            // Every prefetched line stays resident in its own DIMM's
+            // buffer, so each one later hits.
+            let mut id = starts.len() as u64;
+            for &line in &starts {
+                for fill in line + 1..line + k {
+                    serve(&mut mem, id, AccessKind::DemandRead, fill);
+                    id += 1;
+                }
+            }
+            let s = mem.stats();
+            assert_eq!(s.lines_prefetched, 3 * (k - 1));
+            assert_eq!(s.amb_hits, 3 * (k - 1));
+            let per_channel: Vec<u64> = mem.channel_counters().iter().map(|c| c.amb_hits).collect();
+            assert_eq!(per_channel[..2], [2 * (k - 1), k - 1]);
+        }
+    }
+}
