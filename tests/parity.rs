@@ -18,7 +18,7 @@
 //! Open-loop trace replay drives the same queue, so `fbdsim replay` of
 //! a recorded trace must print byte-identical reports under both.
 //!
-//! Last, cross-commit goldens: four runs must reproduce the outputs
+//! Last, cross-commit goldens: the runs below must reproduce the outputs
 //! committed under `tests/golden/` byte for byte (host timings
 //! stripped), so a refactor is checked against the code it replaced.
 //! A library-level golden does the same for the memory layouts the CLI
@@ -734,6 +734,44 @@ fn golden_run_json_with_metrics_and_series() {
             "--json",
         ],
     );
+}
+
+#[test]
+fn golden_run_json_with_metrics_and_series_on_ddr2() {
+    assert_json_golden(
+        "run_1c_swim_ddr2_series.json",
+        &[
+            "run",
+            "--workload",
+            "1C-swim",
+            "--substrate",
+            "ddr2",
+            "--budget",
+            "20000",
+            "--sample-interval",
+            "256",
+            "--json",
+        ],
+    );
+}
+
+/// Per-epoch metrics under scrub and re-issue traffic, with the
+/// `errors.*` gauges in the final row.
+#[test]
+fn golden_run_json_with_metrics_and_series_under_the_recovery_lifecycle() {
+    let args = [
+        "run",
+        "--workload",
+        "4C-1",
+        "--system",
+        "fbd-ap",
+        "--budget",
+        "20000",
+        "--sample-interval",
+        "128",
+        "--json",
+    ];
+    assert_json_golden("run_4c1_faults_series.json", &with_faults(&args));
 }
 
 #[test]
