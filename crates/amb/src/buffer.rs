@@ -15,6 +15,30 @@ use std::collections::VecDeque;
 use fbd_types::config::{AmbPrefetchConfig, Replacement};
 use fbd_types::{LineAddr, LineSet};
 
+/// What a prefetch buffer has served and taken in so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrefetchCounts {
+    /// Reads served from the buffer.
+    pub hits: u64,
+    /// Lines inserted (a duplicate refreshes its position and still
+    /// counts: it consumed fetch bandwidth).
+    pub inserted: u64,
+    /// Resident lines displaced by insertions; evictions of never-used
+    /// lines are the waste the paper's prefetch-efficiency metric
+    /// exposes.
+    pub evicted: u64,
+}
+
+impl std::iter::Sum for PrefetchCounts {
+    fn sum<I: Iterator<Item = PrefetchCounts>>(counts: I) -> PrefetchCounts {
+        counts.fold(PrefetchCounts::default(), |a, b| PrefetchCounts {
+            hits: a.hits + b.hits,
+            inserted: a.inserted + b.inserted,
+            evicted: a.evicted + b.evicted,
+        })
+    }
+}
+
 /// Tag state of one AMB's prefetch buffer.
 #[derive(Clone, Debug)]
 pub struct PrefetchBuffer {
@@ -26,6 +50,7 @@ pub struct PrefetchBuffer {
     index: LineSet,
     ways: usize,
     replacement: Replacement,
+    counts: PrefetchCounts,
 }
 
 impl PrefetchBuffer {
@@ -49,6 +74,7 @@ impl PrefetchBuffer {
             index: LineSet::with_capacity_and_hasher(2 * entries, Default::default()),
             ways,
             replacement: cfg.replacement,
+            counts: PrefetchCounts::default(),
         }
     }
 
@@ -76,6 +102,7 @@ impl PrefetchBuffer {
         if !self.index.contains(&line) {
             return false;
         }
+        self.counts.hits += 1;
         if self.replacement == Replacement::Lru {
             let idx = self.set_index(line);
             let set = &mut self.sets[idx];
@@ -90,6 +117,7 @@ impl PrefetchBuffer {
     /// evicted line, if any. Inserting a line already present refreshes
     /// its queue position without duplicating it.
     pub fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
+        self.counts.inserted += 1;
         let idx = self.set_index(line);
         let set = &mut self.sets[idx];
         if self.index.contains(&line) {
@@ -105,29 +133,18 @@ impl PrefetchBuffer {
         set.push_back(line);
         if let Some(old) = evicted {
             self.index.remove(&old);
+            self.counts.evicted += 1;
         }
         self.index.insert(line);
         evicted
     }
 
     /// Records the prefetched lines of a group fetch landing in the
-    /// buffer. Returns how many lines went in (a duplicate refreshes its
-    /// position and still counts: it consumed fetch bandwidth) and how
-    /// many resident lines the fill displaced; evictions of never-used
-    /// lines are the waste the paper's prefetch-efficiency metric
-    /// exposes.
-    pub fn fill<I>(&mut self, lines: I) -> (u64, u64)
-    where
-        I: IntoIterator<Item = LineAddr>,
-    {
-        let (mut inserted, mut evicted) = (0, 0);
+    /// buffer.
+    pub fn fill(&mut self, lines: impl IntoIterator<Item = LineAddr>) {
         for line in lines {
-            if self.insert(line).is_some() {
-                evicted += 1;
-            }
-            inserted += 1;
+            self.insert(line);
         }
-        (inserted, evicted)
     }
 
     /// Removes `line` (a processor write made the prefetched copy
@@ -155,6 +172,11 @@ impl PrefetchBuffer {
     /// Total capacity in lines.
     pub fn capacity(&self) -> usize {
         self.sets.len() * self.ways
+    }
+
+    /// Hits, insertions and evictions since the buffer was built.
+    pub fn counts(&self) -> PrefetchCounts {
+        self.counts
     }
 }
 
@@ -256,23 +278,33 @@ mod tests {
     #[test]
     fn fill_reports_inserted_and_evicted() {
         let mut buf = full_fifo(4);
-        let lines = [1, 2, 3].map(LineAddr::new);
-        assert_eq!(buf.fill(lines), (3, 0));
+        let counts = |inserted, evicted| PrefetchCounts {
+            hits: 0,
+            inserted,
+            evicted,
+        };
+        buf.fill([1, 2, 3].map(LineAddr::new));
+        assert_eq!(buf.counts(), counts(3, 0));
         assert_eq!(buf.len(), 3);
         // A line already resident still counts as inserted, and the
         // buffer does not grow.
-        assert_eq!(buf.fill([LineAddr::new(3)]), (1, 0));
+        buf.fill([LineAddr::new(3)]);
+        assert_eq!(buf.counts(), counts(4, 0));
         assert_eq!(buf.len(), 3);
         assert!(buf.contains(LineAddr::new(1)));
+        // Hits count only lines the buffer holds.
+        assert!(buf.on_hit(LineAddr::new(1)));
+        assert!(!buf.on_hit(LineAddr::new(9)));
+        assert_eq!(buf.counts().hits, 1);
     }
 
     #[test]
     fn overfilling_a_buffer_counts_evictions() {
         let mut buf = PrefetchBuffer::new(&AmbPrefetchConfig::paper_default());
         let capacity = buf.capacity() as u64;
-        let (inserted, evicted) = buf.fill((0..2 * capacity).map(LineAddr::new));
-        assert_eq!(inserted, 2 * capacity);
-        assert_eq!(evicted, capacity);
+        buf.fill((0..2 * capacity).map(LineAddr::new));
+        assert_eq!(buf.counts().inserted, 2 * capacity);
+        assert_eq!(buf.counts().evicted, capacity);
         assert_eq!(buf.len() as u64, capacity);
     }
 

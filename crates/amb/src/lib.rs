@@ -29,7 +29,7 @@
 
 pub mod buffer;
 
-pub use buffer::PrefetchBuffer;
+pub use buffer::{PrefetchBuffer, PrefetchCounts};
 
 #[cfg(all(test, feature = "proptest"))]
 mod proptests {

@@ -22,9 +22,7 @@ use fbd_core::experiment::{default_budget, reference_ipcs, smt_speedup, Experime
 pub use fbd_core::parallel_map;
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::Json;
-use fbd_types::config::{
-    AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SystemConfig,
-};
+use fbd_types::config::{AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, SystemConfig};
 use fbd_types::time::DataRate;
 use fbd_workloads::{paper_workloads, Workload, PROFILES};
 
@@ -106,11 +104,6 @@ pub fn with_channels_and_rate(
     cfg.mem.logical_channels = logical_channels;
     cfg.mem.data_rate = rate;
     cfg
-}
-
-/// True for FB-DIMM variants (used when a sweep applies to both).
-pub fn is_fbd(cfg: &SystemConfig) -> bool {
-    matches!(cfg.mem.tech, MemoryTech::FbDimm { .. })
 }
 
 /// The paper's workload groups: (label, workloads).

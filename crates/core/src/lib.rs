@@ -105,15 +105,6 @@ mod info_table {
                 .collect()
         }
 
-        fn evictions(mem: &MemorySystem) -> u64 {
-            let reg = &mem.telemetry().expect("telemetry enabled").registry;
-            let id = reg.lookup("amb.prefetch.evictions").expect("metric");
-            match reg.value(id) {
-                MetricValue::Counter(n) => n,
-                other => panic!("not a counter: {other:?}"),
-            }
-        }
-
         #[test]
         fn fill_reports_inserted_and_evicted() {
             let cfg = MemoryConfig::fbdimm_with_prefetch();
@@ -126,12 +117,18 @@ mod info_table {
             let starts = regions_on(&cfg, 0, 0, n as usize);
             serve(&mut mem, 0, AccessKind::DemandRead, starts[0]);
             assert_eq!(mem.stats().lines_prefetched, k - 1);
-            assert_eq!(evictions(&mem), 0);
+            assert_eq!(mem.stats().prefetch_evictions, 0);
             for (i, &line) in starts.iter().enumerate().skip(1) {
                 serve(&mut mem, i as u64, AccessKind::DemandRead, line);
             }
+            let evicted = n * (k - 1) - capacity;
             assert_eq!(mem.stats().lines_prefetched, n * (k - 1));
-            assert_eq!(evictions(&mem), n * (k - 1) - capacity);
+            assert_eq!(mem.stats().prefetch_evictions, evicted);
+            // The registry publishes the same total at finish.
+            let tel = mem.finish_telemetry(Time::from_ns(1_000 * (n + 1)));
+            let reg = tel.expect("telemetry enabled").registry;
+            let id = reg.lookup("amb.prefetch.evictions").expect("metric");
+            assert_eq!(reg.value(id), MetricValue::Counter(evicted));
         }
 
         #[test]

@@ -9,8 +9,8 @@
 //! own: its scheduler, its AMBs' prefetch-buffer tags (paper §3.2: "the
 //! memory controller holds the tag part of the cache"), its refresh
 //! manager and patrol scrub, its ranks' power-mode trackers, its
-//! dropped-prefetch re-issue queue, its traffic counters, its link and
-//! its DRAM devices. The devices are the same on both datapaths, a
+//! dropped-prefetch re-issue queue, its read and write counts, its link
+//! and its DRAM devices. The devices are the same on both datapaths, a
 //! table of [`RankGroup`]s indexed by the `dimm * ranks + rank` slot;
 //! only their bus scope and the link in front differ:
 //!
@@ -36,10 +36,17 @@
 //! (FB-DIMM read with the AMB prefetch buffer in front of the devices,
 //! FB-DIMM posted write, DDR2 access), then the power, recovery,
 //! statistics and latency-profile bookkeeping once.
+//!
+//! Each reported count has one increment site, in the component doing
+//! the work: a channel counts its reads and writes, each AMB's
+//! [`PrefetchBuffer`] its hits, insertions and evictions, each rank its
+//! DRAM operations. [`MemStats`] folds them in when it is read, and the
+//! telemetry registry is written from them at each epoch snapshot and
+//! at finish.
 
 use std::collections::VecDeque;
 
-use fbd_amb::PrefetchBuffer;
+use fbd_amb::{PrefetchBuffer, PrefetchCounts};
 use fbd_ctrl::{
     schedulers, InterleavedMapper, MappedAddr, PatrolScrub, QueueEntry, RefreshOp, SchedClass,
     SchedulerPolicy, StaggeredRefresh, TransactionQueue,
@@ -58,7 +65,7 @@ use fbd_types::request::{
     AccessKind, CoreId, MemRequest, MemResponse, ReqClass, RequestId, ServiceKind, Stage,
     StageBreakdown,
 };
-use fbd_types::stats::MemStats;
+use fbd_types::stats::{DramOpCounts, LatencyStat, MemStats};
 use fbd_types::time::{DataRate, Dur, Time};
 use fbd_types::{LineAddr, LineSet, CACHE_LINE_BYTES};
 
@@ -188,13 +195,43 @@ struct Channel {
     refresh: Option<StaggeredRefresh>,
     /// Patrol scrubbing; `None` unless the config selects it.
     scrub: Option<PatrolScrub>,
-    /// Read by [`MemorySystem::channel_counters`].
-    counts: ChannelCounters,
+    /// Read transactions issued (all read kinds).
+    reads: u64,
+    /// Write transactions issued.
+    writes: u64,
 }
 
-/// Always-on per-channel traffic counters. These stay outside the
-/// optional telemetry registry so per-channel bandwidth is available to
-/// exporters even when telemetry was never enabled.
+impl Channel {
+    /// The channel's traffic counters: its own reads and writes, one
+    /// line of data each, and its AMBs' hits.
+    fn counters(&self) -> ChannelCounters {
+        ChannelCounters {
+            reads: self.reads,
+            writes: self.writes,
+            bytes: (self.reads + self.writes) * CACHE_LINE_BYTES,
+            amb_hits: self.prefetch().hits,
+        }
+    }
+
+    /// The counts of every AMB prefetch buffer on the channel.
+    fn prefetch(&self) -> PrefetchCounts {
+        self.amb.iter().map(PrefetchBuffer::counts).sum()
+    }
+
+    /// DRAM operations of DIMM `dimm`, summed over its ranks.
+    fn dimm_ops(&self, dimm: u32) -> DramOpCounts {
+        let mut total = DramOpCounts::default();
+        for r in 0..self.devices.ranks {
+            let (group, rank) = self.devices.at(self.devices.slot(dimm, r));
+            total.merge(group.rank(rank).ops());
+        }
+        total
+    }
+}
+
+/// Always-on per-channel traffic counters, read from the channel's own
+/// counts, so per-channel bandwidth is available to exporters even when
+/// telemetry was never enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelCounters {
     /// Read transactions issued on this channel (all read kinds).
@@ -208,7 +245,6 @@ pub struct ChannelCounters {
 }
 
 /// Registry handles for one DIMM's metrics.
-#[derive(Clone, Copy)]
 struct DimmIds {
     acts: MetricId,
     reads: MetricId,
@@ -232,9 +268,9 @@ struct ChanIds {
 /// Telemetry state attached to a [`MemorySystem`] when enabled: the
 /// registry/sampler/tracer plus the pre-registered metric handles.
 /// Boxed behind an `Option` so the telemetry-off hot path pays one
-/// pointer test. (Power-mode residency is tracked always-on by the
-/// [`MemorySystem`] itself — the energy report needs it even when
-/// telemetry never ran.)
+/// pointer test. The transaction path only draws trace events through
+/// it; the registry's values are written by [`MemTel::publish`] from
+/// the model's own counters.
 struct MemTel {
     tel: Telemetry,
     chans: Vec<ChanIds>,
@@ -245,6 +281,32 @@ struct MemTel {
 }
 
 impl MemTel {
+    /// Writes the registry's counters and read-latency accumulator from
+    /// the model's own: each channel's traffic and prefetch counts,
+    /// each DIMM's rank operations, every buffer's prefetch counts and
+    /// the demand-read latency statistic.
+    fn publish(&mut self, channels: &[Channel], read_latency: LatencyStat) {
+        let reg = &mut self.tel.registry;
+        for (c, ids) in channels.iter().zip(&self.chans) {
+            let counts = c.counters();
+            reg.set_counter(ids.reads, counts.reads);
+            reg.set_counter(ids.writes, counts.writes);
+            reg.set_counter(ids.bytes, counts.bytes);
+            reg.set_counter(ids.amb_hits, counts.amb_hits);
+            for (d, dimm) in (0u32..).zip(&ids.dimms) {
+                let ops = c.dimm_ops(d);
+                reg.set_counter(dimm.acts, ops.act_pre);
+                reg.set_counter(dimm.reads, ops.col_reads);
+                reg.set_counter(dimm.writes, ops.col_writes);
+            }
+        }
+        let prefetch: PrefetchCounts = channels.iter().map(Channel::prefetch).sum();
+        reg.set_counter(self.pf_fills, prefetch.inserted);
+        reg.set_counter(self.pf_evictions, prefetch.evicted);
+        reg.set_counter(self.pf_hits, prefetch.hits);
+        reg.set_latency(self.read_latency, read_latency);
+    }
+
     /// A link transfer on the southbound (command `cmd` or write data
     /// `wdata`) or northbound (`data`) track `tid`: the corrupted slots
     /// its replay attempts consumed (shown under fault injection), then
@@ -259,47 +321,19 @@ impl MemTel {
         }
     }
 
-    /// Channel-level transaction accounting (a write, or any read kind).
-    fn count(&mut self, ch: u32, write: bool) {
-        let ids = &self.chans[ch as usize];
-        let n = if write { ids.writes } else { ids.reads };
-        let bytes = ids.bytes;
-        self.tel.registry.add(n, 1);
-        self.tel.registry.add(bytes, CACHE_LINE_BYTES);
-    }
-
-    /// A read served from the AMB prefetch cache (no DRAM access).
-    fn amb_hit(&mut self, ch: u32, dimm: u32, at: Time) {
-        let id = self.chans[ch as usize].amb_hits;
-        self.tel.registry.add(id, 1);
-        self.tel.registry.add(self.pf_hits, 1);
-        if let Some(tr) = self.tel.tracer.as_mut() {
-            tr.instant("amb_hit", "amb", ch, tid_dimm(dimm as usize), at, vec![]);
-        }
-    }
-
     /// A committed single-line access to `m` at device slot `slot`:
-    /// counts its ACT and column command on `m`'s DIMM and draws its
-    /// command spans on the serving bank's track: the row commands
-    /// (`PRE`, `ACT`), then the column command through its burst. DDR2
-    /// (`ddr2`) names the column command as issued (`RDA`/`WRA` under
-    /// close page); FB-DIMM draws a plain `RD`/`WR`.
+    /// draws its command spans on the serving bank's track, the row
+    /// commands (`PRE`, `ACT`) and then the column command through its
+    /// burst. DDR2 (`ddr2`) names the column command as issued
+    /// (`RDA`/`WRA` under close page); FB-DIMM draws a plain `RD`/`WR`.
     fn dram_access(&mut self, m: &MappedAddr, slot: usize, plan: &AccessPlan, ddr2: bool) {
-        let ch = m.channel;
-        let ids = self.chans[ch as usize].dimms[m.dimm as usize];
-        if plan.act_at.is_some() {
-            self.tel.registry.add(ids.acts, 1);
-        }
-        let read = plan.op.kind.is_read();
-        self.tel
-            .registry
-            .add(if read { ids.reads } else { ids.writes }, 1);
         let Some(tr) = self.tel.tracer.as_mut() else {
             return;
         };
+        let ch = m.channel;
         let tid = tid_bank(slot, plan.bank);
         row_commands(tr, ch, tid, plan);
-        let col = match (ddr2, read) {
+        let col = match (ddr2, plan.op.kind.is_read()) {
             (true, _) => plan.commands().last().expect("a column command").0,
             (false, true) => "RD",
             (false, false) => "WR",
@@ -310,8 +344,8 @@ impl MemTel {
 
     /// A K-line group fetch (one ACT, K pipelined column reads) for `m`
     /// at device slot `slot` whose demanded line was `first` and whose
-    /// last line ended at `fill_done`; command spans land on the
-    /// serving bank's track.
+    /// last line ended at `fill_done`, prefetching the other K−1 lines;
+    /// command spans land on the serving bank's track.
     fn group_fetch(
         &mut self,
         m: &MappedAddr,
@@ -319,17 +353,9 @@ impl MemTel {
         first: &AccessPlan,
         lines: u32,
         fill_done: Time,
-        (inserted, evicted): (u64, u64),
     ) {
-        let ch = m.channel;
-        let ids = self.chans[ch as usize].dimms[m.dimm as usize];
-        if first.act_at.is_some() {
-            self.tel.registry.add(ids.acts, 1);
-        }
-        self.tel.registry.add(ids.reads, u64::from(lines));
-        self.tel.registry.add(self.pf_fills, inserted);
-        self.tel.registry.add(self.pf_evictions, evicted);
         if let Some(tr) = self.tel.tracer.as_mut() {
+            let ch = m.channel;
             let tid = tid_bank(slot, first.bank);
             row_commands(tr, ch, tid, first);
             tr.complete(
@@ -339,7 +365,7 @@ impl MemTel {
                 tid,
                 first.cmd_at,
                 fill_done - first.cmd_at,
-                vec![("prefetched", Json::from(inserted))],
+                vec![("prefetched", Json::from(u64::from(lines - 1)))],
             );
         }
     }
@@ -560,7 +586,8 @@ impl MemorySystem {
                     },
                     refresh: cfg.refresh.enabled.then(|| StaggeredRefresh::new(cfg)),
                     scrub: PatrolScrub::for_config(cfg),
-                    counts: ChannelCounters::default(),
+                    reads: 0,
+                    writes: 0,
                 }
             })
             .collect();
@@ -692,7 +719,7 @@ impl MemorySystem {
 
     /// Always-on per-channel traffic counters, indexed by channel.
     pub fn channel_counters(&self) -> Vec<ChannelCounters> {
-        self.channels.iter().map(|c| c.counts).collect()
+        self.channels.iter().map(Channel::counters).collect()
     }
 
     /// The always-on stage × request-class latency-attribution profile
@@ -738,21 +765,19 @@ impl MemorySystem {
             .map_or(Time::NEVER, |t| t.tel.next_sample_due())
     }
 
-    /// Takes an epoch snapshot: refreshes the queue-depth / in-flight
-    /// gauges, emits counter trace events, then samples every metric.
+    /// Takes an epoch snapshot: publishes the model's counters into the
+    /// registry, refreshes the queue-depth / in-flight gauges, emits
+    /// counter trace events, then samples every metric.
     pub fn sample_telemetry(&mut self, now: Time) {
         let Some(t) = self.tel.as_deref_mut() else {
             return;
         };
-        for ch in 0..self.cfg.logical_channels {
-            let (qd, inf) = {
-                let ids = &t.chans[ch as usize];
-                (ids.queue_depth, ids.inflight)
-            };
+        t.publish(&self.channels, self.stats.read_latency);
+        for (ch, (c, ids)) in (0u32..).zip(self.channels.iter().zip(&t.chans)) {
             let depth = self.queue.bucket(ch).len() as f64;
-            let inflight = f64::from(self.channels[ch as usize].inflight);
-            t.tel.registry.set(qd, depth);
-            t.tel.registry.set(inf, inflight);
+            let inflight = f64::from(c.inflight);
+            t.tel.registry.set(ids.queue_depth, depth);
+            t.tel.registry.set(ids.inflight, inflight);
             if let Some(tr) = t.tel.tracer.as_mut() {
                 tr.counter("queue_depth", "ctrl", ch, TID_SOUTH, now, depth);
                 tr.counter("inflight", "ctrl", ch, TID_SOUTH, now, inflight);
@@ -762,41 +787,37 @@ impl MemorySystem {
     }
 
     /// Ends telemetry at `end` and takes it out of the subsystem:
-    /// resolves power-mode residencies and the energy report into the
-    /// registry, draws each rank's power-mode spans not yet settled
-    /// (when tracing), then flushes the final partial epoch.
+    /// publishes the model's counters, resolves power-mode residencies
+    /// and the energy report into the registry, draws each rank's
+    /// power-mode spans not yet settled (when tracing), then flushes the
+    /// final partial epoch. Call it before [`Self::finish_stats`], which
+    /// moves out the read-latency statistic it publishes.
     pub fn finish_telemetry(&mut self, end: Time) -> Option<Telemetry> {
         let mut mt = self.tel.take()?;
-        let ranks = self.cfg.ranks_per_dimm;
-        for (ch, c) in (0u32..).zip(&self.channels) {
-            for d in 0..self.cfg.dimms_per_channel {
-                let ids = mt.chans[ch as usize].dimms[d as usize];
+        mt.publish(&self.channels, self.stats.read_latency);
+        let (registry, mut tracer) = (&mut mt.tel.registry, mt.tel.tracer.as_mut());
+        for (ch, (c, ids)) in (0u32..).zip(self.channels.iter().zip(&mt.chans)) {
+            for (d, dimm) in (0u32..).zip(&ids.dimms) {
                 let mut res = fbd_power::ModeResidency::default();
-                for r in 0..ranks {
-                    let tracker = &c.power[c.devices.slot(d, r)];
-                    let rr = tracker.residency(end);
+                for r in 0..self.cfg.ranks_per_dimm {
+                    let slot = c.devices.slot(d, r);
+                    let rr = c.power[slot].residency(end);
                     res.active += rr.active;
                     res.standby += rr.standby;
                     res.powerdown += rr.powerdown;
-                    if let Some(tr) = mt.tel.tracer.as_mut() {
-                        for span in tracker.spans(end) {
-                            power_span(tr, ch, c.devices.slot(d, r), span);
+                    if let Some(tr) = tracer.as_deref_mut() {
+                        for span in c.power[slot].spans(end) {
+                            power_span(tr, ch, slot, span);
                         }
                     }
                 }
-                mt.tel
-                    .registry
-                    .set(ids.power_active_ns, res.active.as_ns_f64());
-                mt.tel
-                    .registry
-                    .set(ids.power_standby_ns, res.standby.as_ns_f64());
-                mt.tel
-                    .registry
-                    .set(ids.power_powerdown_ns, res.powerdown.as_ns_f64());
+                registry.set(dimm.power_active_ns, res.active.as_ns_f64());
+                registry.set(dimm.power_standby_ns, res.standby.as_ns_f64());
+                registry.set(dimm.power_powerdown_ns, res.powerdown.as_ns_f64());
             }
         }
         let energy = self.energy_report(end);
-        for (path, value) in [
+        let mut gauges = vec![
             ("energy.activation_nj", energy.activation_nj),
             ("energy.burst_nj", energy.burst_nj),
             ("energy.refresh_nj", energy.refresh_nj),
@@ -804,46 +825,33 @@ impl MemorySystem {
             ("energy.amb_nj", energy.amb_nj),
             ("energy.total_nj", energy.total_nj()),
             ("energy.avg_power_w", energy.avg_power_w()),
-        ] {
-            let id = mt.tel.registry.gauge(path);
-            mt.tel.registry.set(id, value);
-        }
+        ];
         // Error/recovery gauges exist only when fault injection ran, so
         // a zero-BER run exports a byte-identical registry.
         if let Some(fr) = self.fault_report(end) {
-            for (path, value) in [
-                ("errors.injected", fr.counters.injected as f64),
-                ("errors.detected", fr.counters.detected as f64),
-                ("errors.retried", fr.counters.retried as f64),
-                ("errors.retry_exhausted", fr.counters.retry_exhausted as f64),
-                ("errors.failovers", fr.counters.failovers as f64),
-                (
-                    "errors.dropped_prefetch",
-                    fr.counters.dropped_prefetch as f64,
-                ),
+            let (c, s) = (&fr.counters, &fr.silent);
+            gauges.extend([
+                ("errors.injected", c.injected as f64),
+                ("errors.detected", c.detected as f64),
+                ("errors.retried", c.retried as f64),
+                ("errors.retry_exhausted", c.retry_exhausted as f64),
+                ("errors.failovers", c.failovers as f64),
+                ("errors.dropped_prefetch", c.dropped_prefetch as f64),
                 ("errors.degraded_ns", fr.degraded.as_ns_f64()),
-                ("errors.escaped", fr.counters.escaped as f64),
-                ("errors.probes", fr.counters.probes as f64),
-                ("errors.failbacks", fr.counters.failbacks as f64),
-                ("errors.reissued", fr.counters.reissued as f64),
-                ("errors.scrub_reads", fr.counters.scrub_reads as f64),
-                ("errors.scrub_rewrites", fr.counters.scrub_rewrites as f64),
-                (
-                    "errors.silent.poisoned_lines",
-                    fr.silent.poisoned_lines as f64,
-                ),
-                (
-                    "errors.silent.demand_consumed",
-                    fr.silent.demand_consumed as f64,
-                ),
-                (
-                    "errors.silent.scrubbed_clean",
-                    fr.silent.scrubbed_clean as f64,
-                ),
-            ] {
-                let id = mt.tel.registry.gauge(path);
-                mt.tel.registry.set(id, value);
-            }
+                ("errors.escaped", c.escaped as f64),
+                ("errors.probes", c.probes as f64),
+                ("errors.failbacks", c.failbacks as f64),
+                ("errors.reissued", c.reissued as f64),
+                ("errors.scrub_reads", c.scrub_reads as f64),
+                ("errors.scrub_rewrites", c.scrub_rewrites as f64),
+                ("errors.silent.poisoned_lines", s.poisoned_lines as f64),
+                ("errors.silent.demand_consumed", s.demand_consumed as f64),
+                ("errors.silent.scrubbed_clean", s.scrubbed_clean as f64),
+            ]);
+        }
+        for (path, value) in gauges {
+            let id = registry.gauge(path);
+            registry.set(id, value);
         }
         mt.tel.finish(end);
         Some(mt.tel)
@@ -987,7 +995,7 @@ impl MemorySystem {
             }
         }
         self.host.mark_sampled(Phase::Datapath);
-        Some(self.next_slot(ch, now))
+        Some(self.next_slot(now))
     }
 
     /// Executes a taken entry and counts it in flight on its channel.
@@ -1035,7 +1043,7 @@ impl MemorySystem {
 
     /// The earliest instant after `now` at which another command can be
     /// scheduled on this channel (one command slot later).
-    fn next_slot(&self, _ch: u32, now: Time) -> Time {
+    fn next_slot(&self, now: Time) -> Time {
         match self.cfg.tech {
             MemoryTech::FbDimm { .. } => now + (self.clock * 2) / 3,
             MemoryTech::Ddr2 => now + self.clock,
@@ -1078,7 +1086,7 @@ impl MemorySystem {
                 .as_deref_mut()
                 .expect("recovery state exists");
             rel.counters.reissued += 1;
-            return Some(self.next_slot(ch, now));
+            return Some(self.next_slot(now));
         }
         let line = self.channels[ch as usize].scrub.as_mut()?.next_scrub(now)?;
         let entry = self.synth_entry(AccessKind::HardwarePrefetch, line, now);
@@ -1101,7 +1109,7 @@ impl MemorySystem {
             let entry = self.synth_entry(AccessKind::Write, line, now);
             self.issue(entry, now, issued);
         }
-        Some(self.next_slot(ch, now))
+        Some(self.next_slot(now))
     }
 
     /// Executes a taken entry, read or write, on either datapath.
@@ -1129,23 +1137,15 @@ impl MemorySystem {
             AccessKind::HardwarePrefetch => self.stats.hw_prefetch_reads += 1,
             AccessKind::Write => self.stats.writes += 1,
         }
-        self.stats.data_bytes += CACHE_LINE_BYTES;
         let chan = &mut self.channels[m.channel as usize];
-        let counts = &mut chan.counts;
         if write {
-            counts.writes += 1;
-        } else {
-            counts.reads += 1;
-        }
-        counts.bytes += CACHE_LINE_BYTES;
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.count(m.channel, write);
-        }
-        // A store makes any prefetched copy stale.
-        if write {
+            chan.writes += 1;
+            // A store makes any prefetched copy stale.
             if let Some(buf) = chan.amb.get_mut(m.dimm as usize) {
                 buf.invalidate(req.line);
             }
+        } else {
+            chan.reads += 1;
         }
 
         // Stage-resolved latency attribution: the stamper's cursor walks
@@ -1188,10 +1188,10 @@ impl MemorySystem {
                         _ => cmd_at_amb,
                     };
                     st.to(Stage::AmbProc, data_ready);
-                    self.stats.amb_hits += 1;
-                    chan.counts.amb_hits += 1;
-                    if let Some(t) = self.tel.as_deref_mut() {
-                        t.amb_hit(m.channel, m.dimm, cmd_at_amb);
+                    // A read served from the AMB, with no DRAM access.
+                    if let Some(tr) = self.tel.as_deref_mut().and_then(|t| t.tel.tracer.as_mut()) {
+                        let tid = tid_dimm(m.dimm as usize);
+                        tr.instant("amb_hit", "amb", m.channel, tid, cmd_at_amb, vec![]);
                     }
                     (data_ready, ServiceKind::AmbCacheHit, None)
                 } else if let Some(buf) = buf {
@@ -1203,10 +1203,9 @@ impl MemorySystem {
                     st.to(Stage::DramCas, first.data_start);
                     let region = req.line.region(u64::from(k));
                     let fills = region.lines(u64::from(k)).filter(|l| *l != req.line);
-                    let (inserted, evicted) = buf.fill(fills);
-                    self.stats.lines_prefetched += inserted;
+                    buf.fill(fills);
                     if let Some(t) = self.tel.as_deref_mut() {
-                        t.group_fetch(&m, slot, &first, k, fill_done, (inserted, evicted));
+                        t.group_fetch(&m, slot, &first, k, fill_done);
                     }
                     let service = ServiceKind::DramAccessWithPrefetch;
                     (first.data_start, service, Some((first, fill_done)))
@@ -1342,10 +1341,6 @@ impl MemorySystem {
         if demand {
             self.stats.read_latency.record(latency);
             self.stats.read_latency_hist.record(latency);
-            if let Some(t) = self.tel.as_deref_mut() {
-                let id = t.read_latency;
-                t.tel.registry.record(id, latency);
-            }
         }
         self.stats.bandwidth_series.record(done, CACHE_LINE_BYTES);
         let stages = st.finish();
@@ -1373,32 +1368,40 @@ impl MemorySystem {
         }
     }
 
-    /// Statistics accumulated so far, with DRAM operation counters folded
-    /// in from every DIMM.
+    /// Statistics accumulated so far, with the channels' traffic, the
+    /// prefetch buffers' counts and every rank's DRAM operations folded
+    /// in.
     ///
     /// This clones the stats struct (including its histogram and series
     /// buffers) — fine for diagnostics and tests, but a finished run
     /// should move them out once via [`Self::finish_stats`] instead.
     pub fn stats(&self) -> MemStats {
         let mut s = self.stats.clone();
-        self.fold_dimm_ops(&mut s);
+        self.fold_counters(&mut s);
         s
     }
 
-    /// Moves the accumulated statistics out (DRAM operation counters
-    /// folded in from every DIMM) without cloning the histogram and
+    /// Moves the accumulated statistics out (the channel, prefetch and
+    /// DRAM counters folded in) without cloning the histogram and
     /// bandwidth-series buffers. Call once when the run is over; the
     /// internal stats are left empty.
     pub fn finish_stats(&mut self) -> MemStats {
         let mut s = std::mem::take(&mut self.stats);
-        self.fold_dimm_ops(&mut s);
+        self.fold_counters(&mut s);
         s
     }
 
-    fn fold_dimm_ops(&self, s: &mut MemStats) {
-        for g in self.channels.iter().flat_map(|c| &c.devices.groups) {
-            s.dram_ops.merge(&g.ops());
-            s.dram_active_time += g.active_time();
+    fn fold_counters(&self, s: &mut MemStats) {
+        for c in &self.channels {
+            for g in &c.devices.groups {
+                s.dram_ops.merge(&g.ops());
+                s.dram_active_time += g.active_time();
+            }
+            let prefetch = c.prefetch();
+            s.amb_hits += prefetch.hits;
+            s.lines_prefetched += prefetch.inserted;
+            s.prefetch_evictions += prefetch.evicted;
+            s.data_bytes += c.counters().bytes;
         }
     }
 

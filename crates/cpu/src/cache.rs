@@ -20,13 +20,6 @@ pub enum L2Outcome {
     },
 }
 
-impl L2Outcome {
-    /// True for hits.
-    pub fn is_hit(&self) -> bool {
-        matches!(self, L2Outcome::Hit)
-    }
-}
-
 /// Valid bit of a [`Way`]'s packed metadata.
 const VALID: u64 = 1;
 /// Dirty bit of a [`Way`]'s packed metadata.

@@ -39,7 +39,6 @@ pub struct DataBus {
     bursts: VecDeque<(Time, Time, ColKind)>,
     /// Everything before this instant is permanently unavailable.
     horizon: Time,
-    busy: Dur,
 }
 
 impl DataBus {
@@ -56,7 +55,6 @@ impl DataBus {
             clock,
             bursts: VecDeque::with_capacity(cap),
             horizon: Time::ZERO,
-            busy: Dur::ZERO,
         }
     }
 
@@ -129,7 +127,6 @@ impl DataBus {
         );
         let idx = partition_point_from_back(&self.bursts, |&(s, _, _)| s <= start);
         self.bursts.insert(idx, (start, end, dir));
-        self.busy += end - start;
         // Prune bursts too old to matter.
         let cutoff = Time::from_ps(start.as_ps().saturating_sub(PRUNE_WINDOW.as_ps()));
         while let Some(&(_, e, _)) = self.bursts.front() {
@@ -145,11 +142,6 @@ impl DataBus {
     /// Instant after which the bus is completely free.
     pub fn free_at(&self) -> Time {
         self.bursts.back().map_or(self.horizon, |&(_, e, _)| e)
-    }
-
-    /// Total time the bus has carried data (for utilization reporting).
-    pub fn busy_time(&self) -> Dur {
-        self.busy
     }
 }
 
@@ -224,11 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_accumulates() {
+    fn free_at_ends_at_the_last_burst() {
         let mut b = bus();
         b.commit(ColKind::Read, Time::from_ns(0), Time::from_ns(6));
         b.commit(ColKind::Read, Time::from_ns(6), Time::from_ns(12));
-        assert_eq!(b.busy_time(), Dur::from_ns(12));
         assert_eq!(b.free_at(), Time::from_ns(12));
     }
 

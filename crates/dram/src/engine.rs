@@ -251,13 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn bus_busy_accumulates_bursts() {
-        let mut d = dimm();
-        d.fetch_group(0, 0, 5, 4, Time::ZERO);
-        assert_eq!(d.bus.busy_time(), Dur::from_ns(24));
-    }
-
-    #[test]
     fn ranks_are_independent_timing_domains() {
         let mut d = RankGroup::new(2, 4, DramTimings::ddr2_table2(), CLK, BURST, true);
         // Same bank index on two different ranks: no tRC between them.
@@ -305,7 +298,13 @@ mod tests {
         assert_eq!(c.act_at, Some(Time::from_ns(54)));
         assert_eq!(ch.rank(0).ops().act_pre, 2);
         assert_eq!(ch.rank(1).ops().act_pre, 1);
-        assert_eq!(ch.bus.busy_time(), BURST * 3);
+        // Three one-burst reads, serialized on the one bus: the bus is
+        // free once the last of them ends.
+        for p in [a, b, c] {
+            assert_eq!(p.data_end - p.data_start, BURST);
+        }
+        assert!(c.data_start >= b.data_end);
+        assert_eq!(ch.bus.free_at(), c.data_end);
     }
 
     #[test]

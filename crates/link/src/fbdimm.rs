@@ -574,22 +574,6 @@ impl FbdChannel {
             silent: Default::default(),
         })
     }
-
-    /// Northbound transfer time for one line (the "6 ns data transfer" of
-    /// the paper's latency decomposition).
-    pub fn read_slot(&self) -> Dur {
-        self.read_slot
-    }
-
-    /// The daisy chain (for latency decomposition in tests).
-    pub fn chain(&self) -> &DaisyChain {
-        &self.chain
-    }
-
-    /// Bytes carried so far (south + north), for utilization reporting.
-    pub fn carried_time(&self) -> (Dur, Dur) {
-        (self.south.carried(), self.north.carried())
-    }
 }
 
 #[cfg(test)]

@@ -38,8 +38,6 @@ pub struct Timeline {
     busy: VecDeque<(Time, Time)>,
     /// Everything before this instant is permanently unavailable.
     horizon: Time,
-    /// Total reserved time, for utilization reporting.
-    carried: Dur,
 }
 
 impl Timeline {
@@ -63,7 +61,6 @@ impl Timeline {
             clock,
             busy: VecDeque::with_capacity(cap),
             horizon: Time::ZERO,
-            carried: Dur::ZERO,
         }
     }
 
@@ -119,7 +116,6 @@ impl Timeline {
     pub fn reserve(&mut self, not_before: Time, duration: Dur) -> Time {
         let start = self.probe(not_before, duration);
         self.insert(start, start + duration);
-        self.carried += duration;
         self.prune(start);
         start
     }
@@ -137,7 +133,6 @@ impl Timeline {
             "window at {start} no longer free (next free {got})"
         );
         self.insert(start, start + duration);
-        self.carried += duration;
         self.prune(start);
     }
 
@@ -200,11 +195,6 @@ impl Timeline {
                 break;
             }
         }
-    }
-
-    /// Total time this resource has carried traffic.
-    pub fn carried(&self) -> Dur {
-        self.carried
     }
 
     /// Instant after which the timeline is completely free.
@@ -281,11 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn carried_time_accumulates() {
+    fn free_after_ends_at_the_last_reservation() {
         let mut t = tl();
         t.reserve(Time::ZERO, Dur::from_ns(6));
         t.reserve(Time::ZERO, Dur::from_ns(2));
-        assert_eq!(t.carried(), Dur::from_ns(8));
         assert_eq!(t.free_after(), Time::from_ns(8)); // [0,6) then [6,8)
     }
 

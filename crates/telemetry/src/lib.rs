@@ -1,8 +1,8 @@
 //! Telemetry for the FB-DIMM simulator: metric registry, epoch
 //! time-series sampler, and cycle-level Chrome-trace event tracer.
 //!
-//! The simulator's hot paths keep their plain accumulators; this crate
-//! is the *observability* layer layered on top:
+//! The simulator's components keep their own counters; this crate is
+//! the *observability* layer on top:
 //!
 //! - [`MetricRegistry`] — named counters / gauges / latency
 //!   accumulators under hierarchical dot paths such as
@@ -20,10 +20,18 @@
 //! - [`json`] — the dependency-free JSON value/writer/parser the
 //!   exporters are built on.
 //!
+//! The registry is a view of the model's own counters, not a second
+//! set of them: the simulator writes each metric's running total with
+//! an absolute setter ([`MetricRegistry::set_counter`],
+//! [`MetricRegistry::set`], [`MetricRegistry::set_latency`]) just before
+//! each epoch snapshot and at finish, so every reported count has one
+//! increment site, in the component that does the work. Reading the
+//! registry between snapshots therefore shows the last snapshot.
+//!
 //! Everything is opt-in: a [`Telemetry`] built from the default
-//! [`TelemetryConfig`] allocates no sampler and no tracer, and the
-//! simulator's only obligation is an `is_on()` branch at emission
-//! sites.
+//! [`TelemetryConfig`] allocates no sampler and no tracer. Between
+//! snapshots the simulator's only obligation is a `tracer.is_some()`
+//! branch at trace emission sites.
 //!
 //! # Examples
 //!
@@ -36,12 +44,16 @@
 //!     trace: true,
 //! });
 //! let acts = tel.registry.counter("chan0.acts");
-//! tel.registry.add(acts, 1);
+//! // The model counts its own activates ...
+//! let mut activates = 0;
+//! activates += 1;
 //! if let Some(tracer) = tel.tracer.as_mut() {
 //!     tracer.complete("ACT", "dram", 0, 10, Time::from_ns(5), Dur::from_ns(12), vec![]);
 //! }
+//! // ... and publishes the total before the final snapshot.
+//! tel.registry.set_counter(acts, activates);
 //! tel.finish(Time::from_ns(1500));
-//! assert_eq!(tel.sampler.unwrap().rows().len(), 1);
+//! assert_eq!(tel.sampler.unwrap().rows()[0].values, vec![1.0]);
 //! ```
 
 pub mod hist;
@@ -72,13 +84,6 @@ pub struct TelemetryConfig {
     pub sample_interval: Option<Dur>,
     /// Record cycle-level events for Chrome-trace export.
     pub trace: bool,
-}
-
-impl TelemetryConfig {
-    /// True when any collector beyond the registry is enabled.
-    pub fn any_enabled(&self) -> bool {
-        self.sample_interval.is_some() || self.trace
-    }
 }
 
 /// The callback type a [`SampleObserver`] wraps.
@@ -148,18 +153,6 @@ impl Telemetry {
         }
     }
 
-    /// Telemetry that collects nothing beyond the registry.
-    pub fn off() -> Telemetry {
-        Telemetry::default()
-    }
-
-    /// True when the event tracer is active — emission sites branch on
-    /// this before doing any formatting work.
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// When the next epoch snapshot is due ([`Time::NEVER`] if sampling
     /// is off) — the event loop uses this to schedule sample events.
     pub fn next_sample_due(&self) -> Time {
@@ -198,10 +191,8 @@ mod tests {
     #[test]
     fn default_config_collects_nothing() {
         let tel = Telemetry::new(&TelemetryConfig::default());
-        assert!(!TelemetryConfig::default().any_enabled());
         assert!(tel.sampler.is_none());
         assert!(tel.tracer.is_none());
-        assert!(!tel.tracing());
         assert_eq!(tel.next_sample_due(), Time::NEVER);
     }
 
@@ -214,9 +205,9 @@ mod tests {
         let c = tel.registry.counter("reads");
         assert_eq!(tel.next_sample_due(), Time::from_ns(50));
 
-        tel.registry.add(c, 2);
+        tel.registry.set_counter(c, 2);
         tel.sample(Time::from_ns(50));
-        tel.registry.add(c, 1);
+        tel.registry.set_counter(c, 3);
         tel.finish(Time::from_ns(75));
 
         let rows = tel.sampler.as_ref().unwrap().rows();

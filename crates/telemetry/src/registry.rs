@@ -3,10 +3,12 @@
 //! Metrics live under hierarchical dot-separated paths mirroring the
 //! simulated topology, e.g. `chan0.dimm2.bank5.act_count` or
 //! `amb.prefetch.hits`. Registration returns a dense [`MetricId`]
-//! handle; updates through a handle are an array index away, so code
-//! that holds its ids pays no hashing on the hot path. Ids are
-//! append-only and never invalidated, which the epoch sampler relies
-//! on to keep its rows position-aligned.
+//! handle; writes through a handle are an array index away, so code
+//! that holds its ids pays no hashing when it publishes. Every write
+//! is absolute (a counter's running total, a gauge's value, a latency
+//! accumulator's samples): the model keeps the counts and the registry
+//! shows them. Ids are append-only and never invalidated, which the
+//! epoch sampler relies on to keep its rows position-aligned.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -140,12 +142,12 @@ impl MetricRegistry {
         id
     }
 
-    /// Adds `delta` events to a counter.
+    /// Sets a counter to the running total `n`.
     #[inline]
-    pub fn add(&mut self, id: MetricId, delta: u64) {
+    pub fn set_counter(&mut self, id: MetricId, n: u64) {
         match &mut self.slots[id.0 as usize] {
-            Slot::Counter(n) => *n += delta,
-            other => panic!("add on non-counter metric {:?}", kind_of(other)),
+            Slot::Counter(v) => *v = n,
+            other => panic!("set_counter on non-counter metric {:?}", kind_of(other)),
         }
     }
 
@@ -158,12 +160,12 @@ impl MetricRegistry {
         }
     }
 
-    /// Records one latency sample.
+    /// Sets a latency accumulator to the samples `stat` holds.
     #[inline]
-    pub fn record(&mut self, id: MetricId, sample: Dur) {
+    pub fn set_latency(&mut self, id: MetricId, stat: LatencyStat) {
         match &mut self.slots[id.0 as usize] {
-            Slot::Latency(stat) => stat.record(sample),
-            other => panic!("record on non-latency metric {:?}", kind_of(other)),
+            Slot::Latency(v) => *v = stat,
+            other => panic!("set_latency on non-latency metric {:?}", kind_of(other)),
         }
     }
 
@@ -264,11 +266,14 @@ mod tests {
         let depth = reg.gauge("ctrl.queue.depth");
         let lat = reg.latency("mem.read_latency");
 
-        reg.add(acts, 3);
-        reg.add(acts, 2);
+        let mut stat = LatencyStat::default();
+        stat.record(Dur::from_ns(40));
+        stat.record(Dur::from_ns(60));
+
+        reg.set_counter(acts, 3);
+        reg.set_counter(acts, 5);
         reg.set(depth, 7.0);
-        reg.record(lat, Dur::from_ns(40));
-        reg.record(lat, Dur::from_ns(60));
+        reg.set_latency(lat, stat);
 
         assert_eq!(reg.value(acts), MetricValue::Counter(5));
         assert_eq!(reg.value(depth), MetricValue::Gauge(7.0));
@@ -306,7 +311,9 @@ mod tests {
         let mut reg = MetricRegistry::new();
         let lat = reg.latency("z.lat");
         reg.counter("a.count");
-        reg.record(lat, Dur::from_ns(10));
+        let mut stat = LatencyStat::default();
+        stat.record(Dur::from_ns(10));
+        reg.set_latency(lat, stat);
         let json = reg.to_json();
         let Json::Obj(fields) = &json else {
             panic!("expected object")

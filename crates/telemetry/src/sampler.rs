@@ -172,13 +172,13 @@ mod tests {
         let mut s = EpochSampler::new(Dur::from_ns(100));
         assert_eq!(s.next_due(), Time::from_ns(100));
 
-        reg.add(c, 1);
+        reg.set_counter(c, 1);
         s.sample(Time::from_ns(100), &reg);
         assert_eq!(s.next_due(), Time::from_ns(200));
 
         // A late sample (driver slipped two epochs) still lands the next
         // due time strictly in the future.
-        reg.add(c, 4);
+        reg.set_counter(c, 5);
         s.sample(Time::from_ns(350), &reg);
         assert_eq!(s.next_due(), Time::from_ns(400));
 
@@ -193,9 +193,9 @@ mod tests {
         let c = reg.counter("c");
         let mut s = EpochSampler::new(Dur::from_ns(100));
 
-        reg.add(c, 2);
+        reg.set_counter(c, 2);
         s.sample(Time::from_ns(100), &reg);
-        reg.add(c, 1);
+        reg.set_counter(c, 3);
         // Run ends mid-epoch at 130 ns: the tail must not be dropped.
         s.finish(Time::from_ns(130), &reg);
         assert_eq!(s.rows().len(), 2);
@@ -217,7 +217,7 @@ mod tests {
         let c = reg.counter("c");
         let mut s = EpochSampler::new(Dur::from_ns(100));
 
-        reg.add(c, 2);
+        reg.set_counter(c, 2);
         s.sample(Time::from_ns(100), &reg);
         s.sample(Time::from_ns(200), &reg);
 
@@ -247,7 +247,7 @@ mod tests {
         let mut reg = MetricRegistry::new();
         let a = reg.counter("a");
         let mut s = EpochSampler::new(Dur::from_ns(10));
-        reg.add(a, 1);
+        reg.set_counter(a, 1);
         s.sample(Time::from_ns(10), &reg);
 
         let b = reg.gauge("b");

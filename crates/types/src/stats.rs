@@ -333,6 +333,8 @@ pub struct MemStats {
     /// Cachelines prefetched into AMB caches (the K−1 extra lines of
     /// each group fetch).
     pub lines_prefetched: u64,
+    /// Prefetched lines displaced from AMB caches by later fills.
+    pub prefetch_evictions: u64,
     /// Row-buffer hits (open-page mode only).
     pub row_hits: u64,
     /// Demand-read latency distribution (controller arrival → critical
@@ -388,6 +390,7 @@ impl MemStats {
         self.writes += other.writes;
         self.amb_hits += other.amb_hits;
         self.lines_prefetched += other.lines_prefetched;
+        self.prefetch_evictions += other.prefetch_evictions;
         self.row_hits += other.row_hits;
         self.read_latency.merge(&other.read_latency);
         self.read_latency_hist.merge(&other.read_latency_hist);

@@ -338,18 +338,6 @@ impl DataRate {
         clock_period_ps: 1_500,
     };
 
-    /// A custom rate from an explicit DRAM clock period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn from_clock_period(period: Dur) -> DataRate {
-        assert!(!period.is_zero(), "clock period must be non-zero");
-        DataRate {
-            clock_period_ps: period.as_ps(),
-        }
-    }
-
     /// The DRAM clock period (one cycle of the command clock).
     #[inline]
     pub const fn clock_period(self) -> Dur {

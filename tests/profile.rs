@@ -196,9 +196,10 @@ fn channel_writes_equal_summed_dimm_col_writes() {
                 Time::from_ns(i * 4),
             )
         });
-        drive(&mut mem, writes);
+        let end = drive(&mut mem, writes);
 
-        let reg = &mem.telemetry().expect("telemetry enabled").registry;
+        let tel = mem.finish_telemetry(end).expect("telemetry enabled");
+        let reg = &tel.registry;
         let counter = |path: &str| -> u64 {
             let id = reg
                 .lookup(path)

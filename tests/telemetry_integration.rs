@@ -7,8 +7,10 @@ use std::collections::HashMap;
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::{drive, MemorySystem, System};
 use fbd_telemetry::{json, Json, MetricValue, TelemetryConfig};
-use fbd_types::config::{MemoryConfig, SystemConfig};
+use fbd_types::config::{MemoryConfig, ScrubPolicyKind, SystemConfig};
 use fbd_types::request::{AccessKind, CoreId, MemRequest};
+use fbd_types::stats::DramOpCounts;
+use fbd_types::substrate::substrates;
 use fbd_types::time::{Dur, Time};
 use fbd_types::{LineAddr, RequestId};
 use fbd_workloads::Workload;
@@ -57,10 +59,35 @@ fn gauge(r: &fbd_core::RunResult, path: &str) -> f64 {
     }
 }
 
+/// fbd-ap with fault injection, patrol scrub, fail-back and re-issue
+/// armed, so the run carries scrub and re-issue traffic.
+fn fbd_ap_with_recovery() -> SystemConfig {
+    let mut cfg = fbd_ap(1);
+    let f = &mut cfg.mem.faults;
+    f.ber = 1e-3;
+    f.seed = 7;
+    f.crc_bits = 4;
+    f.scrub = ScrubPolicyKind::Patrol;
+    f.scrub_interval_ns = 200;
+    f.failback_quiet_ns = 2_000;
+    f.reissue_budget = 8;
+    cfg
+}
+
 #[test]
 fn registry_agrees_with_simulator_statistics() {
-    let cfg = fbd_ap(1);
-    let r = run_with_telemetry(&cfg, 20_000);
+    for system in ["ddr2", "fbd", "fbd-ap", "fbd-apfl"] {
+        let mut cfg = SystemConfig::paper_default(1);
+        cfg.mem = substrates().get(system).expect("known system").config();
+        registry_agrees(system, &cfg);
+    }
+    registry_agrees("fbd-ap with recovery", &fbd_ap_with_recovery());
+}
+
+/// Runs 1C-swim on `cfg` with telemetry and checks every published
+/// metric against the statistics it is read from.
+fn registry_agrees(system: &str, cfg: &SystemConfig) {
+    let r = run_with_telemetry(cfg, 20_000);
     let tel = r.telemetry.as_ref().expect("telemetry enabled");
 
     // Channel counters mirror the always-on ones and the global stats.
@@ -75,30 +102,65 @@ fn registry_agrees_with_simulator_statistics() {
         .map(|c| counter(&r, &format!("chan{c}.bytes")))
         .sum();
     let all_reads = r.mem.demand_reads + r.mem.sw_prefetch_reads + r.mem.hw_prefetch_reads;
-    assert_eq!(total_reads, all_reads);
-    assert_eq!(total_writes, r.mem.writes);
-    assert_eq!(total_bytes, r.mem.data_bytes);
+    assert_eq!(total_reads, all_reads, "{system}");
+    assert_eq!(total_writes, r.mem.writes, "{system}");
+    assert_eq!(total_bytes, r.mem.data_bytes, "{system}");
     for (c, counts) in r.channels.iter().enumerate() {
         assert_eq!(counts.reads, counter(&r, &format!("chan{c}.reads")));
+        assert_eq!(counts.writes, counter(&r, &format!("chan{c}.writes")));
         assert_eq!(counts.bytes, counter(&r, &format!("chan{c}.bytes")));
         assert_eq!(counts.amb_hits, counter(&r, &format!("chan{c}.amb_hits")));
     }
 
+    // Each DIMM's counters are its ranks' operation counts.
+    for c in 0..nch {
+        for d in 0..cfg.mem.dimms_per_channel {
+            let mut ops = DramOpCounts::default();
+            for rank in r
+                .energy
+                .ranks
+                .iter()
+                .filter(|e| (e.channel, e.dimm) == (c, d))
+            {
+                ops.merge(&rank.ops);
+            }
+            let dimm = format!("chan{c}.dimm{d}");
+            assert_eq!(
+                counter(&r, &format!("{dimm}.acts")),
+                ops.act_pre,
+                "{system} {dimm}"
+            );
+            assert_eq!(counter(&r, &format!("{dimm}.col_reads")), ops.col_reads);
+            assert_eq!(counter(&r, &format!("{dimm}.col_writes")), ops.col_writes);
+        }
+    }
+
     // AMB prefetching observables.
-    assert_eq!(counter(&r, "amb.prefetch.hits"), r.mem.amb_hits);
-    assert!(r.mem.amb_hits > 0, "swim on fbd-ap must hit the AMB cache");
+    assert_eq!(counter(&r, "amb.prefetch.hits"), r.mem.amb_hits, "{system}");
     assert_eq!(counter(&r, "amb.prefetch.fills"), r.mem.lines_prefetched);
+    assert_eq!(
+        counter(&r, "amb.prefetch.evictions"),
+        r.mem.prefetch_evictions
+    );
+    if cfg.mem.amb.is_enabled() {
+        assert!(
+            r.mem.amb_hits > 0,
+            "swim on {system} must hit the AMB cache"
+        );
+    } else {
+        assert_eq!(r.mem.lines_prefetched, 0, "{system} prefetches nothing");
+    }
 
     // The latency accumulator saw exactly the demand reads.
     let id = tel.registry.lookup("mem.read_latency").expect("registered");
     let MetricValue::Latency { count, mean, .. } = tel.registry.value(id) else {
         panic!("mem.read_latency is not a latency metric");
     };
-    assert_eq!(count, r.mem.demand_reads);
+    assert_eq!(count, r.mem.demand_reads, "{system}");
     let mean_ns = mean.map_or(0.0, |d| d.as_ns_f64());
     assert!(
         (mean_ns - r.avg_read_latency_ns()).abs() < 1e-6,
-        "registry mean {mean_ns} vs stats mean {}",
+        "{system}: registry mean {mean_ns} vs stats mean {}",
         r.avg_read_latency_ns()
     );
 
@@ -111,9 +173,23 @@ fn registry_agrees_with_simulator_statistics() {
                 + gauge(&r, &format!("chan{c}.dimm{d}.power.powerdown_ns"));
             assert!(
                 (total - elapsed_ns).abs() < 0.5,
-                "chan{c}.dimm{d} residency {total} ns != elapsed {elapsed_ns} ns"
+                "{system}: chan{c}.dimm{d} residency {total} ns != elapsed {elapsed_ns} ns"
             );
         }
+    }
+
+    // Recovery traffic shows up in the error gauges when it ran.
+    if let Some(f) = &r.faults {
+        assert!(f.counters.scrub_reads > 0, "{system} scrubs");
+        assert!(
+            f.counters.reissued > 0,
+            "{system} re-issues dropped prefetches"
+        );
+        assert_eq!(
+            gauge(&r, "errors.scrub_reads"),
+            f.counters.scrub_reads as f64
+        );
+        assert_eq!(gauge(&r, "errors.reissued"), f.counters.reissued as f64);
     }
 }
 
