@@ -860,6 +860,14 @@ impl MemorySystem {
     /// Submits a request. Returns the instant it becomes schedulable
     /// (arrival plus the controller's fixed overhead) and its channel, so
     /// the engine can schedule a decision.
+    ///
+    /// Requests must be submitted in arrival order: each channel's queue
+    /// bucket then stays sorted by arrival, and a decision picks from its
+    /// ready prefix ([`TransactionQueue::ready`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req` arrives before the previously submitted request.
     pub fn submit(&mut self, req: MemRequest) -> (u32, Time) {
         let mapped = self.mapper.map(req.line);
         let ready = req.arrival + self.cfg.controller_overhead;
@@ -947,30 +955,32 @@ impl MemorySystem {
             self.host.mark_sampled(Phase::Controller);
             return None;
         }
-        let Some(picked) = self.pick_for(ch, now) else {
-            // The channel has an idle slot: recovery work (a prefetch
-            // re-issue, then a due scrub sweep) may claim it. Demand
-            // traffic always won the pick above, so recovery never
-            // displaces a schedulable transaction.
-            if self.reliability.is_some() {
-                if let Some(next) = self.dispatch_recovery(ch, now, issued) {
-                    self.host.mark_sampled(Phase::Datapath);
-                    return Some(next);
+        let picked = match self.pick_for(ch, now) {
+            Ok(picked) => picked,
+            Err(ready) => {
+                // The channel has an idle slot: recovery work (a prefetch
+                // re-issue, then a due scrub sweep) may claim it. Demand
+                // traffic always won the pick above, so recovery never
+                // displaces a schedulable transaction.
+                if self.reliability.is_some() {
+                    if let Some(next) = self.dispatch_recovery(ch, now, issued) {
+                        self.host.mark_sampled(Phase::Datapath);
+                        return Some(next);
+                    }
                 }
+                // Nothing picked now. The bucket is in arrival order, so
+                // the entry right after the ready prefix is the next to
+                // become schedulable (a backlogged one enters the bucket
+                // when some channel's take admits it).
+                let overhead = self.cfg.controller_overhead;
+                let next = self
+                    .queue
+                    .bucket(ch)
+                    .get(ready)
+                    .map(|e| e.req.arrival + overhead);
+                self.host.mark_sampled(Phase::Controller);
+                return next;
             }
-            // Nothing ready now; maybe a queued transaction becomes
-            // schedulable later (a backlogged one enters the bucket when
-            // some channel's take admits it).
-            let overhead = self.cfg.controller_overhead;
-            let next = self
-                .queue
-                .bucket(ch)
-                .iter()
-                .map(|e| e.req.arrival + overhead)
-                .filter(|t| *t > now)
-                .min();
-            self.host.mark_sampled(Phase::Controller);
-            return next;
         };
         let entry = self.queue.take(ch, picked);
         let first_is_write = entry.req.kind == AccessKind::Write;
@@ -986,7 +996,7 @@ impl MemorySystem {
         if first_is_write && self.cfg.tech == MemoryTech::Ddr2 {
             while self.channels[ch as usize].inflight < MAX_INFLIGHT_PER_CHANNEL {
                 match self.pick_for(ch, now) {
-                    Some(next) if self.queue.bucket(ch)[next].req.kind == AccessKind::Write => {
+                    Ok(next) if self.queue.bucket(ch)[next].req.kind == AccessKind::Write => {
                         let entry = self.queue.take(ch, next);
                         self.issue(entry, now, issued);
                     }
@@ -1005,12 +1015,14 @@ impl MemorySystem {
         self.channels[ch].inflight += 1;
     }
 
-    /// Applies channel `ch`'s scheduling policy to its bucket and
-    /// returns the picked entry's index there; the entry stays queued
-    /// until [`TransactionQueue::take`] (which also admits backlogged
-    /// requests into the freed slot before anything executes).
-    fn pick_for(&mut self, ch: u32, now: Time) -> Option<usize> {
-        let overhead = self.cfg.controller_overhead;
+    /// Applies channel `ch`'s scheduling policy to its bucket's ready
+    /// prefix and returns the picked entry's index there, which is its
+    /// bucket index; the entry stays queued until
+    /// [`TransactionQueue::take`] (which also admits backlogged requests
+    /// into the freed slot before anything executes). With nothing
+    /// picked it returns the prefix's length instead.
+    fn pick_for(&mut self, ch: u32, now: Time) -> Result<usize, usize> {
+        let ready = self.queue.ready(ch, now, self.cfg.controller_overhead);
         let chan = &mut self.channels[ch as usize];
         let (devices, amb) = (&chan.devices, &chan.amb);
         // Bank-readiness window: a bank that can accept an ACT soon
@@ -1037,8 +1049,7 @@ impl MemorySystem {
                 SchedClass::NotReady
             }
         };
-        chan.sched
-            .pick(self.queue.bucket(ch), now, overhead, &mut classify)
+        chan.sched.pick(ready, &mut classify).ok_or(ready.len())
     }
 
     /// The earliest instant after `now` at which another command can be
@@ -1135,7 +1146,8 @@ impl MemorySystem {
             AccessKind::DemandRead => self.stats.demand_reads += 1,
             AccessKind::SoftwarePrefetch => self.stats.sw_prefetch_reads += 1,
             AccessKind::HardwarePrefetch => self.stats.hw_prefetch_reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
+            // Only the channel counts writes; `fold_counters` sums them.
+            AccessKind::Write => {}
         }
         let chan = &mut self.channels[m.channel as usize];
         if write {
@@ -1401,7 +1413,9 @@ impl MemorySystem {
             s.amb_hits += prefetch.hits;
             s.lines_prefetched += prefetch.inserted;
             s.prefetch_evictions += prefetch.evicted;
-            s.data_bytes += c.counters().bytes;
+            let counters = c.counters();
+            s.writes += counters.writes;
+            s.data_bytes += counters.bytes;
         }
     }
 
@@ -1496,6 +1510,33 @@ mod tests {
         // stage-sum invariant ran on it (debug_assert in execute).
         let s = mem.stats();
         assert_eq!(s.hw_prefetch_reads, 1);
+    }
+
+    #[test]
+    fn an_idle_decision_waits_for_the_next_arrival() {
+        let mut cfg = MemoryConfig::fbdimm_default();
+        cfg.logical_channels = 1;
+        let mut mem = MemorySystem::new(&cfg);
+        let overhead = cfg.controller_overhead;
+        mem.submit(demand(1, 0, Time::from_ns(50)));
+        let (ch, ready) = mem.submit(demand(2, 4, Time::from_ns(80)));
+        let r = mem.decide(ch, Time::from_ns(10));
+        assert!(r.issued.is_empty());
+        assert_eq!(r.next_decision, Some(Time::from_ns(50) + overhead));
+        let r = mem.decide(ch, Time::from_ns(50) + overhead);
+        assert_eq!(r.issued.len(), 1);
+        mem.complete(ch);
+        let r = mem.decide(ch, Time::from_ns(60) + overhead);
+        assert!(r.issued.is_empty());
+        assert_eq!(r.next_decision, Some(ready));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival before the previous request's")]
+    fn submit_rejects_an_arrival_before_the_previous_request() {
+        let mut mem = MemorySystem::new(&MemoryConfig::fbdimm_default());
+        mem.submit(demand(1, 0, Time::from_ns(20)));
+        mem.submit(demand(2, 1, Time::from_ns(10)));
     }
 
     #[test]

@@ -87,13 +87,14 @@ impl MemoryTrace {
         MemoryTrace::default()
     }
 
-    /// Appends a record (records must arrive in non-decreasing time).
+    /// Appends a record (records must arrive in non-decreasing time, the
+    /// order [`replay`] submits them in).
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `arrival` goes backwards.
+    /// Panics if `arrival` goes backwards.
     pub fn push(&mut self, record: TraceRecord) {
-        debug_assert!(
+        assert!(
             self.records
                 .last()
                 .is_none_or(|r| r.arrival <= record.arrival),
@@ -232,7 +233,9 @@ impl ReplayResult {
 }
 
 /// Replays `trace` against a fresh memory subsystem built from `cfg`,
-/// keeping the recorded arrival times (open-loop).
+/// keeping the recorded arrival times (open-loop). The records are
+/// submitted in trace order, which [`MemoryTrace`] keeps in arrival
+/// order, as [`MemorySystem::submit`] requires.
 ///
 /// # Panics
 ///
@@ -279,6 +282,11 @@ fn replay_on(
 /// This is the open-loop front end of [`replay`]; use it directly to
 /// drive a hand-built [`MemorySystem`] (e.g. one with telemetry
 /// enabled) from a synthetic request stream.
+///
+/// # Panics
+///
+/// Panics if `requests` are not in arrival order: each is handed to
+/// [`MemorySystem::submit`] in turn.
 pub fn drive(mem: &mut MemorySystem, requests: impl IntoIterator<Item = MemRequest>) -> Time {
     let mut engine = Engine::new(EventQueue::from_env(), 0);
     engine.run(mem, &mut Stream(Some(requests.into_iter())));
@@ -324,6 +332,16 @@ mod tests {
             });
         }
         t
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn push_rejects_an_arrival_that_goes_backwards() {
+        let mut t = sample();
+        t.push(TraceRecord {
+            arrival: Time::from_ns(1),
+            ..t.records()[0]
+        });
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! Nothing in the controller or memory system knows this policy exists;
 //! it is reachable only through the [`crate::schedulers`] registry. Use
 //! it as the template for new policies: one file plus one `register`
-//! call.
+//! call. A policy's `pick` sees only the channel's ready prefix, every
+//! entry already schedulable and in age order, and returns an index
+//! into it; the controller's queue works out which entries are ready.
 
 use fbd_types::config::{MemoryConfig, MemoryTech};
-use fbd_types::time::{Dur, Time};
 
 use crate::queue::QueueEntry;
 use crate::sched::{HitFirstScheduler, SchedClass, SchedulerPolicy, SchedulerSpec};
 
 /// Strict arrival-order policy (oldest schedulable request first).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FcfsScheduler {
     inner: HitFirstScheduler,
 }
@@ -39,18 +40,30 @@ impl FcfsScheduler {
     }
 }
 
+impl FcfsScheduler {
+    /// [`HitFirstScheduler::pick_full_scan`] with every entry a `Hit`.
+    #[cfg(test)]
+    pub(crate) fn pick_full_scan(
+        &mut self,
+        bucket: &[QueueEntry],
+        now: fbd_types::time::Time,
+        overhead: fbd_types::time::Dur,
+    ) -> Option<usize> {
+        self.inner
+            .pick_full_scan(bucket, now, overhead, |_| SchedClass::Hit)
+    }
+}
+
 impl SchedulerPolicy for FcfsScheduler {
     fn pick(
         &mut self,
-        bucket: &[QueueEntry],
-        now: Time,
-        overhead: Dur,
+        ready: &[QueueEntry],
         _classify: &mut dyn FnMut(&QueueEntry) -> SchedClass,
     ) -> Option<usize> {
         // A constant class makes (class, seq) order pure arrival order;
         // making it `Hit` stops the pick at the oldest entry of the
         // phase.
-        self.inner.pick(bucket, now, overhead, |_| SchedClass::Hit)
+        self.inner.pick(ready, |_| SchedClass::Hit)
     }
 }
 
@@ -78,6 +91,7 @@ mod tests {
     use super::*;
     use crate::mapping::MappedAddr;
     use fbd_types::request::{AccessKind, CoreId, MemRequest};
+    use fbd_types::time::Time;
     use fbd_types::{LineAddr, RequestId};
 
     fn entry(id: u64, kind: AccessKind, seq: u64, bank: u32) -> QueueEntry {
@@ -116,10 +130,7 @@ mod tests {
             }
         };
         let mut s = FcfsScheduler::new(4, false);
-        assert_eq!(
-            s.pick(&entries, Time::ZERO, Dur::ZERO, &mut classify),
-            Some(0)
-        );
+        assert_eq!(s.pick(&entries, &mut classify), Some(0));
     }
 
     #[test]
@@ -132,10 +143,7 @@ mod tests {
         ];
         let mut classify = |_: &QueueEntry| SchedClass::Ready;
         let mut s = FcfsScheduler::new(4, false);
-        assert_eq!(
-            s.pick(&entries, Time::ZERO, Dur::ZERO, &mut classify),
-            Some(1)
-        );
+        assert_eq!(s.pick(&entries, &mut classify), Some(1));
     }
 
     #[test]
@@ -143,9 +151,6 @@ mod tests {
         let cfg = MemoryConfig::fbdimm_default();
         let mut policy = FcfsSpec.build(&cfg);
         let empty: Vec<QueueEntry> = Vec::new();
-        assert_eq!(
-            policy.pick(&empty, Time::ZERO, Dur::ZERO, &mut |_| SchedClass::Ready),
-            None
-        );
+        assert_eq!(policy.pick(&empty, &mut |_| SchedClass::Ready), None);
     }
 }

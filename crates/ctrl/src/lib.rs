@@ -33,17 +33,30 @@
 //! assert_eq!(mapper.unmap(a).as_u64(), 6);
 //! ```
 //!
-//! Build a scheduling policy by name from the registry:
+//! Build a scheduling policy by name from the registry, and let it pick
+//! from a channel's ready prefix:
 //!
 //! ```
+//! use fbd_ctrl::{InterleavedMapper, SchedClass, TransactionQueue};
 //! use fbd_types::config::MemoryConfig;
-//! use fbd_types::time::{Dur, Time};
+//! use fbd_types::request::{AccessKind, CoreId, MemRequest, RequestId};
+//! use fbd_types::time::Time;
+//! use fbd_types::LineAddr;
 //!
+//! let cfg = MemoryConfig::fbdimm_default();
 //! let spec = fbd_ctrl::schedulers().get("fcfs").expect("registered");
-//! let mut policy = spec.build(&MemoryConfig::fbdimm_default());
-//! // Nothing queued: nothing to pick at any instant.
-//! let (now, overhead) = (Time::from_ns(100), Dur::from_ns(12));
-//! assert_eq!(policy.pick(&[], now, overhead, &mut |_| fbd_ctrl::SchedClass::Ready), None);
+//! let mut policy = spec.build(&cfg);
+//! let mut queue = TransactionQueue::new(cfg.logical_channels as usize, 64);
+//! let line = LineAddr::new(6);
+//! let at = Time::from_ns(100);
+//! let mapped = InterleavedMapper::new(&cfg).map(line);
+//! queue.push(MemRequest::new(RequestId(0), CoreId(0), AccessKind::DemandRead, line, at), mapped);
+//! // Until the controller's decode overhead has passed, nothing is ready.
+//! let overhead = cfg.controller_overhead;
+//! let ready = queue.ready(mapped.channel, at, overhead);
+//! assert_eq!(policy.pick(ready, &mut |_| SchedClass::Ready), None);
+//! let ready = queue.ready(mapped.channel, at + overhead, overhead);
+//! assert_eq!(policy.pick(ready, &mut |_| SchedClass::Ready), Some(0));
 //! ```
 
 #![warn(missing_docs)]

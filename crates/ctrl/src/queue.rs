@@ -11,6 +11,12 @@
 //! is assigned when it is admitted, so it orders entries across every
 //! bucket, and each bucket stays in `seq` order: admission appends and
 //! [`take`](TransactionQueue::take) closes the gap it leaves.
+//!
+//! Requests must be pushed in arrival order ([`push`](TransactionQueue::push)
+//! panics otherwise). Admission follows push order, so each bucket is
+//! sorted by arrival as well as by `seq`, and the entries that have
+//! cleared the controller's decode overhead form a prefix of it
+//! ([`ready`](TransactionQueue::ready)).
 
 use std::collections::VecDeque;
 
@@ -41,7 +47,8 @@ impl QueueEntry {
 
     /// True once the controller's decode `overhead` has passed since
     /// arrival (`arrival + overhead <= now`): only then may a scheduler
-    /// pick the entry.
+    /// pick the entry. [`TransactionQueue::ready`] hands schedulers the
+    /// bucket's prefix of such entries.
     #[inline]
     pub fn schedulable(&self, now: Time, overhead: Dur) -> bool {
         self.req.arrival + overhead <= now
@@ -62,6 +69,8 @@ pub struct TransactionQueue {
     len: usize,
     capacity: usize,
     next_seq: u64,
+    /// Arrival of the last pushed request.
+    last_arrival: Time,
 }
 
 impl TransactionQueue {
@@ -87,12 +96,24 @@ impl TransactionQueue {
             len: 0,
             capacity,
             next_seq: 0,
+            last_arrival: Time::ZERO,
         }
     }
 
     /// Enqueues a transaction: admitted when there is room, otherwise
-    /// appended to the backlog. Never fails.
+    /// appended to the backlog.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req` arrives before the previously pushed request.
     pub fn push(&mut self, req: MemRequest, mapped: MappedAddr) {
+        // A bucket out of arrival order would hide ready entries behind
+        // an unready one.
+        assert!(
+            req.arrival >= self.last_arrival,
+            "request pushed with an arrival before the previous request's"
+        );
+        self.last_arrival = req.arrival;
         if self.len < self.capacity {
             debug_assert!(self.backlog.is_empty(), "backlog waits for room");
             self.admit(req, mapped);
@@ -133,10 +154,20 @@ impl TransactionQueue {
         entry
     }
 
-    /// Channel `ch`'s admitted entries in age (`seq`) order, oldest
-    /// first (the queue-depth gauge is its length).
+    /// Channel `ch`'s admitted entries in age (`seq`) and arrival
+    /// order, oldest first (the queue-depth gauge is its length).
     pub fn bucket(&self, ch: u32) -> &[QueueEntry] {
         &self.buckets[ch as usize]
+    }
+
+    /// Channel `ch`'s schedulable entries at `now`: the prefix of its
+    /// [`bucket`](Self::bucket) whose decode `overhead` has passed
+    /// ([`QueueEntry::schedulable`]), found by binary search. The entry
+    /// right after the prefix, if any, is the next to become
+    /// schedulable.
+    pub fn ready(&self, ch: u32, now: Time, overhead: Dur) -> &[QueueEntry] {
+        let bucket = &self.buckets[ch as usize];
+        &bucket[..bucket.partition_point(|e| e.schedulable(now, overhead))]
     }
 
     /// True if channel `ch` has an admitted or a backlogged request.
@@ -164,7 +195,6 @@ impl TransactionQueue {
 mod tests {
     use super::*;
     use fbd_types::request::{AccessKind, CoreId};
-    use fbd_types::time::Time;
     use fbd_types::{LineAddr, RequestId};
 
     fn req(id: u64) -> MemRequest {
@@ -318,6 +348,46 @@ mod tests {
         q.push(req(6), on(0));
         let order: Vec<(u64, u64)> = q.bucket(0).iter().map(|e| (e.req.id.0, e.seq)).collect();
         assert_eq!(order, vec![(1, 1), (3, 3), (4, 4), (5, 5), (6, 6)]);
+    }
+
+    #[test]
+    fn ready_prefix_ends_where_the_overhead_has_not_passed() {
+        let overhead = Dur::from_ns(12);
+        let mut q = TransactionQueue::new(2, 8);
+        for (id, ns, ch) in [(1, 10, 0), (2, 20, 0), (3, 20, 1), (4, 20, 0), (5, 30, 0)] {
+            let mut r = req(id);
+            r.arrival = Time::from_ns(ns);
+            q.push(r, on(ch));
+        }
+        let ready = |q: &TransactionQueue, ch: u32, now: Time| -> Vec<u64> {
+            q.ready(ch, now, overhead)
+                .iter()
+                .map(|e| e.req.id.0)
+                .collect()
+        };
+        // Exactly at `arrival + overhead` an entry is ready; one
+        // picosecond earlier it is not, and neither is anything behind.
+        let at_20 = Time::from_ns(20) + overhead;
+        assert_eq!(ready(&q, 0, at_20), vec![1, 2, 4]);
+        assert_eq!(ready(&q, 0, at_20 - Dur::from_ps(1)), vec![1]);
+        assert_eq!(ready(&q, 1, at_20), vec![3]);
+        assert_eq!(ready(&q, 1, at_20 - Dur::from_ps(1)), Vec::<u64>::new());
+        assert_eq!(ready(&q, 0, Time::from_ns(30) + overhead), vec![1, 2, 4, 5]);
+        assert_eq!(ready(&q, 0, Time::ZERO), Vec::<u64>::new());
+        // A take keeps the rest a prefix.
+        q.take(0, 1);
+        assert_eq!(ready(&q, 0, at_20), vec![1, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival before the previous request's")]
+    fn push_rejects_an_arrival_that_goes_backwards() {
+        let mut q = TransactionQueue::new(2, 1);
+        let mut late = req(1);
+        late.arrival = Time::from_ns(5);
+        q.push(late, on(0));
+        // Backlogged or not, and on another channel, order is global.
+        q.push(req(2), on(1));
     }
 
     #[test]

@@ -381,24 +381,6 @@ impl MemStats {
     pub fn total_reads(&self) -> u64 {
         self.demand_reads + self.sw_prefetch_reads + self.hw_prefetch_reads
     }
-
-    /// Merges per-channel statistics into a run total.
-    pub fn merge(&mut self, other: &MemStats) {
-        self.demand_reads += other.demand_reads;
-        self.sw_prefetch_reads += other.sw_prefetch_reads;
-        self.hw_prefetch_reads += other.hw_prefetch_reads;
-        self.writes += other.writes;
-        self.amb_hits += other.amb_hits;
-        self.lines_prefetched += other.lines_prefetched;
-        self.prefetch_evictions += other.prefetch_evictions;
-        self.row_hits += other.row_hits;
-        self.read_latency.merge(&other.read_latency);
-        self.read_latency_hist.merge(&other.read_latency_hist);
-        self.data_bytes += other.data_bytes;
-        self.bandwidth_series.merge(&other.bandwidth_series);
-        self.dram_active_time += other.dram_active_time;
-        self.dram_ops.merge(&other.dram_ops);
-    }
 }
 
 /// Per-core execution statistics.
@@ -624,33 +606,6 @@ mod tests {
         // 64 kB in 10 µs = 6.4 GB/s.
         let bw = stats.utilized_bandwidth_gbps(Dur::from_ns(10_000));
         assert!((bw - 6.4).abs() < 1e-9, "{bw}");
-    }
-
-    #[test]
-    fn mem_stats_merge_sums_everything() {
-        let mut a = MemStats {
-            demand_reads: 1,
-            sw_prefetch_reads: 2,
-            hw_prefetch_reads: 1,
-            writes: 3,
-            amb_hits: 4,
-            lines_prefetched: 5,
-            row_hits: 6,
-            data_bytes: 7,
-            dram_ops: DramOpCounts {
-                act_pre: 8,
-                col_reads: 9,
-                col_writes: 10,
-                refreshes: 0,
-            },
-            ..MemStats::default()
-        };
-        let b = a.clone();
-        a.merge(&b);
-        assert_eq!(a.demand_reads, 2);
-        assert_eq!(a.total_reads(), 8);
-        assert_eq!(a.dram_ops.act_pre, 16);
-        assert_eq!(a.dram_ops.col_total(), 38);
     }
 
     #[test]
