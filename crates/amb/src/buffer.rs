@@ -159,16 +159,6 @@ impl PrefetchBuffer {
         true
     }
 
-    /// Lines currently held.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True if no lines are held.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Total capacity in lines.
     pub fn capacity(&self) -> usize {
         self.sets.len() * self.ways
@@ -183,6 +173,16 @@ impl PrefetchBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PrefetchBuffer {
+        pub(crate) fn len(&self) -> usize {
+            self.index.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.index.is_empty()
+        }
+    }
     use fbd_types::config::{Associativity, Replacement};
 
     fn cfg(entries: u32, assoc: Associativity, replacement: Replacement) -> AmbPrefetchConfig {

@@ -54,8 +54,6 @@ pub struct L2Cache {
     /// modulo on the hottest path in warm-up.
     set_mask: Option<u64>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl L2Cache {
@@ -80,8 +78,6 @@ impl L2Cache {
             ways,
             set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -129,10 +125,8 @@ impl L2Cache {
             }
             if hit != usize::MAX {
                 set[hit].meta = fresh | (set[hit].meta & DIRTY);
-                self.hits += 1;
                 return L2Outcome::Hit;
             }
-            self.misses += 1;
             let writeback = (victim_meta & (VALID | DIRTY) == VALID | DIRTY)
                 .then(|| LineAddr::new(set[victim].line));
             set[victim] = Way {
@@ -151,7 +145,6 @@ impl L2Cache {
         for (i, w) in set.iter_mut().enumerate() {
             if w.meta & VALID != 0 && w.line == target {
                 w.meta = fresh | (w.meta & DIRTY);
-                self.hits += 1;
                 return L2Outcome::Hit;
             }
             if w.meta < victim_meta {
@@ -159,7 +152,6 @@ impl L2Cache {
                 victim = i;
             }
         }
-        self.misses += 1;
         let writeback = (victim_meta & (VALID | DIRTY) == VALID | DIRTY)
             .then(|| LineAddr::new(set[victim].line));
         set[victim] = Way {
@@ -195,18 +187,6 @@ impl L2Cache {
         }
         false
     }
-
-    /// (hits, misses) so far.
-    pub fn hit_miss_counts(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Zeroes the hit/miss counters (content is kept). Called after a
-    /// warm-up phase so statistics cover only the measured region.
-    pub fn reset_counts(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +206,6 @@ mod tests {
             L2Outcome::Miss { writeback: None }
         );
         assert_eq!(c.access(LineAddr::new(1), false), L2Outcome::Hit);
-        assert_eq!(c.hit_miss_counts(), (1, 1));
     }
 
     #[test]
@@ -376,6 +355,7 @@ mod tests {
             tick: 0,
         };
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut hits = 0;
         for _ in 0..20_000 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -388,6 +368,7 @@ mod tests {
                 L2Outcome::Miss { writeback } => (false, writeback.map(|l| l.as_u64())),
             };
             assert_eq!(got, want, "diverged on line {line} write {write}");
+            hits += u64::from(got.0);
             // Occasionally invalidate a clean line, as dropped fills do.
             if x.is_multiple_of(97) {
                 let victim = (x >> 8) % 64;
@@ -402,8 +383,7 @@ mod tests {
                 assert_eq!(flat.invalidate(LineAddr::new(victim)), ref_removed);
             }
         }
-        let (hits, misses) = flat.hit_miss_counts();
-        assert!(hits > 0 && misses > 0, "stream must exercise both paths");
+        assert!(hits > 0 && hits < 20_000, "stream must exercise both paths");
     }
 
     #[test]

@@ -18,16 +18,6 @@ use crate::core::OooCore;
 use crate::hw_prefetch::StreamPrefetcher;
 use crate::trace::{OpKind, TraceOp, TraceSource};
 
-/// Result of advancing the complex to an instant.
-#[derive(Debug, Default)]
-pub struct Advance {
-    /// Memory requests that became ready to issue.
-    pub requests: Vec<MemRequest>,
-    /// Earliest future instant at which a core can make progress without
-    /// any memory response (ROB-stall expiry or projected finish).
-    pub next_wake: Option<Time>,
-}
-
 struct CoreRunner {
     core: OooCore,
     trace: Box<dyn TraceSource>,
@@ -137,14 +127,8 @@ impl CpuComplex {
         );
         let cores = traces
             .into_iter()
-            .enumerate()
-            .map(|(i, trace)| CoreRunner {
-                core: OooCore::new(
-                    CoreId(i as u32),
-                    trace.time_per_instr(),
-                    u64::from(cfg.rob_entries),
-                    budget,
-                ),
+            .map(|trace| CoreRunner {
+                core: OooCore::new(trace.time_per_instr(), u64::from(cfg.rob_entries), budget),
                 trace,
                 pending: None,
                 fetched_idx: 0,
@@ -217,7 +201,6 @@ impl CpuComplex {
                 self.l2.access(op.line, op.kind == OpKind::Store);
             }
         }
-        self.l2.reset_counts();
     }
 
     /// Snapshots everything [`warm_l2`](Self::warm_l2) mutates — the
@@ -265,21 +248,11 @@ impl CpuComplex {
         id
     }
 
-    /// Advances every core to `now`, collecting memory requests that
-    /// become ready and the earliest self-wake time.
-    pub fn advance(&mut self, now: Time) -> Advance {
-        let mut requests = Vec::new();
-        let next_wake = self.advance_into(now, &mut requests);
-        Advance {
-            requests,
-            next_wake,
-        }
-    }
-
-    /// [`advance`](Self::advance) into a caller-owned request buffer
-    /// (not cleared first), so the event loop can reuse one scratch
-    /// `Vec` instead of allocating an [`Advance`] per event. Returns
-    /// the earliest self-wake time.
+    /// Advances every core to `now`, appending the memory requests that
+    /// become ready to `requests` (not cleared first, so the event loop
+    /// reuses one scratch `Vec`). Returns the earliest future instant at
+    /// which a core can make progress without any memory response
+    /// (ROB-stall expiry or projected finish).
     ///
     /// Parked cores are skipped: until its park expires or a completion
     /// names it, a ROB-stalled core's pending operation cannot fit.
@@ -563,11 +536,6 @@ impl CpuComplex {
             .collect()
     }
 
-    /// (hits, misses) observed at the shared L2.
-    pub fn l2_counts(&self) -> (u64, u64) {
-        self.l2.hit_miss_counts()
-    }
-
     /// Instantaneous miss-handling occupancy: (distinct in-flight lines
     /// holding L2 MSHRs, per-core MSHR slots in use summed over cores).
     /// Telemetry gauges; sampling this has no timing effect.
@@ -582,8 +550,26 @@ impl CpuComplex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::StridedTrace;
+    use crate::trace::tests::StridedTrace;
     use fbd_types::config::CpuConfig;
+
+    /// What one [`CpuComplex::advance_into`] call produced.
+    #[derive(Debug)]
+    struct Advance {
+        requests: Vec<MemRequest>,
+        next_wake: Option<Time>,
+    }
+
+    impl CpuComplex {
+        fn advance(&mut self, now: Time) -> Advance {
+            let mut requests = Vec::new();
+            let next_wake = self.advance_into(now, &mut requests);
+            Advance {
+                requests,
+                next_wake,
+            }
+        }
+    }
 
     fn cfg(cores: u32) -> CpuConfig {
         CpuConfig::paper_default(cores)
@@ -616,8 +602,7 @@ mod tests {
         cpx.complete(LineAddr::new(0), Time::from_ns(60));
         let adv2 = cpx.advance(Time::from_ns(60));
         assert!(adv2.requests.is_empty());
-        let (hits, misses) = cpx.l2_counts();
-        assert_eq!((hits, misses), (2, 1));
+        assert!(cpx.l2.contains(LineAddr::new(0)));
     }
 
     #[test]

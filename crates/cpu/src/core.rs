@@ -20,7 +20,6 @@
 
 use std::collections::VecDeque;
 
-use fbd_types::request::CoreId;
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;
 
@@ -37,7 +36,6 @@ struct PendingLoad {
 /// The commit/ROB engine of one core.
 #[derive(Clone, Debug)]
 pub struct OooCore {
-    id: CoreId,
     tpi: Dur,
     rob: u64,
     budget: u64,
@@ -64,12 +62,11 @@ impl OooCore {
     /// # Panics
     ///
     /// Panics if `tpi` is zero or `rob`/`budget` are zero.
-    pub fn new(id: CoreId, tpi: Dur, rob: u64, budget: u64) -> OooCore {
+    pub fn new(tpi: Dur, rob: u64, budget: u64) -> OooCore {
         assert!(!tpi.is_zero(), "time per instruction must be non-zero");
         assert!(rob > 0, "ROB must be non-empty");
         assert!(budget > 0, "instruction budget must be non-zero");
         let mut core = OooCore {
-            id,
             tpi,
             rob,
             budget,
@@ -83,16 +80,6 @@ impl OooCore {
         };
         core.done_at = core.reach_time(budget);
         core
-    }
-
-    /// This core's id.
-    pub fn id(&self) -> CoreId {
-        self.id
-    }
-
-    /// The instruction budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 
     /// Instructions committed by instant `now`.
@@ -255,21 +242,23 @@ impl OooCore {
         }
         self.done_at = self.reach_time(self.budget);
     }
-
-    /// Number of in-flight demand loads.
-    pub fn blocking_loads(&self) -> usize {
-        self.blocking.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl OooCore {
+        /// Number of in-flight demand loads.
+        pub(crate) fn blocking_loads(&self) -> usize {
+            self.blocking.len()
+        }
+    }
+
     const TPI: Dur = Dur::from_ps(125); // base IPC 2 at 4 GHz
 
     fn core() -> OooCore {
-        OooCore::new(CoreId(0), TPI, 196, 1_000_000)
+        OooCore::new(TPI, 196, 1_000_000)
     }
 
     #[test]
@@ -352,7 +341,7 @@ mod tests {
 
     #[test]
     fn budget_caps_commit_and_projects_finish() {
-        let mut c = OooCore::new(CoreId(0), TPI, 196, 100);
+        let mut c = OooCore::new(TPI, 196, 100);
         assert_eq!(c.commit_idx(Time::from_ns(1_000_000)), 100);
         assert!(c.done(Time::from_ps(125 * 100)));
         assert_eq!(
@@ -421,7 +410,7 @@ mod tests {
         let mut rng = Mix(3);
         for round in 0..60 {
             let budget = 1 + rng.below(if round % 2 == 0 { 400 } else { 4_000 });
-            let mut c = OooCore::new(CoreId(0), TPI, 196, budget);
+            let mut c = OooCore::new(TPI, 196, budget);
             let mut cursor = 0u64;
             let mut now = Time::ZERO;
             let mut lines: Vec<LineAddr> = Vec::new();

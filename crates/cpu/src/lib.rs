@@ -13,14 +13,34 @@
 //! stream form:
 //!
 //! ```
-//! use fbd_cpu::{CpuComplex, StridedTrace, TraceSource};
+//! use fbd_cpu::{CpuComplex, OpKind, TraceOp, TraceSource};
+//! use fbd_types::address::LineAddr;
 //! use fbd_types::config::CpuConfig;
 //! use fbd_types::time::{Dur, Time};
 //!
-//! let trace: Box<dyn TraceSource> = Box::new(StridedTrace::new(8, 100, 10, Dur::from_ps(125)));
+//! /// Eight loads 100 lines apart, ten instructions apart.
+//! struct Strided(u64);
+//!
+//! impl TraceSource for Strided {
+//!     fn next_op(&mut self) -> Option<TraceOp> {
+//!         (self.0 < 8).then(|| {
+//!             self.0 += 1;
+//!             TraceOp { gap: 10, kind: OpKind::Load, line: LineAddr::new(self.0 * 100) }
+//!         })
+//!     }
+//!     fn time_per_instr(&self) -> Dur {
+//!         Dur::from_ps(125)
+//!     }
+//!     fn name(&self) -> &str {
+//!         "strided"
+//!     }
+//! }
+//!
+//! let trace: Box<dyn TraceSource> = Box::new(Strided(0));
 //! let mut cpx = CpuComplex::new(&CpuConfig::paper_default(1), vec![trace], 1_000_000);
-//! let adv = cpx.advance(Time::ZERO);
-//! assert_eq!(adv.requests.len(), 8); // all 8 distant lines miss the L2
+//! let mut requests = Vec::new();
+//! cpx.advance_into(Time::ZERO, &mut requests);
+//! assert_eq!(requests.len(), 8); // all 8 distant lines miss the L2
 //! ```
 
 #![warn(missing_docs)]
@@ -33,7 +53,7 @@ pub mod hw_prefetch;
 pub mod trace;
 
 pub use cache::{L2Cache, L2Outcome};
-pub use complex::{Advance, CpuComplex, WarmState};
+pub use complex::{CpuComplex, WarmState};
 pub use core::OooCore;
 pub use hw_prefetch::StreamPrefetcher;
-pub use trace::{OpKind, StridedTrace, TraceOp, TraceSource};
+pub use trace::{OpKind, TraceOp, TraceSource};

@@ -61,61 +61,61 @@ pub trait TraceSource: Send {
     }
 }
 
-/// A trivial trace for tests: strided loads with a fixed gap.
-#[derive(Clone, Debug)]
-pub struct StridedTrace {
-    next_line: u64,
-    stride: u64,
-    gap: u64,
-    remaining: u64,
-    tpi: Dur,
-}
-
-impl StridedTrace {
-    /// `count` loads, `stride` lines apart, `gap` instructions apart, at
-    /// `tpi` base time per instruction.
-    pub fn new(count: u64, stride: u64, gap: u64, tpi: Dur) -> StridedTrace {
-        StridedTrace {
-            next_line: 0,
-            stride,
-            gap,
-            remaining: count,
-            tpi,
-        }
-    }
-}
-
-impl TraceSource for StridedTrace {
-    fn next_op(&mut self) -> Option<TraceOp> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let line = LineAddr::new(self.next_line);
-        self.next_line += self.stride;
-        Some(TraceOp {
-            gap: self.gap,
-            kind: OpKind::Load,
-            line,
-        })
-    }
-
-    fn time_per_instr(&self) -> Dur {
-        self.tpi
-    }
-
-    fn name(&self) -> &str {
-        "strided-test"
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn TraceSource>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A trivial trace for tests: strided loads with a fixed gap.
+    #[derive(Clone, Debug)]
+    pub(crate) struct StridedTrace {
+        next_line: u64,
+        stride: u64,
+        gap: u64,
+        remaining: u64,
+        tpi: Dur,
+    }
+
+    impl StridedTrace {
+        /// `count` loads, `stride` lines apart, `gap` instructions apart, at
+        /// `tpi` base time per instruction.
+        pub(crate) fn new(count: u64, stride: u64, gap: u64, tpi: Dur) -> StridedTrace {
+            StridedTrace {
+                next_line: 0,
+                stride,
+                gap,
+                remaining: count,
+                tpi,
+            }
+        }
+    }
+
+    impl TraceSource for StridedTrace {
+        fn next_op(&mut self) -> Option<TraceOp> {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.remaining -= 1;
+            let line = LineAddr::new(self.next_line);
+            self.next_line += self.stride;
+            Some(TraceOp {
+                gap: self.gap,
+                kind: OpKind::Load,
+                line,
+            })
+        }
+
+        fn time_per_instr(&self) -> Dur {
+            self.tpi
+        }
+
+        fn name(&self) -> &str {
+            "strided-test"
+        }
+
+        fn clone_box(&self) -> Option<Box<dyn TraceSource>> {
+            Some(Box::new(self.clone()))
+        }
+    }
 
     #[test]
     fn strided_trace_produces_count_ops() {

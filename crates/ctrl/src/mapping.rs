@@ -36,9 +36,9 @@ pub struct MappedAddr {
 /// The controller's address mapper: G-line groups round-robin over
 /// {channel → DIMM → rank → bank}, with optional XOR bank permutation.
 ///
-/// `unmap` inverts `map` for every address within
-/// [`capacity_lines`](Self::capacity_lines), for *any* validated
-/// geometry — including non-power-of-two DIMM counts.
+/// `map` is a bijection on the lines below the subsystem's capacity,
+/// for *any* validated geometry — including non-power-of-two DIMM
+/// counts (the unit tests check it against an inverse map).
 #[derive(Clone, Copy, Debug)]
 pub struct InterleavedMapper {
     channels: u64,
@@ -76,11 +76,6 @@ impl InterleavedMapper {
         }
     }
 
-    /// Total mappable lines before addresses wrap.
-    pub fn capacity_lines(&self) -> u64 {
-        self.channels * self.dimms * self.ranks * self.banks * self.rows * self.lines_per_page
-    }
-
     /// Maps a cacheline address onto {channel, DIMM, bank, row, column}.
     ///
     /// Addresses beyond the capacity wrap around (row index is taken
@@ -114,31 +109,40 @@ impl InterleavedMapper {
             col_line: (slot * self.group_lines + offset) as u32,
         }
     }
-
-    /// Inverse of [`map`](Self::map) for addresses within capacity.
-    pub fn unmap(&self, m: MappedAddr) -> LineAddr {
-        let groups_per_row = self.lines_per_page / self.group_lines;
-        let slot = u64::from(m.col_line) / self.group_lines;
-        let offset = u64::from(m.col_line) % self.group_lines;
-        let bank = if self.permute {
-            u64::from(m.bank) ^ (u64::from(m.row) % self.banks)
-        } else {
-            u64::from(m.bank)
-        };
-        let group = (((u64::from(m.row) * groups_per_row + slot) * self.banks + bank) * self.ranks
-            + u64::from(m.rank))
-            * self.dimms
-            * self.channels
-            + u64::from(m.dimm) * self.channels
-            + u64::from(m.channel);
-        LineAddr::new(group * self.group_lines + offset)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fbd_types::config::MemoryConfig;
+
+    // The inverse map: the bijection tests' oracle.
+    impl InterleavedMapper {
+        /// Total mappable lines before addresses wrap.
+        pub(crate) fn capacity_lines(&self) -> u64 {
+            self.channels * self.dimms * self.ranks * self.banks * self.rows * self.lines_per_page
+        }
+
+        /// Inverse of [`map`](Self::map) for addresses within capacity.
+        pub(crate) fn unmap(&self, m: MappedAddr) -> LineAddr {
+            let groups_per_row = self.lines_per_page / self.group_lines;
+            let slot = u64::from(m.col_line) / self.group_lines;
+            let offset = u64::from(m.col_line) % self.group_lines;
+            let bank = if self.permute {
+                u64::from(m.bank) ^ (u64::from(m.row) % self.banks)
+            } else {
+                u64::from(m.bank)
+            };
+            let group = (((u64::from(m.row) * groups_per_row + slot) * self.banks + bank)
+                * self.ranks
+                + u64::from(m.rank))
+                * self.dimms
+                * self.channels
+                + u64::from(m.dimm) * self.channels
+                + u64::from(m.channel);
+            LineAddr::new(group * self.group_lines + offset)
+        }
+    }
 
     fn mapper(interleaving: Interleaving) -> InterleavedMapper {
         let mut cfg = MemoryConfig::fbdimm_default();

@@ -94,27 +94,6 @@ impl BankArray {
         }
     }
 
-    /// Creates the array from a registered timing spec: the table and
-    /// device clock both come from the spec, so a substrate selected by
-    /// name drives the devices with its own timings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is zero.
-    pub fn for_spec(banks: usize, spec: &dyn fbd_types::substrate::TimingSpec) -> BankArray {
-        BankArray::new(banks, spec.timings(), spec.data_rate().clock_period())
-    }
-
-    /// Number of banks.
-    pub fn len(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Always false (a `BankArray` cannot be empty).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// True if `row` is currently open in `bank` (row-buffer hit for the
     /// hit-first scheduler).
     ///
@@ -629,21 +608,15 @@ mod tests {
     }
 
     #[test]
-    fn len_reports_bank_count() {
-        assert_eq!(array().len(), 4);
-        assert!(!array().is_empty());
-    }
-
-    #[test]
     fn builds_from_a_registered_timing_spec() {
         // The extension substrate's table reaches the devices purely by
         // registry name — no bank-array code mentions DDR3-1066.
         let spec = fbd_types::substrate::timing_specs()
             .get("ddr3-1066")
             .expect("ddr3-1066 timing spec is registered");
-        let a = BankArray::for_spec(4, spec);
         let t = spec.timings();
         let clk = spec.data_rate().clock_period();
+        let a = BankArray::new(4, t, clk);
         let p = a.plan(0, 3, read_ap(), Time::ZERO, &DataBus::new(clk));
         // First access to an idle bank: ACT at 0, READ at tRCD, data at
         // tRCD + CL — straight from the spec's table.

@@ -46,15 +46,6 @@ pub struct LinkSlot {
     pub done: Time,
 }
 
-impl LinkSlot {
-    /// How long the transfer waited for the wire: the gap between the
-    /// instant its payload was `ready` to send and the granted `start`.
-    /// Zero when the link was free immediately.
-    pub fn queue_wait(&self, ready: Time) -> Dur {
-        self.start.saturating_since(ready)
-    }
-}
-
 /// A link transfer after CRC checking and recovery: the final granted
 /// slot plus everything the recovery machinery did to get there.
 ///
@@ -102,13 +93,6 @@ impl LinkXfer {
             failover: false,
             escaped: false,
         }
-    }
-
-    /// Time between the first attempt's completion boundary and the
-    /// delivering one — what the controller charges to the `retry`
-    /// stage.
-    pub fn retry_time(&self) -> Dur {
-        self.slot.done.saturating_since(self.first_done)
     }
 }
 
@@ -227,17 +211,6 @@ impl DaisyChain {
 }
 
 impl FbdChannel {
-    /// Builds one logical channel from the memory configuration
-    /// (channel index 0 for fault-stream derivation; multi-channel
-    /// subsystems should use [`for_channel`](Self::for_channel)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is not an FB-DIMM one.
-    pub fn new(cfg: &MemoryConfig) -> FbdChannel {
-        FbdChannel::for_channel(cfg, 0)
-    }
-
     /// Builds logical channel `channel` from the memory configuration.
     /// The index seeds the per-channel fault streams, so different
     /// channels see independent (but reproducible) error patterns.
@@ -553,12 +526,6 @@ impl FbdChannel {
         }
     }
 
-    /// The channel's error/recovery counters, when fault injection is
-    /// active.
-    pub fn fault_counters(&self) -> Option<&FaultCounters> {
-        self.faults.as_deref().map(|f| &f.counters)
-    }
-
     /// End-of-run fault summary: counters plus the degraded-width
     /// residency of both directions up to `end`. `None` when fault
     /// injection is off.
@@ -581,8 +548,24 @@ mod tests {
     use super::*;
     use fbd_types::config::MemoryConfig;
 
+    impl LinkXfer {
+        /// Time between the first attempt's completion boundary and the
+        /// delivering one: what the controller charges to `retry`.
+        fn retry_time(&self) -> Dur {
+            self.slot.done.saturating_since(self.first_done)
+        }
+    }
+
+    impl FbdChannel {
+        /// The channel's error/recovery counters, when fault injection
+        /// is active.
+        fn fault_counters(&self) -> Option<&FaultCounters> {
+            self.faults.as_deref().map(|f| &f.counters)
+        }
+    }
+
     fn channel() -> FbdChannel {
-        FbdChannel::new(&MemoryConfig::fbdimm_default())
+        FbdChannel::for_channel(&MemoryConfig::fbdimm_default(), 0)
     }
 
     #[test]
@@ -655,7 +638,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "FB-DIMM configuration")]
     fn ddr2_config_rejected() {
-        let _ = FbdChannel::new(&MemoryConfig::ddr2_default());
+        let _ = FbdChannel::for_channel(&MemoryConfig::ddr2_default(), 0);
     }
 
     #[test]

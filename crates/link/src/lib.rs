@@ -16,7 +16,7 @@
 //! use fbd_types::config::MemoryConfig;
 //! use fbd_types::time::Time;
 //!
-//! let mut ch = FbdChannel::new(&MemoryConfig::fbdimm_default());
+//! let mut ch = FbdChannel::for_channel(&MemoryConfig::fbdimm_default(), 0);
 //! let cmd = ch.send_command(Time::from_ns(12)); // after controller overhead
 //! assert_eq!(cmd.done, Time::from_ns(15));
 //! // DRAM produces data 30 ns later (tRCD + tCL); the line then needs
@@ -70,7 +70,7 @@ mod proptests {
         /// n back-to-back line returns take exactly n frames.
         #[test]
         fn northbound_saturates_without_bubbles(n in 1u64..50) {
-            let mut ch = FbdChannel::new(&fbd_types::config::MemoryConfig::fbdimm_default());
+            let mut ch = FbdChannel::for_channel(&fbd_types::config::MemoryConfig::fbdimm_default(), 0);
             let mut last = Time::ZERO;
             for _ in 0..n {
                 last = ch.return_read_data(0, Time::ZERO).done;

@@ -51,7 +51,7 @@ impl Timeline {
         assert!(!clock.is_zero(), "clock period must be non-zero");
         // Every caller reserves whole clocks, and `insert` merges
         // touching intervals, so each kept interval and the gap after
-        // it span at least two clocks. The pruning in `reserve_at` thus
+        // it span at least two clocks. The pruning in `reserve` thus
         // bounds the deque to one `PRUNE_WINDOW` of such pairs plus a
         // short scheduled-ahead tail. Reserving that bound up front
         // keeps reservations off the allocator for the whole run (the
@@ -126,7 +126,8 @@ impl Timeline {
     /// # Panics
     ///
     /// Panics if the window is not actually free.
-    pub fn reserve_at(&mut self, start: Time, duration: Dur) {
+    #[cfg(test)]
+    fn reserve_at(&mut self, start: Time, duration: Dur) {
         let got = self.probe(start, duration);
         assert!(
             got == start,
@@ -198,7 +199,8 @@ impl Timeline {
     }
 
     /// Instant after which the timeline is completely free.
-    pub fn free_after(&self) -> Time {
+    #[cfg(test)]
+    fn free_after(&self) -> Time {
         self.busy.back().map_or(self.horizon, |&(_, end)| end)
     }
 }

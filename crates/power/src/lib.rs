@@ -115,10 +115,6 @@ pub struct PowerModel {
     e_refresh_nj: f64,
 }
 
-/// Static power share of total device power in the paper's configuration
-/// (reported for context; not part of the dynamic normalization).
-pub const STATIC_POWER_FRACTION: f64 = 0.175;
-
 /// Standby powers of one rank's devices, for state-residency static
 /// energy (extension beyond the paper, which models dynamic energy
 /// only).
@@ -213,11 +209,6 @@ impl PowerModel {
             // amortized window).
             e_refresh_nj: 8.0,
         }
-    }
-
-    /// Ratio of ACT/PRE energy to (read) column energy.
-    pub fn act_to_col_ratio(&self) -> f64 {
-        self.e_act_pre_nj / self.e_col_read_nj
     }
 
     /// Energy of `n` activate/precharge pairs.
@@ -334,13 +325,6 @@ pub struct RankEnergy {
     pub dynamic_nj: f64,
     /// Per-mode background energy, nJ.
     pub background_nj: f64,
-}
-
-impl RankEnergy {
-    /// Total energy of this rank's devices (dynamic + background), nJ.
-    pub fn total_nj(&self) -> f64 {
-        self.dynamic_nj + self.background_nj
-    }
 }
 
 /// Total energy of one run, broken down by component and by rank.
@@ -560,6 +544,13 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PowerModel {
+        /// Ratio of ACT/PRE energy to (read) column energy.
+        fn act_to_col_ratio(&self) -> f64 {
+            self.e_act_pre_nj / self.e_col_read_nj
+        }
+    }
 
     #[test]
     fn micron_params_give_roughly_four_to_one() {

@@ -281,28 +281,6 @@ impl StageProfile {
         self.write_mismatches
     }
 
-    /// Folds another profile into this one (for merging epochs or
-    /// parallel shards).
-    pub fn merge(&mut self, other: &StageProfile) {
-        if other.stages.is_empty() {
-            return;
-        }
-        if self.stages.is_empty() {
-            *self = StageProfile::new();
-        }
-        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
-            a.merge(b);
-        }
-        for (a, b) in self.e2e.iter_mut().zip(&other.e2e) {
-            a.merge(b);
-        }
-        for (a, b) in self.dram.iter_mut().zip(&other.dram) {
-            a.merge(b);
-        }
-        self.mismatches += other.mismatches;
-        self.write_mismatches += other.write_mismatches;
-    }
-
     /// Folded-stack (flamegraph-compatible) text: one
     /// `read;<class>;<stage> <nanoseconds>` (or `write;…` for the
     /// posted-write class) line per non-empty class × stage cell,
@@ -479,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_is_usable_and_mergeable() {
+    fn default_profile_is_usable() {
         // `Default` (all-empty vecs) must behave like `new()`.
         let mut p = StageProfile::default();
         assert_eq!(p.reads(), 0);
@@ -487,11 +465,6 @@ mod tests {
         assert!(p.to_folded().is_empty());
         p.record(ReqClass::Demand, &breakdown(1, 2), Dur::from_ns(3));
         assert_eq!(p.reads(), 1);
-        let mut q = StageProfile::default();
-        q.merge(&p);
-        assert_eq!(q.reads(), 1);
-        q.merge(&StageProfile::default());
-        assert_eq!(q.reads(), 1);
     }
 
     #[test]
@@ -577,10 +550,5 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(2.0)
         );
-        // Merging carries the write mismatch counter along.
-        let mut q = StageProfile::default();
-        q.merge(&p);
-        assert_eq!(q.writes(), 2);
-        assert_eq!(q.write_mismatches(), 1);
     }
 }

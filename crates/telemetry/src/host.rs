@@ -200,18 +200,6 @@ impl HostProfiler {
         }
     }
 
-    /// Opens a scoped span: when the returned guard drops, the wall
-    /// time since the previous mark is charged to `phase`. Sugar over
-    /// [`mark`](Self::mark) for straight-line code (setup, warmup,
-    /// benches); the event loop calls `mark` directly to sidestep
-    /// borrow interactions with `&mut self` methods.
-    pub fn span(&self, phase: Phase) -> PhaseSpan<'_> {
-        PhaseSpan {
-            profiler: self,
-            phase,
-        }
-    }
-
     /// Increments `counter` by one.
     #[inline]
     pub fn bump(&self, counter: Counter) {
@@ -350,20 +338,6 @@ impl HostProfiler {
     }
 }
 
-/// RAII guard from [`HostProfiler::span`]: charges the enclosed scope's
-/// wall time to its phase on drop.
-#[derive(Debug)]
-pub struct PhaseSpan<'a> {
-    profiler: &'a HostProfiler,
-    phase: Phase,
-}
-
-impl Drop for PhaseSpan<'_> {
-    fn drop(&mut self) {
-        self.profiler.mark(self.phase);
-    }
-}
-
 /// An optional shared [`HostProfiler`]: the simulator components hold
 /// one of these and call straight through; when empty every call is a
 /// branch on `None`.
@@ -379,11 +353,6 @@ impl HostHandle {
     /// A handle with no profiler attached (all calls no-ops).
     pub fn off() -> HostHandle {
         HostHandle(None)
-    }
-
-    /// The wrapped profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<HostProfiler>> {
-        self.0.as_ref()
     }
 
     /// See [`HostProfiler::mark`].
@@ -775,10 +744,10 @@ mod tests {
         h.bump(Counter::Events);
         let report = h.finish_report(Dur::from_ns(10), DataRate::MTS667.clock_period(), 1);
         assert!(!report.enabled);
-        assert!(h.profiler().is_none());
-        let h = HostHandle::new(Arc::new(HostProfiler::enabled()));
+        let p = Arc::new(HostProfiler::enabled());
+        let h = HostHandle::new(Arc::clone(&p));
         h.bump(Counter::Events);
-        assert_eq!(h.profiler().unwrap().counter(Counter::Events), 1);
+        assert_eq!(p.counter(Counter::Events), 1);
     }
 
     #[test]

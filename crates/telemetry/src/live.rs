@@ -121,18 +121,6 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Pads or truncates `s` to exactly `width` display chars — the redraw
-/// loop overwrites lines in place, so every frame line must be
-/// constant-width.
-pub fn fit(s: &str, width: usize) -> String {
-    let mut out: String = s.chars().take(width).collect();
-    let len = out.chars().count();
-    for _ in len..width {
-        out.push(' ');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +173,5 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_secs_f64(4.31)), "4.3s");
         assert_eq!(fmt_duration(Duration::from_secs(127)), "2m07s");
         assert_eq!(fmt_duration(Duration::from_secs(3840)), "1h04m");
-    }
-
-    #[test]
-    fn fit_pads_and_truncates() {
-        assert_eq!(fit("ab", 4), "ab  ");
-        assert_eq!(fit("abcdef", 4), "abcd");
-        assert_eq!(fit("", 2), "  ");
     }
 }

@@ -174,11 +174,6 @@ impl MetricRegistry {
         kind_of(&self.slots[id.0 as usize])
     }
 
-    /// The path registered for `id`.
-    pub fn path(&self, id: MetricId) -> &str {
-        &self.paths[id.0 as usize]
-    }
-
     /// Resolves a path to its id, if registered.
     pub fn lookup(&self, path: &str) -> Option<MetricId> {
         self.index.get(path).copied()
@@ -198,13 +193,8 @@ impl MetricRegistry {
     }
 
     /// Number of registered metrics. Ids `0..len` are all valid.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// All metrics in registration order as `(path, value)`.
@@ -295,7 +285,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.lookup("amb.prefetch.hits"), Some(a));
-        assert_eq!(reg.path(a), "amb.prefetch.hits");
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl EpochSampler {
         }
     }
 
-    /// The configured epoch length.
-    pub fn interval(&self) -> Dur {
-        self.interval
-    }
-
     /// The next instant at which [`sample`](Self::sample) should run.
     pub fn next_due(&self) -> Time {
         self.next_due

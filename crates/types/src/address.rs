@@ -1,21 +1,20 @@
-//! Physical addresses, cacheline addresses and prefetch regions.
+//! Cacheline addresses and prefetch regions.
 //!
-//! The memory hierarchy works at three granularities:
+//! The memory hierarchy works at two granularities:
 //!
-//! * byte-granular [`PhysAddr`] — what the CPU model produces;
 //! * line-granular [`LineAddr`] — one 64-byte L2 cache block, the unit
-//!   the memory subsystem transfers;
+//!   the CPU model requests and the memory subsystem transfers;
 //! * [`RegionId`] — a group of `K` consecutive lines, the unit the AMB
 //!   prefetcher fetches (paper §3.2).
 //!
 //! # Examples
 //!
 //! ```
-//! use fbd_types::address::{LineAddr, PhysAddr, CACHE_LINE_BYTES};
+//! use fbd_types::address::{LineAddr, CACHE_LINE_BYTES};
 //!
-//! let addr = PhysAddr::new(0x1_0040);
-//! let line = addr.line();
-//! assert_eq!(line, LineAddr::new(0x1_0040 / CACHE_LINE_BYTES));
+//! // The line holding byte 0x1_0040.
+//! let line = LineAddr::new(0x1_0040 / CACHE_LINE_BYTES);
+//! assert_eq!(line.as_u64(), 0x401);
 //! // Block 6 of the paper's Figure 2 example: its 4-line region holds 4..=7.
 //! let region = LineAddr::new(6).region(4);
 //! assert_eq!(region.lines(4).collect::<Vec<_>>(),
@@ -28,50 +27,6 @@ use std::collections::{HashMap, HashSet};
 
 /// Size of an L2 cache block / memory transfer unit, in bytes (Table 1).
 pub const CACHE_LINE_BYTES: u64 = 64;
-
-/// A byte-granular physical memory address.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PhysAddr(u64);
-
-impl PhysAddr {
-    /// Creates a physical address from a raw byte address.
-    #[inline]
-    pub const fn new(addr: u64) -> PhysAddr {
-        PhysAddr(addr)
-    }
-
-    /// Raw byte address.
-    #[inline]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// The cacheline this byte falls in.
-    #[inline]
-    pub const fn line(self) -> LineAddr {
-        LineAddr(self.0 / CACHE_LINE_BYTES)
-    }
-
-    /// Byte offset within the cacheline.
-    #[inline]
-    pub const fn line_offset(self) -> u64 {
-        self.0 % CACHE_LINE_BYTES
-    }
-}
-
-impl From<LineAddr> for PhysAddr {
-    /// The first byte of the line.
-    #[inline]
-    fn from(line: LineAddr) -> PhysAddr {
-        PhysAddr(line.0 * CACHE_LINE_BYTES)
-    }
-}
-
-impl fmt::Display for PhysAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#x}", self.0)
-    }
-}
 
 /// A cacheline-granular address (byte address divided by 64).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -100,19 +55,6 @@ impl LineAddr {
     pub fn region(self, region_lines: u64) -> RegionId {
         assert!(region_lines > 0, "region size must be non-zero");
         RegionId(self.0 / region_lines)
-    }
-
-    /// Index of this line within its region.
-    #[inline]
-    pub fn region_offset(self, region_lines: u64) -> u64 {
-        assert!(region_lines > 0, "region size must be non-zero");
-        self.0 % region_lines
-    }
-
-    /// The line `delta` lines after this one.
-    #[inline]
-    pub const fn offset(self, delta: u64) -> LineAddr {
-        LineAddr(self.0 + delta)
     }
 }
 
@@ -175,24 +117,6 @@ pub type LineSet = HashSet<LineAddr, LineBuildHasher>;
 pub struct RegionId(u64);
 
 impl RegionId {
-    /// Creates a region id directly.
-    #[inline]
-    pub const fn new(region: u64) -> RegionId {
-        RegionId(region)
-    }
-
-    /// Raw region number.
-    #[inline]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// First line of the region.
-    #[inline]
-    pub const fn base_line(self, region_lines: u64) -> LineAddr {
-        LineAddr(self.0 * region_lines)
-    }
-
     /// Iterator over all lines in the region, demanded-line order not
     /// applied (callers reorder so the demanded line goes first).
     pub fn lines(self, region_lines: u64) -> impl Iterator<Item = LineAddr> {
@@ -247,28 +171,13 @@ mod tests {
     }
 
     #[test]
-    fn phys_to_line_truncates() {
-        assert_eq!(PhysAddr::new(0).line(), LineAddr::new(0));
-        assert_eq!(PhysAddr::new(63).line(), LineAddr::new(0));
-        assert_eq!(PhysAddr::new(64).line(), LineAddr::new(1));
-        assert_eq!(PhysAddr::new(130).line_offset(), 2);
-    }
-
-    #[test]
-    fn line_to_phys_is_line_base() {
-        let line = LineAddr::new(3);
-        assert_eq!(PhysAddr::from(line), PhysAddr::new(192));
-        assert_eq!(PhysAddr::from(line).line(), line);
-    }
-
-    #[test]
     fn region_math_matches_paper_figure2() {
         // Paper Figure 2: with 4-line regions, demanded block 6 prefetches
         // blocks 4, 5 and 7 (the rest of region 1).
         let demanded = LineAddr::new(6);
         let region = demanded.region(4);
-        assert_eq!(region, RegionId::new(1));
-        assert_eq!(demanded.region_offset(4), 2);
+        assert_eq!(region, LineAddr::new(4).region(4));
+        assert_ne!(region, LineAddr::new(8).region(4));
         let rest: Vec<u64> = region
             .lines(4)
             .filter(|l| *l != demanded)
@@ -282,11 +191,13 @@ mod tests {
         for k in [2u64, 4, 8] {
             for line in 0..64u64 {
                 let l = LineAddr::new(line);
-                let r = l.region(k);
-                let base = r.base_line(k);
+                let lines: Vec<LineAddr> = l.region(k).lines(k).collect();
+                let base = lines[0];
+                assert_eq!(lines.len() as u64, k);
+                assert_eq!(base.as_u64() % k, 0);
                 assert!(base <= l);
                 assert!(l.as_u64() < base.as_u64() + k);
-                assert_eq!(base.as_u64() + l.region_offset(k), l.as_u64());
+                assert_eq!(base.region(k), l.region(k));
             }
         }
     }
@@ -299,8 +210,7 @@ mod tests {
 
     #[test]
     fn displays_are_nonempty() {
-        assert_eq!(format!("{}", PhysAddr::new(0x40)), "0x40");
         assert_eq!(format!("{}", LineAddr::new(1)), "line:0x1");
-        assert_eq!(format!("{}", RegionId::new(2)), "region:0x2");
+        assert_eq!(format!("{}", LineAddr::new(9).region(4)), "region:0x2");
     }
 }

@@ -401,15 +401,6 @@ impl FaultMode {
             _ => None,
         }
     }
-
-    /// The stable CLI name of this mode.
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultMode::Ber => "ber",
-            FaultMode::Burst => "burst",
-            FaultMode::StuckLane => "stuck-lane",
-        }
-    }
 }
 
 /// Patrol-scrubbing policy selector: the memory system builds an
@@ -763,26 +754,9 @@ impl MemoryConfig {
         }
     }
 
-    /// Total logical DRAM banks across the whole subsystem.
-    pub fn total_banks(&self) -> u32 {
-        self.logical_channels * self.dimms_per_channel * self.ranks_per_dimm * self.banks_per_dimm
-    }
-
     /// Cachelines per DRAM row.
     pub fn lines_per_page(&self) -> u32 {
         self.page_bytes / crate::address::CACHE_LINE_BYTES as u32
-    }
-
-    /// Total simulated capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.logical_channels)
-            * u64::from(self.phys_per_logical)
-            * u64::from(self.dimms_per_channel)
-            * u64::from(self.ranks_per_dimm)
-            * u64::from(self.banks_per_dimm)
-            * u64::from(self.rows_per_bank)
-            * u64::from(self.page_bytes)
-            / u64::from(self.phys_per_logical) // ganged pair stores one line jointly
     }
 
     /// Peak read bandwidth in GB/s: per-physical-channel DDR2 bandwidth
@@ -1218,9 +1192,9 @@ mod tests {
 
     #[test]
     fn fault_mode_names_round_trip() {
-        for mode in [FaultMode::Ber, FaultMode::Burst, FaultMode::StuckLane] {
-            assert_eq!(FaultMode::by_name(mode.name()), Some(mode));
-        }
+        assert_eq!(FaultMode::by_name("ber"), Some(FaultMode::Ber));
+        assert_eq!(FaultMode::by_name("burst"), Some(FaultMode::Burst));
+        assert_eq!(FaultMode::by_name("stuck-lane"), Some(FaultMode::StuckLane));
         assert_eq!(FaultMode::by_name("bogus"), None);
     }
 
@@ -1269,7 +1243,6 @@ mod tests {
         assert_eq!(m.controller_overhead, Dur::from_ns(12));
         assert_eq!(m.amb_hop_delay, Dur::from_ns(3));
         assert_eq!(m.lines_per_page(), 128);
-        assert_eq!(m.total_banks(), 32);
     }
 
     #[test]
@@ -1353,12 +1326,5 @@ mod tests {
         let mut c = CpuConfig::paper_default(4);
         c.cores = 0;
         assert_eq!(c.validate().unwrap_err().field(), "cores");
-    }
-
-    #[test]
-    fn capacity_is_positive_and_pow2_scaled() {
-        let m = MemoryConfig::fbdimm_default();
-        // 2 logical ch * 4 dimms * 4 banks * 16384 rows * 8 KB = 4 GiB.
-        assert_eq!(m.capacity_bytes(), 4 << 30);
     }
 }

@@ -21,16 +21,6 @@ impl ConfigError {
             reason: reason.into(),
         }
     }
-
-    /// The configuration field that failed validation.
-    pub fn field(&self) -> &'static str {
-        self.field
-    }
-
-    /// Why the field is invalid.
-    pub fn reason(&self) -> &str {
-        &self.reason
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -45,6 +35,13 @@ impl std::error::Error for ConfigError {}
 mod tests {
     use super::*;
 
+    impl ConfigError {
+        /// The configuration field that failed validation.
+        pub(crate) fn field(&self) -> &'static str {
+            self.field
+        }
+    }
+
     #[test]
     fn display_names_field_and_reason() {
         let err = ConfigError::new("banks_per_dimm", "must be a power of two");
@@ -52,7 +49,6 @@ mod tests {
         assert!(s.contains("banks_per_dimm"));
         assert!(s.contains("power of two"));
         assert_eq!(err.field(), "banks_per_dimm");
-        assert_eq!(err.reason(), "must be a power of two");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! let cfg = SystemConfig::paper_default(4);
 //! cfg.validate()?;
 //! assert_eq!(cfg.cpu.cores, 4);
-//! assert_eq!(cfg.mem.total_banks(), 32);
+//! assert_eq!(cfg.mem.lines_per_page(), 128);
 //! # Ok::<(), fbd_types::error::ConfigError>(())
 //! ```
 
@@ -34,7 +34,7 @@ pub mod stats;
 pub mod substrate;
 pub mod time;
 
-pub use address::{LineAddr, LineMap, LineSet, PhysAddr, RegionId, CACHE_LINE_BYTES};
+pub use address::{LineAddr, LineMap, LineSet, RegionId, CACHE_LINE_BYTES};
 pub use config::{
     AmbPrefetchConfig, AmbPrefetchMode, Associativity, CpuConfig, DramTimings, FaultConfig,
     FaultMode, HwPrefetchConfig, Interleaving, MemoryConfig, MemoryTech, PagePolicy, Replacement,

@@ -39,11 +39,6 @@ impl<T: ?Sized + 'static> Registry<T> {
         }
     }
 
-    /// The component family name this registry holds.
-    pub fn kind(&self) -> &'static str {
-        self.kind
-    }
-
     /// Adds an entry under `name`.
     ///
     /// # Panics
@@ -77,16 +72,6 @@ impl<T: ?Sized + 'static> Registry<T> {
         self.entries.iter().copied()
     }
 
-    /// Number of registered components.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The names joined for diagnostics: `"a|b|c"` — the list printed
     /// after "unknown …" CLI errors.
     pub fn available(&self) -> String {
@@ -108,8 +93,6 @@ mod tests {
         assert_eq!(r.get("c"), None);
         assert_eq!(r.names().collect::<Vec<_>>(), ["b", "a"]);
         assert_eq!(r.available(), "b|a");
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
     }
 
     #[test]

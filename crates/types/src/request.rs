@@ -329,11 +329,6 @@ impl StageStamper {
     pub fn finish(self) -> StageBreakdown {
         self.breakdown
     }
-
-    /// The last boundary stamped.
-    pub fn cursor(&self) -> Time {
-        self.cursor
-    }
 }
 
 /// Attribution class of a completed transaction: the request kind,
@@ -445,18 +440,6 @@ pub struct MemResponse {
     pub stages: StageBreakdown,
 }
 
-impl MemResponse {
-    /// Read latency as observed at the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `completion` precedes `arrival`.
-    pub fn latency(&self, arrival: Time) -> crate::time::Dur {
-        debug_assert!(self.completion >= arrival);
-        self.completion - arrival
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,21 +450,6 @@ mod tests {
         assert!(AccessKind::DemandRead.is_read());
         assert!(AccessKind::SoftwarePrefetch.is_read());
         assert!(!AccessKind::Write.is_read());
-    }
-
-    #[test]
-    fn response_latency_is_completion_minus_arrival() {
-        let resp = MemResponse {
-            id: RequestId(1),
-            core: CoreId(0),
-            line: LineAddr::new(5),
-            kind: AccessKind::DemandRead,
-            completion: Time::from_ns(100),
-            service: ServiceKind::DramAccess,
-            dropped: false,
-            stages: StageBreakdown::ZERO,
-        };
-        assert_eq!(resp.latency(Time::from_ns(37)), Dur::from_ns(63));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::time::Dur;
 /// use fbd_types::stats::LatencyStat;
 /// use fbd_types::time::Dur;
 ///
-/// let mut lat = LatencyStat::new();
+/// let mut lat = LatencyStat::default();
 /// lat.record(Dur::from_ns(63));
 /// lat.record(Dur::from_ns(33));
 /// assert_eq!(lat.count(), 2);
@@ -33,15 +33,6 @@ pub struct LatencyStat {
 }
 
 impl LatencyStat {
-    /// An empty accumulator.
-    pub const fn new() -> LatencyStat {
-        LatencyStat {
-            sum_ps: 0,
-            count: 0,
-            max_ps: 0,
-        }
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, sample: Dur) {
@@ -72,13 +63,6 @@ impl LatencyStat {
         } else {
             Some(Dur::from_ps(self.max_ps))
         }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &LatencyStat) {
-        self.sum_ps += other.sum_ps;
-        self.count += other.count;
-        self.max_ps = self.max_ps.max(other.max_ps);
     }
 }
 
@@ -184,14 +168,6 @@ impl LatencyHistogram {
         }
         Some(Self::bucket_edge(self.buckets.len() - 1))
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -260,21 +236,6 @@ impl EpochSeries {
             .iter()
             .map(|&b| b as f64 / secs / 1e9)
             .collect()
-    }
-
-    /// Merges another series recorded with the same epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the epoch lengths differ.
-    pub fn merge(&mut self, other: &EpochSeries) {
-        assert_eq!(self.epoch, other.epoch, "mismatched epochs");
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
     }
 }
 
@@ -401,11 +362,6 @@ impl CoreStats {
     pub fn ipc(&self) -> f64 {
         ratio(self.instructions, self.cycles)
     }
-
-    /// L2 miss rate.
-    pub fn l2_miss_rate(&self) -> f64 {
-        ratio(self.l2_misses, self.l2_accesses)
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -447,21 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        a.record(Dur::from_ns(63));
-        let mut b = LatencyHistogram::new();
-        b.record(Dur::from_ns(33));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let p50 = a.percentile(0.5).unwrap();
-        assert!(
-            p50 <= Dur::from_ns(36),
-            "median of {{33,63}} near 33: {p50}"
-        );
-    }
-
-    #[test]
     fn histogram_empty_is_none() {
         assert_eq!(LatencyHistogram::new().percentile(0.5), None);
     }
@@ -473,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_series_buckets_and_merge() {
+    fn epoch_series_buckets() {
         use crate::time::Time;
         let mut a = EpochSeries::new(Dur::from_ns(1_000));
         a.record(Time::from_ns(0), 640);
@@ -484,53 +425,14 @@ mod tests {
         assert!((gbps[0] - 1.0).abs() < 1e-9);
         assert_eq!(gbps[1], 0.0);
         assert!((gbps[2] - 1.0).abs() < 1e-9);
-        let mut b = EpochSeries::new(Dur::from_ns(1_000));
-        b.record(Time::from_ns(1_200), 2_000);
-        a.merge(&b);
-        assert!((a.series_gbps()[1] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched epochs")]
-    fn epoch_series_merge_rejects_mismatch() {
-        let mut a = EpochSeries::new(Dur::from_ns(1_000));
-        a.merge(&EpochSeries::new(Dur::from_ns(2_000)));
     }
 
     #[test]
     fn latency_stat_empty_is_none() {
-        let lat = LatencyStat::new();
+        let lat = LatencyStat::default();
         assert_eq!(lat.mean(), None);
         assert_eq!(lat.max(), None);
         assert_eq!(format!("{lat}"), "no samples");
-    }
-
-    #[test]
-    fn latency_stat_merge_combines() {
-        let mut a = LatencyStat::new();
-        a.record(Dur::from_ns(10));
-        let mut b = LatencyStat::new();
-        b.record(Dur::from_ns(30));
-        b.record(Dur::from_ns(20));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), Some(Dur::from_ns(20)));
-        assert_eq!(a.max(), Some(Dur::from_ns(30)));
-    }
-
-    #[test]
-    fn latency_stat_merge_empty_into_empty_stays_empty() {
-        let mut a = LatencyStat::new();
-        a.merge(&LatencyStat::new());
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.mean(), None);
-        assert_eq!(a.max(), None);
-        // Merging an empty accumulator into a populated one is a no-op.
-        let mut b = LatencyStat::new();
-        b.record(Dur::from_ns(7));
-        let before = b;
-        b.merge(&LatencyStat::new());
-        assert_eq!(b, before);
     }
 
     #[test]
@@ -538,42 +440,13 @@ mod tests {
         // The per-sample ceiling is u64::MAX picoseconds; the u128 sum
         // keeps means exact even when several such samples accumulate.
         let huge = Dur::from_ps(u64::MAX);
-        let mut lat = LatencyStat::new();
+        let mut lat = LatencyStat::default();
         lat.record(huge);
         lat.record(huge);
         lat.record(huge);
         assert_eq!(lat.count(), 3);
         assert_eq!(lat.mean(), Some(huge));
         assert_eq!(lat.max(), Some(huge));
-        // Merging two maxed-out accumulators still cannot overflow.
-        let other = lat;
-        lat.merge(&other);
-        assert_eq!(lat.count(), 6);
-        assert_eq!(lat.mean(), Some(huge));
-        assert_eq!(lat.max(), Some(huge));
-    }
-
-    #[test]
-    fn latency_stat_merge_then_mean_matches_single_accumulator() {
-        // Recording interleaved across two accumulators and merging must
-        // give exactly the mean/max/count of one accumulator that saw
-        // every sample.
-        let samples: Vec<Dur> = (1..=25u64).map(|n| Dur::from_ns(n * 3)).collect();
-        let mut whole = LatencyStat::new();
-        let mut left = LatencyStat::new();
-        let mut right = LatencyStat::new();
-        for (i, s) in samples.iter().enumerate() {
-            whole.record(*s);
-            if i % 2 == 0 {
-                left.record(*s);
-            } else {
-                right.record(*s);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left, whole);
-        assert_eq!(left.mean(), whole.mean());
-        assert_eq!(left.max(), whole.max());
     }
 
     #[test]
@@ -617,6 +490,5 @@ mod tests {
             l2_accesses: 40,
         };
         assert!((c.ipc() - 2.0).abs() < 1e-12);
-        assert!((c.l2_miss_rate() - 0.25).abs() < 1e-12);
     }
 }

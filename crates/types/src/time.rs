@@ -77,12 +77,6 @@ impl Time {
         Time(self.0.max(other.0))
     }
 
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: Time) -> Time {
-        Time(self.0.min(other.0))
-    }
-
     /// Rounds this instant *up* to the next multiple of `quantum` (e.g. a
     /// clock edge). An instant already on an edge is unchanged.
     ///
@@ -154,22 +148,10 @@ impl Dur {
         self.0 as f64 * 1e-12
     }
 
-    /// `self - other`, saturating at zero.
-    #[inline]
-    pub fn saturating_sub(self, other: Dur) -> Dur {
-        Dur(self.0.saturating_sub(other.0))
-    }
-
     /// True if this duration is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The longer of two durations.
-    #[inline]
-    pub fn max(self, other: Dur) -> Dur {
-        Dur(self.0.max(other.0))
     }
 }
 
@@ -426,7 +408,6 @@ mod tests {
         let total: Dur = [Dur::from_ns(1), Dur::from_ns(2)].into_iter().sum();
         assert_eq!(total, Dur::from_ns(3));
         assert_eq!(Dur::from_ns(1).max(Dur::from_ns(2)), Dur::from_ns(2));
-        assert_eq!(Dur::from_ns(5).saturating_sub(Dur::from_ns(7)), Dur::ZERO);
     }
 
     #[test]
