@@ -281,18 +281,26 @@ struct MemTel {
 }
 
 impl MemTel {
-    /// Writes the registry's counters and read-latency accumulator from
-    /// the model's own: each channel's traffic and prefetch counts,
-    /// each DIMM's rank operations, every buffer's prefetch counts and
-    /// the demand-read latency statistic.
-    fn publish(&mut self, channels: &[Channel], read_latency: LatencyStat) {
+    /// Writes the registry's counters, gauges and read-latency
+    /// accumulator from the model's own state: each channel's traffic
+    /// and prefetch counts, queue depth and in-flight count, each DIMM's
+    /// rank operations, every buffer's prefetch counts and the
+    /// demand-read latency statistic.
+    fn publish(
+        &mut self,
+        channels: &[Channel],
+        queue: &TransactionQueue,
+        read_latency: LatencyStat,
+    ) {
         let reg = &mut self.tel.registry;
-        for (c, ids) in channels.iter().zip(&self.chans) {
+        for ((ch, c), ids) in (0u32..).zip(channels).zip(&self.chans) {
             let counts = c.counters();
             reg.set_counter(ids.reads, counts.reads);
             reg.set_counter(ids.writes, counts.writes);
             reg.set_counter(ids.bytes, counts.bytes);
             reg.set_counter(ids.amb_hits, counts.amb_hits);
+            reg.set(ids.queue_depth, queue.bucket(ch).len() as f64);
+            reg.set(ids.inflight, f64::from(c.inflight));
             for (d, dimm) in (0u32..).zip(&ids.dimms) {
                 let ops = c.dimm_ops(d);
                 reg.set_counter(dimm.acts, ops.act_pre);
@@ -765,36 +773,40 @@ impl MemorySystem {
             .map_or(Time::NEVER, |t| t.tel.next_sample_due())
     }
 
-    /// Takes an epoch snapshot: publishes the model's counters into the
-    /// registry, refreshes the queue-depth / in-flight gauges, emits
+    /// Takes an epoch snapshot: publishes the model's counters and
+    /// gauges into the registry, emits the queue-depth / in-flight
     /// counter trace events, then samples every metric.
     pub fn sample_telemetry(&mut self, now: Time) {
         let Some(t) = self.tel.as_deref_mut() else {
             return;
         };
-        t.publish(&self.channels, self.stats.read_latency);
-        for (ch, (c, ids)) in (0u32..).zip(self.channels.iter().zip(&t.chans)) {
-            let depth = self.queue.bucket(ch).len() as f64;
-            let inflight = f64::from(c.inflight);
-            t.tel.registry.set(ids.queue_depth, depth);
-            t.tel.registry.set(ids.inflight, inflight);
-            if let Some(tr) = t.tel.tracer.as_mut() {
+        t.publish(&self.channels, &self.queue, self.stats.read_latency);
+        if let Some(tr) = t.tel.tracer.as_mut() {
+            for (ch, c) in (0u32..).zip(&self.channels) {
+                let depth = self.queue.bucket(ch).len() as f64;
                 tr.counter("queue_depth", "ctrl", ch, TID_SOUTH, now, depth);
-                tr.counter("inflight", "ctrl", ch, TID_SOUTH, now, inflight);
+                tr.counter(
+                    "inflight",
+                    "ctrl",
+                    ch,
+                    TID_SOUTH,
+                    now,
+                    f64::from(c.inflight),
+                );
             }
         }
         t.tel.sample(now);
     }
 
     /// Ends telemetry at `end` and takes it out of the subsystem:
-    /// publishes the model's counters, resolves power-mode residencies
+    /// publishes the model's counters and gauges, resolves power-mode residencies
     /// and the energy report into the registry, draws each rank's
     /// power-mode spans not yet settled (when tracing), then flushes the
     /// final partial epoch. Call it before [`Self::finish_stats`], which
     /// moves out the read-latency statistic it publishes.
     pub fn finish_telemetry(&mut self, end: Time) -> Option<Telemetry> {
         let mut mt = self.tel.take()?;
-        mt.publish(&self.channels, self.stats.read_latency);
+        mt.publish(&self.channels, &self.queue, self.stats.read_latency);
         let (registry, mut tracer) = (&mut mt.tel.registry, mt.tel.tracer.as_mut());
         for (ch, (c, ids)) in (0u32..).zip(self.channels.iter().zip(&mt.chans)) {
             for (d, dimm) in (0u32..).zip(&ids.dimms) {

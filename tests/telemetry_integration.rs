@@ -352,6 +352,73 @@ fn sampled_open_loop_ends_with_an_epoch_series_and_unchanged_results() {
     assert!(!rows.is_empty());
 }
 
+#[test]
+fn final_epoch_row_reads_the_queue_and_in_flight_counts_at_the_end() {
+    // Eight reads wait in the queue at the periodic snapshot; one
+    // decision per channel then issues some of them before the run
+    // ends. The final row must show the counts at the end, not repeat
+    // the snapshot's.
+    let cfg = MemoryConfig::fbdimm_with_prefetch();
+    let mut sys = MemorySystem::new(&cfg);
+    sys.enable_telemetry(&TelemetryConfig {
+        sample_interval: Some(Dur::from_ns(100)),
+        trace: false,
+    });
+    let nch = cfg.logical_channels as usize;
+    let mut queued = vec![0; nch];
+    for i in 0..8u64 {
+        let line = LineAddr::new(i * 7919);
+        let req = MemRequest::new(
+            RequestId(i),
+            CoreId(0),
+            AccessKind::DemandRead,
+            line,
+            Time::ZERO,
+        );
+        let (ch, _) = sys.submit(req);
+        queued[ch as usize] += 1;
+    }
+    sys.sample_telemetry(Time::from_ns(100));
+    let mut in_flight = vec![0; nch];
+    for ch in 0..nch {
+        let mut issued = Vec::new();
+        sys.decide_into(ch as u32, Time::from_ns(100), &mut issued);
+        in_flight[ch] = issued.len();
+        queued[ch] -= issued.len();
+    }
+    assert!(in_flight.iter().sum::<usize>() > 0, "the decisions issue");
+
+    let tel = sys
+        .finish_telemetry(Time::from_ns(150))
+        .expect("telemetry enabled");
+    let rows = tel.sampler.as_ref().expect("sampling enabled").rows();
+    let [.., snapshot, last] = rows else {
+        panic!("{} rows, want the snapshot and the final one", rows.len());
+    };
+    assert_eq!(
+        (snapshot.at, last.at),
+        (Time::from_ns(100), Time::from_ns(150))
+    );
+    let column = |path: &str| {
+        tel.registry
+            .iter()
+            .position(|(p, _)| p == path)
+            .unwrap_or_else(|| panic!("metric {path} missing"))
+    };
+    for ch in 0..nch {
+        let depth = column(&format!("chan{ch}.queue_depth"));
+        let inflight = column(&format!("chan{ch}.inflight"));
+        assert_eq!(
+            last.values[depth], queued[ch] as f64,
+            "chan{ch}.queue_depth"
+        );
+        assert_eq!(
+            last.values[inflight], in_flight[ch] as f64,
+            "chan{ch}.inflight"
+        );
+    }
+}
+
 /// A traced 4C-1 run at budget 20k on `mem`.
 fn traced_4c1(mem: MemoryConfig) -> fbd_core::RunResult {
     fbd_core::RunSpec::paper_default(4)
