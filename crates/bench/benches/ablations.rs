@@ -15,6 +15,7 @@
 
 use fbd_bench::*;
 use fbd_core::experiment::ExperimentConfig;
+use fbd_core::smt_speedup;
 use fbd_core::RunSpec;
 use fbd_types::config::{Interleaving, MemoryTech, PagePolicy, Replacement};
 
@@ -53,7 +54,7 @@ fn run_pair(
                     results
                         .iter()
                         .find(|((c, n), _)| c == label && n == w.name())
-                        .map(|(_, r)| speedup(w, r, refs))
+                        .map(|(_, r)| smt_speedup(w, r, refs))
                         .expect("run")
                 })
                 .collect();

@@ -9,6 +9,7 @@
 //! still pay.
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 use fbd_types::config::{AmbPrefetchConfig, Interleaving, MemoryConfig, SystemConfig};
 
 fn ddr3_fbd(cores: u32) -> SystemConfig {
@@ -60,7 +61,7 @@ fn main() {
                     results
                         .iter()
                         .find(|((c, n), _)| c == label && n == w.name())
-                        .map(|(_, r)| speedup(w, r, &refs))
+                        .map(|(_, r)| smt_speedup(w, r, &refs))
                         .expect("run")
                 })
                 .collect();

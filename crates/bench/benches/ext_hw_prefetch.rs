@@ -8,7 +8,7 @@
 //! Figure 12 matrix with HP (hardware prefetch) in place of SP.
 
 use fbd_bench::*;
-use fbd_types::config::HwPrefetchConfig;
+use fbd_core::smt_speedup;
 
 fn main() {
     let exp = fbd_bench::experiment();
@@ -49,7 +49,7 @@ fn main() {
                 let mut cfg = system(if ap { Variant::FbdAp } else { Variant::Fbd }, cores);
                 cfg.cpu.software_prefetch = false; // isolate HP from SP
                 if hp {
-                    cfg.cpu.hw_prefetch = HwPrefetchConfig::typical();
+                    cfg.cpu.hw_prefetch = true;
                 }
                 cfg
             };
@@ -70,7 +70,7 @@ fn main() {
                     results
                         .iter()
                         .find(|((c, n), _)| c == label && n == w.name())
-                        .map(|(_, r)| speedup(w, r, &refs))
+                        .map(|(_, r)| smt_speedup(w, r, &refs))
                         .expect("run")
                 })
                 .collect();

@@ -7,6 +7,7 @@
 //! latency), FB-DIMM ahead for 4–8 cores (more usable bandwidth).
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 
 fn main() {
     let exp = fbd_bench::experiment();
@@ -36,12 +37,12 @@ fn main() {
             let s_ddr2 = results
                 .iter()
                 .find(|((c, n), _)| c == "DDR2" && n == w.name())
-                .map(|(_, r)| speedup(w, r, &refs))
+                .map(|(_, r)| smt_speedup(w, r, &refs))
                 .expect("run exists");
             let s_fbd = results
                 .iter()
                 .find(|((c, n), _)| c == "FBD" && n == w.name())
-                .map(|(_, r)| speedup(w, r, &refs))
+                .map(|(_, r)| smt_speedup(w, r, &refs))
                 .expect("run exists");
             ddr2.push(s_ddr2);
             fbd.push(s_fbd);

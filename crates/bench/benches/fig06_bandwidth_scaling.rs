@@ -7,6 +7,7 @@
 //! from 1→2 channels on 8 cores vs +8.8% on 1 core).
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 use fbd_types::time::DataRate;
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
                                 .find(|((c, n), _)| *c == label && n == w.name())
                                 .expect("run")
                                 .1;
-                            speedup(w, r, &refs)
+                            smt_speedup(w, r, &refs)
                         })
                         .collect();
                     cells.push(f3(mean(&speedups)));

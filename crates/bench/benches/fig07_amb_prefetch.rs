@@ -8,6 +8,7 @@
 //! single-core workloads (unlike plain FBD).
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 
 fn main() {
     let exp = fbd_bench::experiment();
@@ -36,12 +37,12 @@ fn main() {
             let s_base = results
                 .iter()
                 .find(|((c, n), _)| c == "FBD" && n == w.name())
-                .map(|(_, r)| speedup(w, r, &refs))
+                .map(|(_, r)| smt_speedup(w, r, &refs))
                 .expect("run");
             let s_ap = results
                 .iter()
                 .find(|((c, n), _)| c == "FBD-AP" && n == w.name())
-                .map(|(_, r)| speedup(w, r, &refs))
+                .map(|(_, r)| smt_speedup(w, r, &refs))
                 .expect("run");
             if s_ap < s_base {
                 negative.push(w.name().to_string());

@@ -9,6 +9,7 @@
 //! 7.1/8.5/7.2/5.3% on 1/2/4/8 cores).
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 
 fn main() {
     let exp = fbd_bench::experiment();
@@ -41,7 +42,7 @@ fn main() {
                     results
                         .iter()
                         .find(|((c, n), _)| c == label && n == w.name())
-                        .map(|(_, r)| speedup(w, r, &refs))
+                        .map(|(_, r)| smt_speedup(w, r, &refs))
                         .expect("run")
                 })
                 .collect();

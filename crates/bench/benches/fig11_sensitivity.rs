@@ -8,6 +8,7 @@
 //! 87–95%.
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 use fbd_types::config::Associativity;
 
 fn main() {
@@ -53,7 +54,7 @@ fn main() {
                     results
                         .iter()
                         .find(|((c, n), _)| c == label && n == w.name())
-                        .map(|(_, r)| speedup(w, r, &refs))
+                        .map(|(_, r)| smt_speedup(w, r, &refs))
                         .expect("run")
                 })
                 .collect();

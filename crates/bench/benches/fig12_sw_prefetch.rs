@@ -7,6 +7,7 @@
 //! two prefetchers are complementary.
 
 use fbd_bench::*;
+use fbd_core::smt_speedup;
 
 fn main() {
     let exp = fbd_bench::experiment();
@@ -62,7 +63,7 @@ fn main() {
                     results
                         .iter()
                         .find(|((c, n), _)| c == label && n == w.name())
-                        .map(|(_, r)| speedup(w, r, &refs))
+                        .map(|(_, r)| smt_speedup(w, r, &refs))
                         .expect("run")
                 })
                 .collect();

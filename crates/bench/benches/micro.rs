@@ -127,7 +127,7 @@ fn bench_sched_pick(c: &mut Criterion) {
         .build(&cfg);
     // Each iteration finds the ready prefix and picks from it, as a
     // decision does.
-    let overhead = cfg.controller_overhead;
+    let overhead = fbd_ctrl::CONTROLLER_OVERHEAD;
     let mut pick = |q: &TransactionQueue, now: Time| {
         sched.pick(black_box(q).ready(0, now, overhead), &mut classify)
     };

@@ -18,11 +18,12 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use fbd_core::experiment::{default_budget, reference_ipcs, smt_speedup, ExperimentConfig};
+use fbd_core::experiment::{default_budget, reference_ipcs, ExperimentConfig};
 pub use fbd_core::parallel_map;
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::Json;
-use fbd_types::config::{AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, SystemConfig};
+use fbd_types::config::{Associativity, Interleaving, SystemConfig};
+use fbd_types::substrate::substrates;
 use fbd_types::time::DataRate;
 use fbd_workloads::{paper_workloads, Workload, PROFILES};
 
@@ -59,21 +60,26 @@ impl Variant {
             Variant::FbdApfl => "FBD-APFL",
         }
     }
+
+    /// The registered substrate that builds this variant's memory
+    /// system.
+    fn substrate(self) -> &'static str {
+        match self {
+            Variant::Ddr2 => "ddr2",
+            Variant::Fbd => "fbd",
+            Variant::FbdAp => "fbd-ap",
+            Variant::FbdApfl => "fbd-apfl",
+        }
+    }
 }
 
 /// Builds a system configuration for `variant` with `cores` cores.
 pub fn system(variant: Variant, cores: u32) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default(cores);
-    cfg.mem = match variant {
-        Variant::Ddr2 => MemoryConfig::ddr2_default(),
-        Variant::Fbd => MemoryConfig::fbdimm_default(),
-        Variant::FbdAp => MemoryConfig::fbdimm_with_prefetch(),
-        Variant::FbdApfl => {
-            let mut m = MemoryConfig::fbdimm_with_prefetch();
-            m.amb.mode = AmbPrefetchMode::FullLatency;
-            m
-        }
-    };
+    cfg.mem = substrates()
+        .get(variant.substrate())
+        .expect("the paper systems are registered")
+        .config();
     cfg
 }
 
@@ -215,11 +221,6 @@ pub fn references(reference: Variant, exp: &ExperimentConfig) -> HashMap<String,
             .expect("reference computed")
     });
     names.into_iter().map(String::from).zip(ipcs).collect()
-}
-
-/// SMT speedup of a finished run.
-pub fn speedup(workload: &Workload, result: &RunResult, refs: &HashMap<String, f64>) -> f64 {
-    smt_speedup(workload, result, refs)
 }
 
 /// Prints a fixed-width table; the first row is the header.

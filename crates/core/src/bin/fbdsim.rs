@@ -467,7 +467,6 @@ fn fault_options(args: &Args) -> Result<Option<FaultConfig>, Fail> {
             off.reissue_budget,
             number,
         )?,
-        ..off
     };
     fc.validate().map_err(bad)?;
     Ok(Some(fc))
@@ -2056,7 +2055,6 @@ mod tests {
         assert_eq!(fc.crc_bits, 8);
         assert_eq!(fc.scrub, ScrubPolicyKind::Patrol);
         assert_eq!(fc.failback_quiet_ns, 2000);
-        assert!(fc.failback_enabled());
         assert_eq!(fc.reissue_budget, 8);
         assert!(fc.recovery_active());
         fc.validate().unwrap();

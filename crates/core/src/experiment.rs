@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use fbd_telemetry::host::{HostHandle, HostProfiler, Phase};
 use fbd_telemetry::{SampleObserver, TelemetryConfig};
-use fbd_types::config::{AmbPrefetchConfig, Interleaving, MemoryConfig, SystemConfig};
+use fbd_types::config::{MemoryConfig, SystemConfig};
 use fbd_types::substrate::substrates;
 use fbd_types::ConfigError;
 use fbd_workloads::Workload;
@@ -58,7 +58,6 @@ fn warm_key(workload: &str, seed: u64, ops: u64, cpu: &fbd_types::config::CpuCon
         seed,
         ops,
         cpu.l2_bytes,
-        cpu.l2_ways,
         cpu.cores,
         cpu.software_prefetch,
     )
@@ -69,13 +68,11 @@ fn warm_key(workload: &str, seed: u64, ops: u64, cpu: &fbd_types::config::CpuCon
 /// L2 warm-up policy for a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Warmup {
-    /// No warm-up (cold caches).
-    None,
     /// Fast-forward enough trace operations to fill the shared L2
     /// roughly twice over (split across cores).
     #[default]
     Auto,
-    /// Exactly this many operations per core.
+    /// Exactly this many operations per core (`Ops(0)`: cold caches).
     Ops(u64),
 }
 
@@ -305,24 +302,6 @@ impl RunSpec {
         }
     }
 
-    /// Turns AMB prefetching on (the paper's default prefetcher with
-    /// the matching 4-line interleaving) or off (plain FB-DIMM,
-    /// cacheline interleaving) without touching the rest of the memory
-    /// configuration.
-    pub fn with_prefetch(mut self, enabled: bool) -> RunSpec {
-        if enabled {
-            self.system.mem.amb = AmbPrefetchConfig::paper_default();
-            self.system.mem.interleaving = Interleaving::MultiCacheline { lines: 4 };
-        } else {
-            self.system.mem.amb = AmbPrefetchConfig::off();
-            self.system.mem.interleaving = Interleaving::Cacheline;
-        }
-        // The modified config may no longer match the selected preset;
-        // let from_config re-derive the substrate name by equality.
-        self.overrides.substrate = None;
-        self
-    }
-
     /// Sets the per-core instruction budget.
     pub fn budget(mut self, budget: u64) -> RunSpec {
         self.exp.budget = budget;
@@ -481,7 +460,6 @@ impl RunSpec {
         );
         let traces = workload.traces(self.exp.seed);
         let warmup_ops = match self.exp.warmup {
-            Warmup::None => 0,
             Warmup::Auto => {
                 let l2_lines = u64::from(self.system.cpu.l2_bytes) / fbd_types::CACHE_LINE_BYTES;
                 2 * l2_lines / u64::from(self.system.cpu.cores)
@@ -636,15 +614,6 @@ mod tests {
         assert_eq!(spec.system().cpu.cores, 4);
         assert_eq!(spec.workload_ref().unwrap().name(), "4C-1");
         assert!(RunSpec::paper_default(1).try_workload("nope").is_err());
-    }
-
-    #[test]
-    fn run_spec_prefetch_toggle_mirrors_presets() {
-        use fbd_types::config::MemoryConfig;
-        let on = RunSpec::paper_default(1).with_prefetch(true);
-        assert_eq!(on.system().mem, MemoryConfig::fbdimm_with_prefetch());
-        let off = on.with_prefetch(false);
-        assert_eq!(off.system().mem, MemoryConfig::fbdimm_default());
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!     .workload("1C-swim")
 //!     .budget(20_000)
 //!     .seed(7);
-//! let fbd = base.clone().with_prefetch(false).run();
-//! let with_ap = base.with_prefetch(true).run();
+//! let fbd = base.clone().substrate("fbd").run();
+//! let with_ap = base.substrate("fbd-ap").run();
 //!
 //! assert!(with_ap.mem.amb_hits > 0, "streaming workload must hit the AMB cache");
 //! assert!(with_ap.energy.total_nj() > 0.0);

@@ -49,7 +49,7 @@ use std::collections::VecDeque;
 use fbd_amb::{PrefetchBuffer, PrefetchCounts};
 use fbd_ctrl::{
     schedulers, InterleavedMapper, MappedAddr, PatrolScrub, QueueEntry, RefreshOp, SchedClass,
-    SchedulerPolicy, StaggeredRefresh, TransactionQueue,
+    SchedulerPolicy, StaggeredRefresh, TransactionQueue, CONTROLLER_OVERHEAD,
 };
 use fbd_dram::{AccessPlan, ColKind, RankGroup};
 use fbd_faults::{FaultCounters, FaultReport, SilentErrorReport};
@@ -882,7 +882,7 @@ impl MemorySystem {
     /// Panics if `req` arrives before the previously submitted request.
     pub fn submit(&mut self, req: MemRequest) -> (u32, Time) {
         let mapped = self.mapper.map(req.line);
-        let ready = req.arrival + self.cfg.controller_overhead;
+        let ready = req.arrival + CONTROLLER_OVERHEAD;
         self.queue.push(req, mapped);
         (mapped.channel, ready)
     }
@@ -984,7 +984,7 @@ impl MemorySystem {
                 // the entry right after the ready prefix is the next to
                 // become schedulable (a backlogged one enters the bucket
                 // when some channel's take admits it).
-                let overhead = self.cfg.controller_overhead;
+                let overhead = CONTROLLER_OVERHEAD;
                 let next = self
                     .queue
                     .bucket(ch)
@@ -1034,7 +1034,7 @@ impl MemorySystem {
     /// into the freed slot before anything executes). With nothing
     /// picked it returns the prefix's length instead.
     fn pick_for(&mut self, ch: u32, now: Time) -> Result<usize, usize> {
-        let ready = self.queue.ready(ch, now, self.cfg.controller_overhead);
+        let ready = self.queue.ready(ch, now, CONTROLLER_OVERHEAD);
         let chan = &mut self.channels[ch as usize];
         let (devices, amb) = (&chan.devices, &chan.amb);
         // Bank-readiness window: a bank that can accept an ACT soon
@@ -1529,7 +1529,7 @@ mod tests {
         let mut cfg = MemoryConfig::fbdimm_default();
         cfg.logical_channels = 1;
         let mut mem = MemorySystem::new(&cfg);
-        let overhead = cfg.controller_overhead;
+        let overhead = CONTROLLER_OVERHEAD;
         mem.submit(demand(1, 0, Time::from_ns(50)));
         let (ch, ready) = mem.submit(demand(2, 4, Time::from_ns(80)));
         let r = mem.decide(ch, Time::from_ns(10));
@@ -1713,7 +1713,7 @@ mod tests {
             for i in 0..50 {
                 t = Time::from_ns(1_000 * (i + 1));
                 let (ch, _) = mem.submit(demand(i, 5, t));
-                let r = mem.decide(ch, t + cfg.controller_overhead);
+                let r = mem.decide(ch, t + CONTROLLER_OVERHEAD);
                 assert_eq!(r.issued.len(), 1);
                 mem.complete(ch);
             }

@@ -7,7 +7,7 @@
 //! software prefetch instructions into non-blocking prefetch reads
 //! (dropped when software prefetching is disabled).
 
-use fbd_types::config::CpuConfig;
+use fbd_types::config::{CpuConfig, L2_WAYS};
 use fbd_types::request::{AccessKind, CoreId, MemRequest};
 use fbd_types::stats::CoreStats;
 use fbd_types::time::{Dur, Time};
@@ -17,6 +17,18 @@ use crate::cache::{L2Cache, L2Outcome};
 use crate::core::OooCore;
 use crate::hw_prefetch::StreamPrefetcher;
 use crate::trace::{OpKind, TraceOp, TraceSource};
+
+/// Core clock period (Table 1: 4 GHz).
+const CLOCK: Dur = Dur::from_ps(250);
+
+/// Reorder buffer capacity in instructions (Table 1).
+const ROB_ENTRIES: u64 = 196;
+
+/// Outstanding data-miss capacity per core, the L1D MSHRs (Table 1).
+const DATA_MSHRS: u32 = 32;
+
+/// Shared L2 hit latency in core cycles (Table 1).
+const L2_HIT_CYCLES: u64 = 15;
 
 struct CoreRunner {
     core: OooCore,
@@ -102,12 +114,9 @@ pub struct CpuComplex {
     /// count).
     entry_pool: Vec<InFlightEntry>,
     next_req_id: u64,
-    data_mshrs: u32,
     l2_mshrs: usize,
     software_prefetch: bool,
     hw_prefetcher: Option<StreamPrefetcher>,
-    fill_latency: Dur,
-    clock: Dur,
 }
 
 impl CpuComplex {
@@ -128,7 +137,7 @@ impl CpuComplex {
         let cores = traces
             .into_iter()
             .map(|trace| CoreRunner {
-                core: OooCore::new(trace.time_per_instr(), u64::from(cfg.rob_entries), budget),
+                core: OooCore::new(trace.time_per_instr(), ROB_ENTRIES, budget),
                 trace,
                 pending: None,
                 fetched_idx: 0,
@@ -141,7 +150,7 @@ impl CpuComplex {
             .collect();
         CpuComplex {
             cores,
-            l2: L2Cache::new(u64::from(cfg.l2_bytes), cfg.l2_ways as usize),
+            l2: L2Cache::new(u64::from(cfg.l2_bytes), L2_WAYS as usize),
             // The map never holds more than `l2_mshrs` lines, and every
             // entry is recycled through the pool; seeding the pool with
             // that bound (and each entry's index lists with room for
@@ -161,22 +170,17 @@ impl CpuComplex {
                 })
                 .collect(),
             next_req_id: 0,
-            data_mshrs: cfg.data_mshrs,
             l2_mshrs: cfg.l2_mshrs as usize,
             software_prefetch: cfg.software_prefetch,
-            hw_prefetcher: cfg
-                .hw_prefetch
-                .enabled
-                .then(|| StreamPrefetcher::new(&cfg.hw_prefetch)),
-            fill_latency: cfg.clock * u64::from(cfg.l2_hit_cycles),
-            clock: cfg.clock,
+            hw_prefetcher: cfg.hw_prefetch.then(StreamPrefetcher::new),
         }
     }
 
     /// Delay between a line completing at the memory controller and the
-    /// waiting load being usable at the core (L2 fill/forward).
+    /// waiting load being usable at the core (L2 fill/forward): the L2
+    /// hit latency.
     pub fn fill_latency(&self) -> Dur {
-        self.fill_latency
+        CLOCK * L2_HIT_CYCLES
     }
 
     /// Fast-forwards every core's trace through the L2 (no timing, no
@@ -349,7 +353,7 @@ impl CpuComplex {
         let inflight = self.in_flight.contains_key(&op.line);
         let needs_request = !present && !inflight;
         let needs_slot = needs_request || (inflight && op.kind == OpKind::Load);
-        let mshrs_full = (needs_slot && self.cores[i].outstanding >= self.data_mshrs)
+        let mshrs_full = (needs_slot && self.cores[i].outstanding >= DATA_MSHRS)
             || (needs_request && self.in_flight.len() >= self.l2_mshrs);
         if mshrs_full {
             // A software prefetch never stalls the pipeline: hardware
@@ -510,7 +514,7 @@ impl CpuComplex {
                 push(t);
             }
             if let Some(t) = finish {
-                push(t.max(now + self.clock));
+                push(t.max(now + CLOCK));
             }
         }
         wake
@@ -530,7 +534,7 @@ impl CpuComplex {
             .map(|r| {
                 r.core.settle(end);
                 r.stats.instructions = r.core.commit_idx(end);
-                r.stats.cycles = (end - Time::ZERO) / self.clock;
+                r.stats.cycles = (end - Time::ZERO) / CLOCK;
                 r.stats
             })
             .collect()
@@ -573,6 +577,16 @@ mod tests {
 
     fn cfg(cores: u32) -> CpuConfig {
         CpuConfig::paper_default(cores)
+    }
+
+    #[test]
+    fn paper_constants() {
+        assert_eq!(CLOCK, Dur::from_ps(250));
+        assert_eq!(ROB_ENTRIES, 196);
+        assert_eq!(DATA_MSHRS, 32);
+        assert_eq!(L2_HIT_CYCLES, 15);
+        let cpx = CpuComplex::new(&cfg(1), vec![strided(1, 1, 1)], 1);
+        assert_eq!(cpx.fill_latency(), Dur::from_ps(3_750));
     }
 
     fn strided(count: u64, stride: u64, gap: u64) -> Box<dyn TraceSource> {
@@ -681,7 +695,6 @@ mod tests {
         // Tiny L2 to force evictions quickly.
         let mut cfg = cfg(1);
         cfg.l2_bytes = 4 * 64; // 1 set... 4 ways × 64 B
-        cfg.l2_ways = 4;
         struct StoreTrace(u64);
         impl TraceSource for StoreTrace {
             fn next_op(&mut self) -> Option<TraceOp> {
@@ -783,7 +796,7 @@ mod tests {
     #[test]
     fn hardware_prefetcher_issues_ahead_of_streams() {
         let mut c = cfg(1);
-        c.hw_prefetch = fbd_types::config::HwPrefetchConfig::typical();
+        c.hw_prefetch = true;
         // Unit-stride loads: after two misses the prefetcher should run
         // ahead.
         let mut cpx = CpuComplex::new(&c, vec![strided(4, 1, 10)], 1_000_000);

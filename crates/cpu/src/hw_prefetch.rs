@@ -9,8 +9,13 @@
 //! tolerate out-of-order misses), and then runs `degree` lines ahead of
 //! each confirmed stream.
 
-use fbd_types::config::HwPrefetchConfig;
 use fbd_types::LineAddr;
+
+/// Concurrent streams the prefetcher tracks.
+const STREAMS: usize = 8;
+
+/// Lines fetched ahead once a stream is confirmed.
+const DEGREE: u64 = 4;
 
 #[derive(Clone, Copy, Debug)]
 struct Stream {
@@ -26,26 +31,19 @@ struct Stream {
     last_used: u64,
 }
 
-/// Stream-detecting hardware prefetcher.
+/// Stream-detecting hardware prefetcher: 8 streams, each run 4 lines
+/// ahead once confirmed.
 #[derive(Clone, Debug)]
 pub struct StreamPrefetcher {
     streams: Vec<Stream>,
-    degree: u64,
     tick: u64,
 }
 
 impl StreamPrefetcher {
-    /// Builds the prefetcher from its configuration (capacity comes from
-    /// `cfg.streams`; call only when `cfg.enabled`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(cfg: &HwPrefetchConfig) -> StreamPrefetcher {
-        cfg.validate().expect("invalid hardware prefetcher config");
+    /// An empty stream table.
+    pub(crate) fn new() -> StreamPrefetcher {
         StreamPrefetcher {
-            streams: Vec::with_capacity(cfg.streams as usize),
-            degree: u64::from(cfg.degree),
+            streams: Vec::with_capacity(STREAMS),
             tick: 0,
         }
     }
@@ -68,10 +66,10 @@ impl StreamPrefetcher {
             s.last_used = tick;
             if s.confidence >= 2 {
                 let start = s.issued_until.max(addr);
-                let target = (addr as i64 + (self.degree as i64) * s.direction) as u64;
+                let target = (addr as i64 + (DEGREE as i64) * s.direction) as u64;
                 let mut out = Vec::new();
                 let mut next = (start as i64 + s.direction) as u64;
-                while out.len() < self.degree as usize && next != target.wrapping_add(1) {
+                while out.len() < DEGREE as usize && next != target.wrapping_add(1) {
                     out.push(LineAddr::new(next));
                     if next == target {
                         break;
@@ -86,7 +84,7 @@ impl StreamPrefetcher {
 
         // New candidate streams in both directions replace the coldest
         // entry.
-        let slot = if self.streams.len() < self.streams.capacity() {
+        let slot = if self.streams.len() < STREAMS {
             self.streams.push(Stream {
                 expected: 0,
                 direction: 1,
@@ -119,7 +117,7 @@ mod tests {
     use super::*;
 
     fn pf() -> StreamPrefetcher {
-        StreamPrefetcher::new(&HwPrefetchConfig::typical())
+        StreamPrefetcher::new()
     }
 
     #[test]
@@ -175,15 +173,13 @@ mod tests {
 
     #[test]
     fn cold_streams_get_replaced() {
-        let mut p = StreamPrefetcher::new(&HwPrefetchConfig {
-            enabled: true,
-            streams: 2,
-            degree: 2,
-        });
-        p.on_demand_miss(LineAddr::new(100));
-        p.on_demand_miss(LineAddr::new(200));
-        p.on_demand_miss(LineAddr::new(300)); // evicts the 100-stream
-                                              // The 100-stream is gone: its continuation trains from scratch.
+        let mut p = pf();
+        // Fill the table, then one more candidate evicts the coldest
+        // (the 100-stream).
+        for k in 0..=STREAMS as u64 {
+            p.on_demand_miss(LineAddr::new(100 * (k + 1)));
+        }
+        // The 100-stream is gone: its continuation trains from scratch.
         assert!(p.on_demand_miss(LineAddr::new(101)).is_empty());
     }
 

@@ -18,7 +18,9 @@
 use fbd_types::config::{MemoryConfig, MemoryTech};
 
 use crate::queue::QueueEntry;
-use crate::sched::{HitFirstScheduler, SchedClass, SchedulerPolicy, SchedulerSpec};
+use crate::sched::{
+    HitFirstScheduler, SchedClass, SchedulerPolicy, SchedulerSpec, WRITE_DRAIN_THRESHOLD,
+};
 
 /// Strict arrival-order policy (oldest schedulable request first).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +82,7 @@ impl SchedulerSpec for FcfsSpec {
     }
     fn build(&self, cfg: &MemoryConfig) -> Box<dyn SchedulerPolicy> {
         Box::new(FcfsScheduler::new(
-            cfg.write_drain_threshold as usize,
+            WRITE_DRAIN_THRESHOLD,
             cfg.tech == MemoryTech::Ddr2,
         ))
     }

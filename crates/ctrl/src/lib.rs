@@ -37,7 +37,7 @@
 //! from a channel's ready prefix:
 //!
 //! ```
-//! use fbd_ctrl::{InterleavedMapper, SchedClass, TransactionQueue};
+//! use fbd_ctrl::{InterleavedMapper, SchedClass, TransactionQueue, CONTROLLER_OVERHEAD};
 //! use fbd_types::config::MemoryConfig;
 //! use fbd_types::request::{AccessKind, CoreId, MemRequest, RequestId};
 //! use fbd_types::time::Time;
@@ -52,7 +52,7 @@
 //! let mapped = InterleavedMapper::new(&cfg).map(line);
 //! queue.push(MemRequest::new(RequestId(0), CoreId(0), AccessKind::DemandRead, line, at), mapped);
 //! // Until the controller's decode overhead has passed, nothing is ready.
-//! let overhead = cfg.controller_overhead;
+//! let overhead = CONTROLLER_OVERHEAD;
 //! let ready = queue.ready(mapped.channel, at, overhead);
 //! assert_eq!(policy.pick(ready, &mut |_| SchedClass::Ready), None);
 //! let ready = queue.ready(mapped.channel, at + overhead, overhead);
@@ -74,7 +74,7 @@ pub mod scrub;
 pub use compose::schedulers;
 pub use fcfs::{FcfsScheduler, FcfsSpec};
 pub use mapping::{InterleavedMapper, MappedAddr};
-pub use queue::{QueueEntry, TransactionQueue};
+pub use queue::{QueueEntry, TransactionQueue, CONTROLLER_OVERHEAD};
 pub use recovery::{droppable, northbound_action, CrcAction};
 pub use refresh::{RefreshOp, StaggeredRefresh};
 pub use sched::{HitFirstScheduler, HitFirstSpec, SchedClass, SchedulerPolicy, SchedulerSpec};

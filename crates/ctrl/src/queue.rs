@@ -25,6 +25,11 @@ use fbd_types::time::{Dur, Time};
 
 use crate::mapping::MappedAddr;
 
+/// Fixed scheduling/queueing overhead at the controller (Table 1:
+/// 12 ns): a transaction becomes schedulable this long after it
+/// arrives.
+pub const CONTROLLER_OVERHEAD: Dur = Dur::from_ns(12);
+
 /// A queued transaction: the request plus its decoded location and an
 /// admission sequence number for age-based tie-breaking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

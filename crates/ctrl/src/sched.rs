@@ -18,6 +18,10 @@ use fbd_types::request::AccessKind;
 
 use crate::queue::QueueEntry;
 
+/// Pending writes that switch the hit-first and FCFS policies from
+/// read priority to draining writes (paper §4.1).
+pub(crate) const WRITE_DRAIN_THRESHOLD: usize = 16;
+
 /// Service class of one queued transaction, as seen by the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SchedClass {
@@ -248,7 +252,7 @@ impl SchedulerSpec for HitFirstSpec {
     }
     fn build(&self, cfg: &MemoryConfig) -> Box<dyn SchedulerPolicy> {
         Box::new(HitFirstScheduler::new(
-            cfg.write_drain_threshold as usize,
+            WRITE_DRAIN_THRESHOLD,
             // Batch-drain writes only on the shared DDR2 bus, where
             // every direction change costs tWTR.
             cfg.tech == MemoryTech::Ddr2,
@@ -298,6 +302,12 @@ mod tests {
         classify: impl FnMut(&QueueEntry) -> SchedClass,
     ) -> Option<RequestId> {
         s.pick(entries, classify).map(|i| entries[i].req.id)
+    }
+
+    #[test]
+    fn paper_constants() {
+        assert_eq!(crate::CONTROLLER_OVERHEAD, Dur::from_ns(12));
+        assert_eq!(WRITE_DRAIN_THRESHOLD, 16);
     }
 
     #[test]

@@ -611,11 +611,12 @@ mod tests {
     fn builds_from_a_registered_timing_spec() {
         // The extension substrate's table reaches the devices purely by
         // registry name — no bank-array code mentions DDR3-1066.
-        let spec = fbd_types::substrate::timing_specs()
+        let cfg = fbd_types::substrate::substrates()
             .get("ddr3-1066")
-            .expect("ddr3-1066 timing spec is registered");
-        let t = spec.timings();
-        let clk = spec.data_rate().clock_period();
+            .expect("ddr3-1066 substrate is registered")
+            .config();
+        let t = cfg.timings;
+        let clk = cfg.data_rate.clock_period();
         let a = BankArray::new(4, t, clk);
         let p = a.plan(0, 3, read_ap(), Time::ZERO, &DataBus::new(clk));
         // First access to an idle bank: ACT at 0, READ at tRCD, data at

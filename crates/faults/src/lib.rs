@@ -78,6 +78,10 @@ impl SplitMix64 {
     }
 }
 
+/// Frames corrupted per trigger in [`FaultMode::Burst`], the triggering
+/// frame included.
+const BURST_FRAMES: u32 = 4;
+
 /// The seeded bit-error process of one link direction.
 ///
 /// One process exists per `(channel, direction)` pair; each transferred
@@ -93,7 +97,6 @@ pub struct FaultProcess {
     /// codeword and sails through undetected (0.0 for the ideal CRC).
     p_escape: f64,
     mode: FaultMode,
-    burst_frames: u32,
     rng: SplitMix64,
     /// Remaining frames of a running burst (includes none of the
     /// trigger frame; decremented per subsequent frame).
@@ -124,7 +127,6 @@ impl FaultProcess {
             p_frame,
             p_escape: escape_probability(cfg, bits_per_frame),
             mode: cfg.mode,
-            burst_frames: cfg.burst_frames,
             rng,
             burst_left: 0,
             stuck: false,
@@ -149,7 +151,7 @@ impl FaultProcess {
         if hit {
             match self.mode {
                 FaultMode::Ber => {}
-                FaultMode::Burst => self.burst_left = self.burst_frames.saturating_sub(1),
+                FaultMode::Burst => self.burst_left = BURST_FRAMES - 1,
                 FaultMode::StuckLane => self.stuck = true,
             }
         }
@@ -420,9 +422,8 @@ mod tests {
 
     #[test]
     fn burst_corrupts_a_run_of_frames() {
-        let mut c = cfg(0.02, FaultMode::Burst);
-        c.burst_frames = 4;
-        let mut p = FaultProcess::new(&c, 0, LinkDir::North, 168);
+        assert_eq!(BURST_FRAMES, 4);
+        let mut p = FaultProcess::new(&cfg(0.02, FaultMode::Burst), 0, LinkDir::North, 168);
         let pattern: Vec<bool> = (0..50_000).map(|_| p.corrupt_frame()).collect();
         let first = pattern.iter().position(|&x| x).expect("some trigger");
         // The trigger plus the next three frames form the burst.

@@ -117,6 +117,21 @@ impl XferKind {
 /// sequence the controller sends on the mapped-out lane).
 const PROBE_FRAMES: u64 = 4;
 
+/// Per-AMB daisy-chain forwarding delay (Table 1: 3 ns).
+const AMB_HOP_DELAY: Dur = Dur::from_ns(3);
+
+/// Replay attempts per frame before the controller declares the lane
+/// dead and fails over to degraded width.
+const MAX_RETRIES: u32 = 4;
+
+/// Fail-back probes per degradation episode before the lane is left
+/// degraded for good.
+const FAILBACK_MAX_PROBES: u32 = 6;
+
+/// Successful fail-backs allowed per direction before a flapping lane
+/// is pinned degraded (the fail-back hysteresis).
+const FAILBACK_MAX_FLAPS: u32 = 3;
+
 /// Per-channel fault state: one error process per link direction plus
 /// the recovery bookkeeping.
 #[derive(Clone, Debug)]
@@ -128,7 +143,6 @@ struct ChannelFaults {
     live: [bool; 2],
     /// When each direction dropped to the degraded lane map.
     degraded_since: [Option<Time>; 2],
-    max_retries: u32,
     counters: FaultCounters,
     /// Earliest instant the next fail-back probe may run per direction;
     /// `None` when no probe is pending (lane healthy, fail-back
@@ -145,10 +159,6 @@ struct ChannelFaults {
     degraded_total: Dur,
     /// Quiet period before the first re-probe; zero disables fail-back.
     failback_quiet: Dur,
-    /// Probes allowed per degradation before giving the lane up.
-    failback_max_probes: u32,
-    /// Fail-over → fail-back round trips allowed per direction.
-    failback_max_flaps: u32,
 }
 
 /// One logical FB-DIMM channel's southbound + northbound links.
@@ -249,15 +259,12 @@ impl FbdChannel {
                 ],
                 live: [true; 2],
                 degraded_since: [None; 2],
-                max_retries: cfg.faults.max_retries,
                 counters: FaultCounters::default(),
                 probe_at: [None; 2],
                 probe_count: [0; 2],
                 flaps: [0; 2],
                 degraded_total: Dur::ZERO,
                 failback_quiet: Dur::from_ns(cfg.faults.failback_quiet_ns),
-                failback_max_probes: cfg.faults.failback_max_probes,
-                failback_max_flaps: cfg.faults.failback_max_flaps,
             })
         });
         // Southbound slots are command-sized (3 per frame) so that three
@@ -271,7 +278,7 @@ impl FbdChannel {
             read_slot: frame * frames_per_line_north,
             cmd_transit: clock,
             frame,
-            chain: DaisyChain::new(cfg.amb_hop_delay, cfg.dimms_per_channel, vrl),
+            chain: DaisyChain::new(AMB_HOP_DELAY, cfg.dimms_per_channel, vrl),
             faults,
         }
     }
@@ -392,7 +399,7 @@ impl FbdChannel {
         // (hysteresis: a repeat offender stays failed).
         f.probe_count[dir.index()] = 0;
         f.probe_at[dir.index()] = (!f.failback_quiet.is_zero()
-            && f.flaps[dir.index()] < f.failback_max_flaps)
+            && f.flaps[dir.index()] < FAILBACK_MAX_FLAPS)
             .then(|| at + f.failback_quiet);
         match dir {
             LinkDir::South => {
@@ -441,7 +448,7 @@ impl FbdChannel {
             }
         } else {
             f.probe_count[i] += 1;
-            f.probe_at[i] = (f.probe_count[i] < f.failback_max_probes)
+            f.probe_at[i] = (f.probe_count[i] < FAILBACK_MAX_PROBES)
                 .then(|| now + probe_delay(f.failback_quiet, f.probe_count[i]));
         }
     }
@@ -477,7 +484,7 @@ impl FbdChannel {
         let mut attempt = 0u32;
         let mut prev = first;
         loop {
-            if attempt >= self.faults.as_ref().expect("checked above").max_retries {
+            if attempt >= MAX_RETRIES {
                 // Retry budget exhausted: declare the lane dead, fail
                 // over to the degraded map, and force-deliver on it
                 // (injection is off for this direction from here on).
@@ -648,11 +655,18 @@ mod tests {
         let _ = chain.amb_delay(4);
     }
 
-    fn faulty_channel(ber: f64, max_retries: u32) -> FbdChannel {
+    fn faulty_channel(ber: f64) -> FbdChannel {
         let mut cfg = MemoryConfig::fbdimm_default();
         cfg.faults.ber = ber;
-        cfg.faults.max_retries = max_retries;
         FbdChannel::for_channel(&cfg, 0)
+    }
+
+    #[test]
+    fn paper_constants() {
+        assert_eq!(AMB_HOP_DELAY, Dur::from_ns(3));
+        assert_eq!(MAX_RETRIES, 4);
+        assert_eq!(FAILBACK_MAX_PROBES, 6);
+        assert_eq!(FAILBACK_MAX_FLAPS, 3);
     }
 
     #[test]
@@ -677,11 +691,12 @@ mod tests {
     fn certain_corruption_retries_with_backoff_then_fails_over() {
         // BER 1 corrupts every frame, so the first command exhausts its
         // retry budget and forces the southbound fail-over.
-        let mut ch = faulty_channel(1.0, 2);
+        let mut ch = faulty_channel(1.0);
         let xfer = ch.send_command_checked(Time::ZERO);
+        let replays = MAX_RETRIES as usize;
         assert!(xfer.failover);
-        assert_eq!(xfer.retries, 3); // 2 replays + the forced delivery
-        assert_eq!(xfer.failed.len(), 3); // original + 2 corrupted replays
+        assert_eq!(xfer.retries as usize, replays + 1); // + the forced delivery
+        assert_eq!(xfer.failed.len(), replays + 1); // original + corrupted replays
         assert!(xfer.retry_time() > Dur::ZERO);
         // Backoff: replay 1 waits 1 frame (6 ns) after the 2 ns slot,
         // replay 2 waits 2 frames after that.
@@ -690,20 +705,24 @@ mod tests {
         let c = ch.fault_counters().unwrap();
         assert_eq!(c.failovers, 1);
         assert_eq!(c.retry_exhausted, 1);
-        assert_eq!(c.injected, 3);
+        assert_eq!(c.injected, replays as u64 + 1);
         assert_eq!(c.detected, c.injected);
         // Post-fail-over the southbound lane map is half width: command
         // slots doubled, and injection on that direction is over.
         assert_eq!(ch.cmd_slot, Dur::from_ns(4));
         assert_eq!(ch.write_slot, Dur::from_ns(24));
-        let clean = ch.send_command_checked(Time::from_ns(100));
+        // The last replay ends at 100 ns, where the lane fails over.
+        let clean = ch.send_command_checked(Time::from_ns(200));
         assert!(clean.failed.is_empty());
-        assert!(ch.fault_report(Time::from_ns(100)).unwrap().degraded > Dur::ZERO);
+        assert_eq!(
+            ch.fault_report(Time::from_ns(200)).unwrap().degraded,
+            Dur::from_ns(100)
+        );
     }
 
     #[test]
     fn corrupted_prefetch_data_is_dropped_not_retried() {
-        let mut ch = faulty_channel(1.0, 4);
+        let mut ch = faulty_channel(1.0);
         let xfer = ch.return_read_data_checked(0, Time::from_ns(45), true);
         assert!(xfer.dropped);
         assert_eq!(xfer.retries, 0);
@@ -724,7 +743,6 @@ mod tests {
         let mut cfg = MemoryConfig::fbdimm_default();
         cfg.faults.ber = 1.0; // every frame corrupt
         cfg.faults.crc_bits = 1; // ...and half the corruptions alias
-        cfg.faults.max_retries = 64;
         let mut ch = FbdChannel::for_channel(&cfg, 0);
         let mut escaped = 0u32;
         for i in 0..64u64 {
@@ -748,7 +766,6 @@ mod tests {
         let run = |crc_bits: u32| {
             let mut cfg = MemoryConfig::fbdimm_default();
             cfg.faults.ber = 0.01;
-            cfg.faults.max_retries = 4;
             cfg.faults.crc_bits = crc_bits;
             let mut ch = FbdChannel::for_channel(&cfg, 0);
             (0..200u64)
@@ -788,9 +805,7 @@ mod tests {
     fn failed_probes_follow_the_bounded_schedule_then_give_up() {
         let mut cfg = MemoryConfig::fbdimm_default();
         cfg.faults.ber = 1.0; // lane still broken: every probe fails
-        cfg.faults.max_retries = 1;
         cfg.faults.failback_quiet_ns = 1_000;
-        cfg.faults.failback_max_probes = 3;
         let mut ch = FbdChannel::for_channel(&cfg, 0);
         // BER 1 fails the first command over immediately.
         let _ = ch.send_command_checked(Time::ZERO);
@@ -800,7 +815,11 @@ mod tests {
             let _ = ch.send_command_checked(Time::from_ns(i * 100_000));
         }
         let c = ch.fault_counters().unwrap();
-        assert_eq!(c.probes, 3, "probe budget bounds the schedule");
+        assert_eq!(
+            c.probes,
+            u64::from(FAILBACK_MAX_PROBES),
+            "probe budget bounds the schedule"
+        );
         assert_eq!(c.failbacks, 0);
         assert_eq!(ch.cmd_slot, Dur::from_ns(4), "lane stays degraded");
     }
@@ -810,29 +829,34 @@ mod tests {
         let mut cfg = MemoryConfig::fbdimm_default();
         cfg.faults.ber = 1e-9;
         cfg.faults.failback_quiet_ns = 500;
-        cfg.faults.failback_max_flaps = 1;
         let mut ch = FbdChannel::for_channel(&cfg, 0);
-        // First degradation: fails back after the quiet period.
-        ch.fail_over(LinkDir::North, Time::from_ns(100));
-        let _ = ch.return_read_data_checked(0, Time::from_ns(700), false);
-        assert_eq!(ch.fault_counters().unwrap().failbacks, 1);
-        assert_eq!(ch.read_slot, Dur::from_ns(6));
-        // Second degradation: the flap budget is spent — no probe is
+        let flaps = u64::from(FAILBACK_MAX_FLAPS);
+        // Each of the first degradations fails back after the quiet
+        // period.
+        for k in 0..flaps {
+            let at = Time::from_ns(100 + k * 1_000);
+            ch.fail_over(LinkDir::North, at);
+            let _ = ch.return_read_data_checked(0, at + Dur::from_ns(600), false);
+            assert_eq!(ch.fault_counters().unwrap().failbacks, k + 1);
+            assert_eq!(ch.read_slot, Dur::from_ns(6));
+        }
+        // The next degradation finds the flap budget spent: no probe is
         // ever scheduled and the lane stays at half width.
-        ch.fail_over(LinkDir::North, Time::from_ns(1_000));
+        let at = Time::from_ns(100 + flaps * 1_000);
+        ch.fail_over(LinkDir::North, at);
         for i in 1..50u64 {
-            let _ = ch.return_read_data_checked(0, Time::from_ns(1_000 + i * 100_000), false);
+            let _ = ch.return_read_data_checked(0, at + Dur::from_ns(i * 100_000), false);
         }
         let c = ch.fault_counters().unwrap();
-        assert_eq!(c.probes, 1, "no probes after the flap budget is spent");
-        assert_eq!(c.failbacks, 1);
+        assert_eq!(c.probes, flaps, "no probes after the flap budget is spent");
+        assert_eq!(c.failbacks, flaps);
         assert_eq!(ch.read_slot, Dur::from_ns(12));
     }
 
     #[test]
     fn fault_recovery_is_deterministic_per_seed() {
         let run = || {
-            let mut ch = faulty_channel(0.01, 4);
+            let mut ch = faulty_channel(0.01);
             let mut dones = Vec::new();
             for i in 0..200u64 {
                 dones.push(ch.send_command_checked(Time::from_ns(i * 40)).slot.done);

@@ -284,7 +284,6 @@ impl HostProfiler {
     /// no-op without the `alloc-count` feature.
     pub fn note_steady_start(&self) {
         #[cfg(feature = "alloc-count")]
-        #[cfg(feature = "alloc-count")]
         let _ = self.steady_alloc_base.compare_exchange(
             u64::MAX,
             alloc::allocations(),
@@ -297,7 +296,6 @@ impl HostProfiler {
     /// collection, which legitimately allocates). Idempotent; a no-op
     /// without the `alloc-count` feature.
     pub fn note_steady_end(&self) {
-        #[cfg(feature = "alloc-count")]
         #[cfg(feature = "alloc-count")]
         let _ = self.steady_alloc_end.compare_exchange(
             u64::MAX,

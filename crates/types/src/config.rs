@@ -464,12 +464,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Shape of the error process.
     pub mode: FaultMode,
-    /// Replay attempts per frame before the controller declares the
-    /// lane dead and fails over to degraded width.
-    pub max_retries: u32,
-    /// Frames corrupted per trigger in [`FaultMode::Burst`] (including
-    /// the triggering frame).
-    pub burst_frames: u32,
     /// Effective CRC strength in check bits: a corrupted frame escapes
     /// detection with probability ~2^-crc_bits (scaled by the
     /// multi-bit-error fraction in [`FaultMode::Ber`] mode, since a
@@ -486,12 +480,6 @@ pub struct FaultConfig {
     /// (`fbd-faults`' bounded probe schedule). 0 disables fail-back:
     /// a degraded lane stays degraded for the rest of the run.
     pub failback_quiet_ns: u64,
-    /// Probe attempts per degradation episode before the lane is left
-    /// degraded for good.
-    pub failback_max_probes: u32,
-    /// Successful fail-backs allowed before a flapping lane is pinned
-    /// degraded (the fail-back hysteresis).
-    pub failback_max_flaps: u32,
     /// Dropped prefetch returns the controller remembers per channel
     /// and re-issues in idle scheduler slots. 0 disables re-issue.
     pub reissue_budget: u32,
@@ -505,14 +493,10 @@ impl FaultConfig {
             ber: 0.0,
             seed: 1,
             mode: FaultMode::Ber,
-            max_retries: 4,
-            burst_frames: 4,
             crc_bits: 0,
             scrub: ScrubPolicyKind::None,
             scrub_interval_ns: 600,
             failback_quiet_ns: 0,
-            failback_max_probes: 6,
-            failback_max_flaps: 3,
             reissue_budget: 0,
         }
     }
@@ -530,37 +514,19 @@ impl FaultConfig {
             || (self.is_active() && (self.reissue_budget > 0 || self.crc_bits > 0))
     }
 
-    /// True when fail-back probing is enabled.
-    pub fn failback_enabled(&self) -> bool {
-        self.failback_quiet_ns > 0
-    }
-
     /// Checks the fault parameters.
     ///
     /// # Errors
     ///
     /// Returns an error if the BER is not a probability, or if the
-    /// retry/burst/recovery bounds are inconsistent.
+    /// CRC strength, scrub interval or fail-back quiet period is out of
+    /// range.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.ber.is_finite() || !(0.0..=1.0).contains(&self.ber) {
             return Err(ConfigError::new(
                 "faults.ber",
                 "must be a probability in [0, 1]",
             ));
-        }
-        if self.is_active() {
-            if self.max_retries == 0 {
-                return Err(ConfigError::new(
-                    "faults.max_retries",
-                    "must be non-zero when injection is active",
-                ));
-            }
-            if self.burst_frames == 0 {
-                return Err(ConfigError::new(
-                    "faults.burst_frames",
-                    "must be non-zero when injection is active",
-                ));
-            }
         }
         if self.crc_bits > 64 {
             return Err(ConfigError::new("faults.crc_bits", "must be at most 64"));
@@ -587,14 +553,6 @@ impl FaultConfig {
             return Err(ConfigError::new(
                 "faults.failback_quiet_ns",
                 "must fit in 64-bit picoseconds after the 64x probe back-off",
-            ));
-        }
-        if self.failback_enabled()
-            && (self.failback_max_probes == 0 || self.failback_max_flaps == 0)
-        {
-            return Err(ConfigError::new(
-                "faults.failback",
-                "probe and flap bounds must be non-zero when fail-back is active",
             ));
         }
         Ok(())
@@ -681,15 +639,8 @@ pub struct MemoryConfig {
     pub xor_permutation: bool,
     /// AMB prefetcher configuration (FB-DIMM only).
     pub amb: AmbPrefetchConfig,
-    /// Fixed scheduling/queueing overhead at the controller (12 ns).
-    pub controller_overhead: Dur,
-    /// Per-AMB daisy-chain forwarding delay (3 ns).
-    pub amb_hop_delay: Dur,
     /// Transaction queue capacity (Table 1: memory buffer, 64 entries).
     pub queue_capacity: u32,
-    /// Reads are scheduled before writes unless this many writes are
-    /// pending (hit-first + read-priority policy, paper §4.1).
-    pub write_drain_threshold: u32,
     /// DRAM refresh (off to match the paper).
     pub refresh: RefreshConfig,
     /// Link fault injection (off by default; FB-DIMM only).
@@ -717,10 +668,7 @@ impl MemoryConfig {
             interleaving: Interleaving::Cacheline,
             xor_permutation: false,
             amb: AmbPrefetchConfig::off(),
-            controller_overhead: Dur::from_ns(12),
-            amb_hop_delay: Dur::from_ns(3),
             queue_capacity: 64,
-            write_drain_threshold: 16,
             refresh: RefreshConfig::off(),
             faults: FaultConfig::off(),
         }
@@ -813,12 +761,6 @@ impl MemoryConfig {
         if self.queue_capacity == 0 {
             return Err(ConfigError::new("queue_capacity", "must be non-zero"));
         }
-        if self.write_drain_threshold == 0 {
-            return Err(ConfigError::new(
-                "write_drain_threshold",
-                "must be non-zero",
-            ));
-        }
         if self.lines_per_page() == 0 {
             return Err(ConfigError::new(
                 "page_bytes",
@@ -878,111 +820,44 @@ impl Default for MemoryConfig {
     }
 }
 
-/// Configuration of the optional hardware stream prefetcher at the
-/// shared L2 (an extension beyond the paper — §5.4 predicts AMB
-/// prefetching composes with hardware prefetching the way it composes
-/// with software prefetching).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HwPrefetchConfig {
-    /// Master switch (off in every paper experiment).
-    pub enabled: bool,
-    /// Tracked concurrent streams.
-    pub streams: u32,
-    /// Lines fetched ahead once a stream is confirmed.
-    pub degree: u32,
-}
-
-impl HwPrefetchConfig {
-    /// Disabled (the paper's setting).
-    pub const fn off() -> HwPrefetchConfig {
-        HwPrefetchConfig {
-            enabled: false,
-            streams: 8,
-            degree: 4,
-        }
-    }
-
-    /// A typical stream prefetcher: 8 streams, 4 lines ahead.
-    pub const fn typical() -> HwPrefetchConfig {
-        HwPrefetchConfig {
-            enabled: true,
-            streams: 8,
-            degree: 4,
-        }
-    }
-
-    /// Checks the prefetcher parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the stream count or degree is zero while
-    /// enabled.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.enabled {
-            if self.streams == 0 {
-                return Err(ConfigError::new("hw_prefetch.streams", "must be non-zero"));
-            }
-            if self.degree == 0 {
-                return Err(ConfigError::new("hw_prefetch.degree", "must be non-zero"));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for HwPrefetchConfig {
-    fn default() -> Self {
-        HwPrefetchConfig::off()
-    }
-}
+/// Shared L2 associativity (Table 1: 4-way).
+pub const L2_WAYS: u32 = 4;
 
 /// Processor configuration (Table 1, pipeline rows).
 ///
 /// The simulator's core model is a first-order out-of-order timing model
-/// (see `fbd-cpu`); the fields here bound its reorder window and miss
-/// concurrency. Commit runs at each benchmark's base rate, so the
-/// paper's 8-issue width has no field.
+/// (see `fbd-cpu`). Only what an experiment varies is a field: the
+/// clock, ROB size, data MSHRs and L2 hit latency are `fbd-cpu`
+/// constants, the L2 associativity is [`L2_WAYS`], and commit runs at
+/// each benchmark's base rate, so the paper's 8-issue width has no
+/// field either.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuConfig {
     /// Number of cores (1/2/4/8 in the paper).
     pub cores: u32,
-    /// Core clock period (4 GHz → 250 ps).
-    pub clock: Dur,
-    /// Reorder buffer capacity in instructions.
-    pub rob_entries: u32,
-    /// Outstanding data-miss capacity per core (L1D MSHRs).
-    pub data_mshrs: u32,
     /// Shared L2 capacity in bytes.
     pub l2_bytes: u32,
-    /// Shared L2 associativity.
-    pub l2_ways: u32,
-    /// Shared L2 hit latency in core cycles.
-    pub l2_hit_cycles: u32,
     /// Shared L2 MSHR count (bounds total outstanding misses).
     pub l2_mshrs: u32,
     /// Execute software prefetch instructions (the paper's default: on).
     pub software_prefetch: bool,
-    /// Optional hardware stream prefetcher at the L2 (extension; off in
-    /// every paper experiment).
-    pub hw_prefetch: HwPrefetchConfig,
+    /// Run the hardware stream prefetcher at the L2 (an extension
+    /// beyond the paper, off in every paper experiment: §5.4 predicts
+    /// AMB prefetching composes with hardware prefetching the way it
+    /// composes with software prefetching).
+    pub hw_prefetch: bool,
 }
 
 impl CpuConfig {
-    /// The paper's Table 1 processor with `cores` cores: 4 GHz,
-    /// 196-entry ROB, 32 data MSHRs, shared 4 MB 4-way L2 with 15-cycle
-    /// hit latency and 64 L2 MSHRs, software prefetching on.
+    /// The paper's Table 1 processor with `cores` cores: shared 4 MB L2
+    /// with 64 L2 MSHRs, software prefetching on.
     pub fn paper_default(cores: u32) -> CpuConfig {
         CpuConfig {
             cores,
-            clock: Dur::from_ps(250),
-            rob_entries: 196,
-            data_mshrs: 32,
             l2_bytes: 4 << 20,
-            l2_ways: 4,
-            l2_hit_cycles: 15,
             l2_mshrs: 64,
             software_prefetch: true,
-            hw_prefetch: HwPrefetchConfig::off(),
+            hw_prefetch: false,
         }
     }
 
@@ -990,34 +865,23 @@ impl CpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if any capacity is zero or the L2 geometry is
-    /// inconsistent (ways must divide the set count evenly).
+    /// Returns an error if the core or L2 MSHR count is zero or the L2
+    /// capacity is not a whole number of [`L2_WAYS`]-line sets.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("cores", "must be non-zero"));
         }
-        if self.clock.is_zero() {
-            return Err(ConfigError::new("clock", "must be non-zero"));
-        }
-        for (name, v) in [
-            ("rob_entries", self.rob_entries),
-            ("data_mshrs", self.data_mshrs),
-            ("l2_ways", self.l2_ways),
-            ("l2_hit_cycles", self.l2_hit_cycles),
-            ("l2_mshrs", self.l2_mshrs),
-        ] {
-            if v == 0 {
-                return Err(ConfigError::new(name, "must be non-zero"));
-            }
+        if self.l2_mshrs == 0 {
+            return Err(ConfigError::new("l2_mshrs", "must be non-zero"));
         }
         let line = crate::address::CACHE_LINE_BYTES as u32;
-        if self.l2_bytes == 0 || !self.l2_bytes.is_multiple_of(self.l2_ways * line) {
+        if self.l2_bytes == 0 || !self.l2_bytes.is_multiple_of(L2_WAYS * line) {
             return Err(ConfigError::new(
                 "l2_bytes",
                 "must be a non-zero multiple of ways * line size",
             ));
         }
-        self.hw_prefetch.validate()
+        Ok(())
     }
 }
 
@@ -1113,20 +977,6 @@ mod tests {
         f.ber = -0.1;
         assert_eq!(f.validate().unwrap_err().field(), "faults.ber");
 
-        let mut f = FaultConfig::off();
-        f.ber = 1e-6;
-        f.max_retries = 0;
-        assert_eq!(f.validate().unwrap_err().field(), "faults.max_retries");
-
-        let mut f = FaultConfig::off();
-        f.ber = 1e-6;
-        f.mode = FaultMode::Burst;
-        f.burst_frames = 0;
-        assert_eq!(f.validate().unwrap_err().field(), "faults.burst_frames");
-        // The same zero bound is harmless while injection is off.
-        f.ber = 0.0;
-        f.validate().unwrap();
-
         // A bad fault block fails the whole memory config.
         let mut m = MemoryConfig::fbdimm_default();
         m.faults.ber = 2.0;
@@ -1138,7 +988,6 @@ mod tests {
         // All recovery knobs default off and validate.
         let off = FaultConfig::off();
         assert!(!off.recovery_active());
-        assert!(!off.failback_enabled());
 
         let mut f = FaultConfig::off();
         f.crc_bits = 65;
@@ -1165,14 +1014,7 @@ mod tests {
 
         let mut f = FaultConfig::off();
         f.failback_quiet_ns = 2_000;
-        assert!(f.failback_enabled());
         f.validate().unwrap();
-        f.failback_max_probes = 0;
-        assert_eq!(f.validate().unwrap_err().field(), "faults.failback");
-        f.failback_max_probes = 6;
-        f.failback_max_flaps = 0;
-        assert_eq!(f.validate().unwrap_err().field(), "faults.failback");
-        f.failback_max_flaps = 3;
         for quiet in [u64::MAX, u64::MAX / 1_000 + 1, u64::MAX / 1_000] {
             f.failback_quiet_ns = quiet;
             assert_eq!(
@@ -1240,9 +1082,11 @@ mod tests {
         assert_eq!(m.dimms_per_channel, 4);
         assert_eq!(m.banks_per_dimm, 4);
         assert_eq!(m.queue_capacity, 64);
-        assert_eq!(m.controller_overhead, Dur::from_ns(12));
-        assert_eq!(m.amb_hop_delay, Dur::from_ns(3));
         assert_eq!(m.lines_per_page(), 128);
+        let c = CpuConfig::paper_default(1);
+        assert_eq!(c.l2_bytes, 4 << 20);
+        assert_eq!(L2_WAYS, 4);
+        assert_eq!(c.l2_mshrs, 64);
     }
 
     #[test]

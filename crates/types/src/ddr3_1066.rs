@@ -2,13 +2,13 @@
 //! in one file (DESIGN.md §14).
 //!
 //! Everything the new substrate needs lives here: the timing table
-//! (clock-aligned to the 1.875 ns DDR3-1066 device clock), its
-//! [`TimingSpec`] and the [`Substrate`] preset composing it onto the
-//! FB-DIMM channel. The only lines outside this file are the two
-//! `register` calls in [`crate::substrate`].
+//! (clock-aligned to the 1.875 ns DDR3-1066 device clock) and the
+//! [`Substrate`] preset composing it onto the FB-DIMM channel. The
+//! only line outside this file is the `register` call in
+//! [`crate::substrate`].
 
 use crate::config::{DramTimings, MemoryConfig};
-use crate::substrate::{Substrate, TimingSpec};
+use crate::substrate::Substrate;
 use crate::time::{DataRate, Dur};
 
 impl DramTimings {
@@ -28,25 +28,6 @@ impl DramTimings {
             t_wpd: Dur::from_ps(33_750), // WL + burst + tWR, 18 clocks
             t_faw: Dur::from_ps(37_500), // 20 clocks (2 KB page parts)
         }
-    }
-}
-
-/// DDR3-1066 CL7 timing spec.
-#[derive(Debug)]
-pub struct Ddr3_1066Timing;
-
-impl TimingSpec for Ddr3_1066Timing {
-    fn name(&self) -> &'static str {
-        "ddr3-1066"
-    }
-    fn description(&self) -> &'static str {
-        "DDR3-1066 CL7, 1.875 ns clock"
-    }
-    fn data_rate(&self) -> DataRate {
-        DataRate::MTS1066
-    }
-    fn timings(&self) -> DramTimings {
-        DramTimings::ddr3_1066()
     }
 }
 

@@ -37,8 +37,7 @@ pub mod time;
 pub use address::{LineAddr, LineMap, LineSet, RegionId, CACHE_LINE_BYTES};
 pub use config::{
     AmbPrefetchConfig, AmbPrefetchMode, Associativity, CpuConfig, DramTimings, FaultConfig,
-    FaultMode, HwPrefetchConfig, Interleaving, MemoryConfig, MemoryTech, PagePolicy, Replacement,
-    SystemConfig,
+    FaultMode, Interleaving, MemoryConfig, MemoryTech, PagePolicy, Replacement, SystemConfig,
 };
 pub use error::ConfigError;
 pub use registry::Registry;

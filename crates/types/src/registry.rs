@@ -21,7 +21,7 @@
 //! ```
 
 /// An ordered name → component table. `T` is typically a trait object
-/// type (`dyn TimingSpec`, `dyn SchedulerSpec`, …); entries keep their
+/// type (`dyn Substrate`, `dyn SchedulerSpec`, …); entries keep their
 /// registration order so listings are stable.
 #[derive(Debug)]
 pub struct Registry<T: ?Sized + 'static> {

@@ -1,12 +1,11 @@
-//! Composable substrates: table-driven DRAM timing specs and named
-//! system presets behind registries (DESIGN.md §14).
+//! Composable substrates: named system presets behind a registry
+//! (DESIGN.md §14).
 //!
-//! A [`TimingSpec`] is a full FAW/tRTP-complete DRAM timing table plus
-//! its data rate; a [`Substrate`] is a complete memory-subsystem preset
-//! (geometry, technology, timing spec, prefetcher) selectable by its
-//! stable string name. The four paper systems (`ddr2`, `fbd`, `fbd-ap`,
-//! `fbd-apfl`), the DDR3-1333 extension (`fbd-ddr3`) and the DDR3-1066
-//! extension (`ddr3-1066`, defined entirely in
+//! A [`Substrate`] is a complete memory-subsystem preset (geometry,
+//! technology, DRAM timing table and data rate, prefetcher) selectable
+//! by its stable string name. The four paper systems (`ddr2`, `fbd`,
+//! `fbd-ap`, `fbd-apfl`), the DDR3-1333 extension (`fbd-ddr3`) and the
+//! DDR3-1066 extension (`ddr3-1066`, defined entirely in
 //! [`ddr3_1066`](crate::ddr3_1066)) are all registry entries; adding a
 //! new substrate is one new file plus one `register` line below — no
 //! edits to the simulator core.
@@ -14,96 +13,30 @@
 //! # Examples
 //!
 //! ```
-//! use fbd_types::substrate::{substrates, timing_specs};
+//! use fbd_types::config::DramTimings;
+//! use fbd_types::substrate::substrates;
 //!
 //! let fbd = substrates().get("fbd-ap").unwrap();
 //! assert!(fbd.config().amb.is_enabled());
-//! let t = timing_specs().get(fbd.timing_spec()).unwrap();
-//! assert_eq!(t.timings(), fbd.config().timings);
+//! assert_eq!(fbd.timing_spec(), "ddr2-667");
+//! assert_eq!(fbd.config().timings, DramTimings::ddr2_table2());
 //! ```
 
 use std::sync::OnceLock;
 
-use crate::config::{AmbPrefetchMode, DramTimings, MemoryConfig};
-use crate::ddr3_1066::{Ddr3_1066Substrate, Ddr3_1066Timing};
+use crate::config::{AmbPrefetchMode, MemoryConfig};
+use crate::ddr3_1066::Ddr3_1066Substrate;
 use crate::registry::Registry;
-use crate::time::DataRate;
-
-/// A table-driven DRAM timing specification: the full Table-2-style
-/// timing set (including the four-activate window and read-to-precharge
-/// constraints) plus the transfer rate that defines the device clock.
-pub trait TimingSpec: Send + Sync + std::fmt::Debug {
-    /// Stable registry name (e.g. `ddr2-667`).
-    fn name(&self) -> &'static str;
-    /// One-line human description for listings.
-    fn description(&self) -> &'static str;
-    /// Per-physical-channel transfer rate; its clock period paces every
-    /// command/data slot.
-    fn data_rate(&self) -> DataRate;
-    /// The timing table.
-    fn timings(&self) -> DramTimings;
-}
-
-/// The paper's DDR2-667 timing table (Table 2).
-#[derive(Debug)]
-pub struct Ddr2T667;
-
-impl TimingSpec for Ddr2T667 {
-    fn name(&self) -> &'static str {
-        "ddr2-667"
-    }
-    fn description(&self) -> &'static str {
-        "DDR2-667, the paper's Table 2 timings"
-    }
-    fn data_rate(&self) -> DataRate {
-        DataRate::MTS667
-    }
-    fn timings(&self) -> DramTimings {
-        DramTimings::ddr2_table2()
-    }
-}
-
-/// Representative DDR3-1333 (CL9) timings — the paper's footnote 1
-/// anticipates FB-DIMM carrying DDR3.
-#[derive(Debug)]
-pub struct Ddr3T1333;
-
-impl TimingSpec for Ddr3T1333 {
-    fn name(&self) -> &'static str {
-        "ddr3-1333"
-    }
-    fn description(&self) -> &'static str {
-        "DDR3-1333 CL9, 1.5 ns clock"
-    }
-    fn data_rate(&self) -> DataRate {
-        DataRate::MTS1333
-    }
-    fn timings(&self) -> DramTimings {
-        DramTimings::ddr3_1333()
-    }
-}
-
-/// The timing-spec registry. Built once; every entry is validated by
-/// the substrate tests below.
-pub fn timing_specs() -> &'static Registry<dyn TimingSpec> {
-    static SPECS: OnceLock<Registry<dyn TimingSpec>> = OnceLock::new();
-    SPECS.get_or_init(|| {
-        let mut r = Registry::new("timing spec");
-        r.register(Ddr2T667.name(), &Ddr2T667 as &dyn TimingSpec);
-        r.register(Ddr3T1333.name(), &Ddr3T1333);
-        r.register(Ddr3_1066Timing.name(), &Ddr3_1066Timing);
-        r
-    })
-}
 
 /// A complete memory-subsystem preset: a [`MemoryConfig`] (which embeds
-/// the timing table of [`Self::timing_spec`]) under a stable name.
+/// its DRAM timing table and data rate) under a stable name.
 pub trait Substrate: Send + Sync + std::fmt::Debug {
     /// Stable registry/CLI name (e.g. `fbd-ap`).
     fn name(&self) -> &'static str;
     /// One-line human description for listings.
     fn description(&self) -> &'static str;
-    /// Name of the [`TimingSpec`] this preset composes.
+    /// Name of the DRAM timing table the preset's configuration embeds
+    /// (e.g. `ddr2-667`), as substrate listings print it.
     fn timing_spec(&self) -> &'static str;
     /// The full memory configuration.
     fn config(&self) -> MemoryConfig;
@@ -228,37 +161,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_substrate_validates_and_names_a_registered_timing_spec() {
+    fn every_substrate_validates() {
         for (name, sub) in substrates().iter() {
             assert_eq!(name, sub.name());
-            let cfg = sub.config();
-            cfg.validate()
-                .unwrap_or_else(|e| panic!("substrate `{name}` invalid: {e}"));
-            let spec = timing_specs()
-                .get(sub.timing_spec())
-                .unwrap_or_else(|| panic!("substrate `{name}` names unknown timing spec"));
-            assert_eq!(
-                cfg.timings,
-                spec.timings(),
-                "substrate `{name}` must embed its timing spec's table"
-            );
-            assert_eq!(
-                cfg.data_rate,
-                spec.data_rate(),
-                "substrate `{name}` must run at its timing spec's rate"
-            );
-            assert!(!sub.description().is_empty());
-        }
-    }
-
-    #[test]
-    fn every_timing_spec_validates() {
-        for (name, spec) in timing_specs().iter() {
-            assert_eq!(name, spec.name());
-            spec.timings()
+            sub.config()
                 .validate()
-                .unwrap_or_else(|e| panic!("timing spec `{name}` invalid: {e}"));
-            assert!(!spec.data_rate().clock_period().is_zero());
+                .unwrap_or_else(|e| panic!("substrate `{name}` invalid: {e}"));
+            assert!(!sub.timing_spec().is_empty());
+            assert!(!sub.description().is_empty());
         }
     }
 

@@ -22,12 +22,12 @@ fn main() {
         .budget(200_000);
 
     // Baseline: FB-DIMM without prefetching (cacheline interleaving).
-    let baseline = base.clone().with_prefetch(false).run();
+    let baseline = base.clone().substrate("fbd").run();
 
     // The paper's proposal: region-based AMB prefetching — every demand
     // miss fetches its 4-line region into the AMB's 4 KB prefetch buffer
     // with a single DRAM activation (multi-cacheline interleaving).
-    let with_ap = base.clone().with_prefetch(true).run();
+    let with_ap = base.clone().substrate("fbd-ap").run();
 
     println!("swim on FB-DIMM, {} instructions:", base.exp().budget);
     println!();

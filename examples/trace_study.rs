@@ -11,7 +11,8 @@
 
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::{replay, System};
-use fbd_types::config::{AmbPrefetchMode, MemoryConfig, SystemConfig};
+use fbd_types::config::{MemoryConfig, SystemConfig};
+use fbd_types::substrate::substrates;
 use fbd_workloads::Workload;
 
 fn main() {
@@ -49,8 +50,7 @@ fn main() {
     println!();
 
     // Replay the identical stream everywhere.
-    let mut apfl = MemoryConfig::fbdimm_with_prefetch();
-    apfl.amb.mode = AmbPrefetchMode::FullLatency;
+    let apfl = substrates().get("fbd-apfl").expect("registered").config();
     let systems = [
         ("DDR2", MemoryConfig::ddr2_default()),
         ("FBD", MemoryConfig::fbdimm_default()),

@@ -13,8 +13,8 @@ fn prefetch_cuts_activations_and_total_energy_on_streaming() {
         .workload("1C-swim")
         .budget(60_000)
         .seed(42);
-    let off = base.clone().with_prefetch(false).run();
-    let on = base.with_prefetch(true).run();
+    let off = base.clone().substrate("fbd").run();
+    let on = base.substrate("fbd-ap").run();
 
     assert!(
         on.mem.dram_ops.act_pre < off.mem.dram_ops.act_pre,

@@ -6,8 +6,9 @@
 //! takes 33 ns (the 30 ns of DRAM work eliminated).
 
 use fbd_core::memsys::{Issued, MemorySystem};
-use fbd_types::config::{AmbPrefetchMode, MemoryConfig, MemoryTech};
+use fbd_types::config::{MemoryConfig, MemoryTech};
 use fbd_types::request::{AccessKind, CoreId, MemRequest};
+use fbd_types::substrate::substrates;
 use fbd_types::time::Time;
 use fbd_types::{LineAddr, RequestId};
 
@@ -56,8 +57,7 @@ fn amb_cache_hit_idle_latency_is_exactly_33ns() {
 
 #[test]
 fn full_latency_ablation_hit_costs_miss_latency() {
-    let mut cfg = MemoryConfig::fbdimm_with_prefetch();
-    cfg.amb.mode = AmbPrefetchMode::FullLatency;
+    let cfg = substrates().get("fbd-apfl").expect("registered").config();
     let mut mem = MemorySystem::new(&cfg);
     issue_read(&mut mem, read_req(0, 0, Time::ZERO));
     let arrival = Time::from_ns(300);

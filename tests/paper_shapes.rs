@@ -7,7 +7,8 @@ use std::collections::HashMap;
 
 use fbd_core::experiment::{reference_ipcs, smt_speedup, ExperimentConfig};
 use fbd_core::{RunResult, RunSpec};
-use fbd_types::config::{AmbPrefetchMode, MemoryConfig, SystemConfig};
+use fbd_types::config::{MemoryConfig, SystemConfig};
+use fbd_types::substrate::substrates;
 use fbd_workloads::Workload;
 
 fn exp() -> ExperimentConfig {
@@ -64,8 +65,7 @@ fn figure7_shape_ap_beats_fbd_significantly() {
 fn figure9_shape_apfl_sits_between() {
     let refs = refs();
     let fbd = avg_speedup(MemoryConfig::fbdimm_default(), &refs);
-    let mut apfl_mem = MemoryConfig::fbdimm_with_prefetch();
-    apfl_mem.amb.mode = AmbPrefetchMode::FullLatency;
+    let apfl_mem = substrates().get("fbd-apfl").expect("registered").config();
     let apfl = avg_speedup(apfl_mem, &refs);
     let ap = avg_speedup(MemoryConfig::fbdimm_with_prefetch(), &refs);
     assert!(

@@ -139,7 +139,7 @@ fn request_accounting_is_conserved() {
     let exp = ExperimentConfig {
         seed: 7,
         budget: 120_000,
-        warmup: Warmup::None,
+        warmup: Warmup::Ops(0),
     };
     let w = Workload::new("1C-equake", &["equake"]);
     let r = run(SystemConfig::paper_default(1), &w, exp);
@@ -188,7 +188,7 @@ fn deep_queue_spill_preserves_all_requests() {
     let exp = ExperimentConfig {
         seed: 3,
         budget: 40_000,
-        warmup: Warmup::None,
+        warmup: Warmup::Ops(0),
     };
     let w = fbd_workloads::two_core_workloads().remove(0);
     let r = run(cfg, &w, exp);

@@ -2,7 +2,8 @@
 
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::{RunResult, RunSpec};
-use fbd_types::config::{AmbPrefetchMode, MemoryConfig, SystemConfig};
+use fbd_types::config::{MemoryConfig, SystemConfig};
+use fbd_types::substrate::substrates;
 use fbd_workloads::{four_core_workloads, Workload};
 
 fn exp(budget: u64) -> ExperimentConfig {
@@ -108,8 +109,8 @@ fn group_fetch_trades_activates_for_columns() {
 fn full_latency_ablation_sits_between_base_and_ap() {
     let w = Workload::new("1C-applu", &["applu"]);
     let base = run(fbd(1), &w, exp(80_000));
-    let mut apfl_cfg = fbd_ap(1);
-    apfl_cfg.mem.amb.mode = AmbPrefetchMode::FullLatency;
+    let mut apfl_cfg = fbd(1);
+    apfl_cfg.mem = substrates().get("fbd-apfl").expect("registered").config();
     let apfl = run(apfl_cfg, &w, exp(80_000));
     let ap = run(fbd_ap(1), &w, exp(80_000));
     let (b, f, a) = (base.cores[0].ipc(), apfl.cores[0].ipc(), ap.cores[0].ipc());
